@@ -9,17 +9,17 @@ import argparse
 import configparser
 import json
 import math
-import os
 import sys
-import tempfile
 import traceback
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
+from typing import get_args, get_origin
 
 import numpy as np
 
 from . import analysis, fl, models, stream
-from .preprocess import PreprocessConfig, WindowConfig, PreprocessError
+from .models import _atomic_write
+from .preprocess import PreprocessConfig, WindowConfig
 from .trace import ClientTrace, ColumnMapping, TraceRecord, clean_and_resample, \
     load_trace
 
@@ -49,6 +49,10 @@ class SyntheticSpec:
             raise ConfigError("bad synthetic size")
         if not 1 <= self.n_datasets <= self.n_clients:
             raise ConfigError("n_datasets must be in [1, n_clients]")
+        if min(self.period_min, self.period_max) <= 0:
+            raise ConfigError("periods must be positive")
+        if min(self.amp_frac, self.noise_frac) < 0:
+            raise ConfigError("amp_frac and noise_frac must be >= 0")
 
 
 def generate_synthetic(spec, seed):
@@ -102,221 +106,211 @@ def generate_synthetic(spec, seed):
 # ---------------------------------------------------------------------------
 
 
-_STRATEGIES = ("FEDAVG", "FEDPROX", "FEDBN")
 _PREDICTORS = ("model", "harmonic", "oracle", "constant")
 
 
 @dataclass
 class ExperimentConfig:
-    seed: int
-    out_dir: str
-    workers: int
-    source: str                 # synthetic | files
-    synthetic: SyntheticSpec
-    files: list
-    mapping_path: str
-    dataset_tag: str
-    preprocess: PreprocessConfig
-    window: WindowConfig
-    model_kwargs: dict
-    train_kwargs: dict
-    rounds_kwargs: dict
-    stream_kwargs: dict
-    qoe_kwargs: dict
-    predictor: str
-    constant_mbps: float
-    train_ratio: float
-    raw_echo: str
+    """A parsed config file: the run settings that no stage dataclass holds,
+    then the stage configs that `_parse_config` builds from their sections."""
+    seed: int = None
+    out_dir: str = "runs/out"
+    workers: int = 1
+    source: str = "synthetic"           # synthetic | files
+    files: tuple[str, ...] = ()
+    mapping_path: str = ""
+    dataset_tag: str = "files"
+    train_ratio: float = 0.8
+    predictor: str = "model"
+    constant_mbps: float = 0.3
+    synthetic: SyntheticSpec = None
+    preprocess: PreprocessConfig = None
+    window: WindowConfig = None
+    model_kwargs: dict = None           # ModelSpec but its trace-derived sizes
+    train: models.TrainConfig = None
+    rounds: fl.RoundConfig = None
+    stream_config: stream.StreamConfig = None
+    qoe: stream.QoECoefficients = None
+    raw_echo: str = ""
+
+    def __post_init__(self):
+        if self.workers < 1:
+            raise ConfigError("workers must be >= 1")
+        if self.source not in ("synthetic", "files"):
+            raise ConfigError(
+                f"must be synthetic or files, got {self.source!r}")
+        if self.source == "files" and not self.files:
+            raise ConfigError("source = files needs [data] files")
+        for p in (*self.files, self.mapping_path):
+            if p and not Path(p).exists():
+                raise ConfigError(f"{p} does not exist")
+        if not 0 < self.train_ratio < 1:
+            raise ConfigError("train_ratio must be in (0, 1)")
+        if self.predictor not in _PREDICTORS:
+            raise ConfigError(f"unknown predictor {self.predictor!r}")
+        if self.constant_mbps <= 0:
+            raise ConfigError("constant_mbps must be positive")
+
+    @property
+    def stream_kwargs(self):
+        return asdict(self.stream_config)
+
+    @property
+    def qoe_kwargs(self):
+        return asdict(self.qoe)
+
+
+# INI key -> dataclass field, where the two names differ
+_FIELD_OF_KEY = {"scaler": "scaler_kind", "scope": "scaling_scope",
+                 "participation": "participation_fraction", "strategy": "kind",
+                 "mapping": "mapping_path"}
+_KEY_OF_FIELD = {f: k for k, f in _FIELD_OF_KEY.items()}
+
+
+def _keys(cls, only=None, skip=()):
+    """INI key -> (dataclass, field name, field type) for the fields of `cls`
+    that a section sets: the named ones, or all but `skip`."""
+    return {_KEY_OF_FIELD.get(f.name, f.name): (cls, f.name, f.type)
+            for f in fields(cls)
+            if (f.name in only if only else f.name not in skip)}
+
+
+# INI section -> the keys it may hold. The model's sizes come from the traces
+# and [window], FedProx's mu from [rounds], the seed of the rounds from
+# [experiment]; the segment and chunk layout of the stream is fixed.
+_SCHEMA = {
+    "experiment": _keys(ExperimentConfig, ("seed", "out_dir", "workers")),
+    "data": _keys(ExperimentConfig,
+                  ("source", "files", "mapping_path", "dataset_tag")),
+    "synthetic": _keys(SyntheticSpec),
+    "preprocess": _keys(PreprocessConfig),
+    "window": {**_keys(WindowConfig),
+               **_keys(ExperimentConfig, ("train_ratio",))},
+    "model": _keys(models.ModelSpec,
+                   skip=("in_features", "history", "horizon")),
+    "train": _keys(models.TrainConfig, skip=("prox_mu",)),
+    "rounds": {**_keys(fl.StrategyKind),
+               **_keys(fl.RoundConfig, skip=("strategy", "seed"))},
+    "stream": {**_keys(stream.StreamConfig,
+                       skip=("segment_len", "chunks_per_segment")),
+               **_keys(ExperimentConfig, ("predictor", "constant_mbps"))},
+    "qoe": _keys(stream.QoECoefficients),
+}
+# (dataclass, field name) -> (section, INI key), for error messages
+_KEY_OF = {(cls, name): (section, key) for section, keys in _SCHEMA.items()
+           for key, (cls, name, _) in keys.items()}
+_BOOLEANS = configparser.ConfigParser.BOOLEAN_STATES
+
+
+def _settings(section, obj):
+    """The fields of `obj` that `section` sets, under their INI keys."""
+    return {key: getattr(obj, name) for key, (cls, name, _) in
+            _SCHEMA[section].items() if isinstance(obj, cls)}
+
+
+def _cast(kind, raw):
+    """The INI string `raw` as a value of the field type `kind`; ValueError
+    when it is not one."""
+    if get_origin(kind) is tuple:
+        item = get_args(kind)[0]
+        return tuple(_cast(item, part.strip()) for part in raw.split(",")
+                     if part.strip())
+    if kind is bool:
+        if raw.lower() not in _BOOLEANS:
+            raise ValueError(raw)
+        return _BOOLEANS[raw.lower()]
+    value = kind(raw)
+    if kind is float and not math.isfinite(value):
+        raise ValueError(raw)
+    return value
+
+
+def _build(cls, base, given, errors):
+    """cls(**{**base, **given}). When that is invalid, add to `errors` one line
+    per key of `given` that is invalid on its own or next to the keys that
+    are valid on their own, and return cls(**base)."""
+    def error(kwargs):
+        try:
+            cls(**{**base, **kwargs})
+        except ValueError as exc:
+            return exc
+        return None
+
+    whole = error(given)
+    if whole is None:
+        return cls(**{**base, **given})
+    valid = {k: v for k, v in given.items() if error({k: v}) is None}
+    blamed = {k: error({**valid, k: v}) for k, v in given.items()
+              if k not in valid}
+    blamed = {k: exc for k, exc in blamed.items() if exc is not None}
+    for name, exc in blamed.items():
+        section, key = _KEY_OF[cls, name]
+        errors.append(f"[{section}] {key}: {exc}")
+    if not blamed:
+        section, _ = _KEY_OF[cls, next(iter(given))]
+        errors.append(f"[{section}] {whole}")
+    return cls(**base)
 
 
 def _parse_config(path, overrides):
-    cp = configparser.ConfigParser()
+    """Read an INI config into an ExperimentConfig, building every stage's
+    config on the way. Defaults are the dataclass defaults; ConfigError lists
+    every unknown section or key and every invalid value."""
+    cp = configparser.ConfigParser(interpolation=None)
     cp.optionxform = str
-    read = cp.read(path)
-    errors = []
+    try:
+        read = cp.read(path)
+    except configparser.Error as exc:
+        raise ConfigError(f"cannot parse config file {path}: {exc}") from None
     if not read:
         raise ConfigError(f"cannot read config file {path}")
-
-    def get(section, key, cast, default=None, required=False):
-        if cp.has_option(section, key):
-            raw = cp.get(section, key)
+    errors = []
+    given = {}      # dataclass -> {field name: value read from the file}
+    for section in cp.sections():
+        keys = _SCHEMA.get(section)
+        if keys is None:
+            errors.append(f"[{section}] unknown section")
+            continue
+        for key, raw in cp.items(section):
+            if key not in keys:
+                errors.append(f"[{section}] {key}: unknown key")
+                continue
+            cls, name, kind = keys[key]
             try:
-                if cast is bool:
-                    return raw.strip().lower() in ("1", "true", "yes", "on")
-                return cast(raw)
+                given.setdefault(cls, {})[name] = _cast(kind, raw)
             except ValueError:
                 errors.append(f"[{section}] {key}: cannot parse {raw!r}")
-                return default
-        if required and default is None:
-            errors.append(f"[{section}] {key}: missing required field")
-        return default
-
-    seed = overrides.get("seed")
-    if seed is None:
-        seed = get("experiment", "seed", int, required=True)
-    out_dir = overrides.get("out") or get("experiment", "out_dir", str,
-                                          default="runs/out")
-    workers = overrides.get("workers") or get("experiment", "workers", int,
-                                              default=1)
-
-    source = get("data", "source", str, default="synthetic")
-    if source not in ("synthetic", "files"):
-        errors.append(f"[data] source: must be synthetic or files, got {source!r}")
-
-    syn = SyntheticSpec()
-    if cp.has_section("synthetic"):
-        kwargs = {}
-        for key, cast in (("n_clients", int), ("length", int),
-                          ("offset_min", float), ("offset_max", float),
-                          ("ar_min", float), ("ar_max", float),
-                          ("amp_frac", float), ("period_min", float),
-                          ("period_max", float), ("noise_frac", float),
-                          ("n_datasets", int)):
-            val = get("synthetic", key, cast)
-            if val is not None:
-                kwargs[key] = val
-        try:
-            syn = SyntheticSpec(**kwargs)
-        except ConfigError as exc:
-            errors.append(f"[synthetic] {exc}")
-
-    files = []
-    mapping_path = get("data", "mapping", str, default="")
-    dataset_tag = get("data", "dataset_tag", str, default="files")
-    if source == "files":
-        raw = get("data", "files", str, default="")
-        files = [p.strip() for p in raw.split(",") if p.strip()]
-        if not files:
-            errors.append("[data] files: no trace files listed")
-        for p in files:
-            if not Path(p).exists():
-                errors.append(f"[data] files: {p} does not exist")
-        if mapping_path and not Path(mapping_path).exists():
-            errors.append(f"[data] mapping: {mapping_path} does not exist")
-
-    try:
-        pre = PreprocessConfig(
-            filter_window=get("preprocess", "filter_window", int, default=3),
-            scaler_kind=get("preprocess", "scaler", str, default="minmax"),
-            scaling_scope=get("preprocess", "scope", str, default="per_client"))
-    except PreprocessError as exc:
-        errors.append(f"[preprocess] {exc}")
-        pre = PreprocessConfig()
-
-    try:
-        win = WindowConfig(
-            history=get("window", "history", int, default=15),
-            horizon=get("window", "horizon", int, default=1),
-            train_stride=get("window", "train_stride", int, default=1),
-            eval_stride=get("window", "eval_stride", int, default=0))
-    except PreprocessError as exc:
-        errors.append(f"[window] {exc}")
-        win = WindowConfig(history=15, horizon=1)
-
-    arch = get("model", "arch", str, default="LSTM")
-    if arch not in models.ARCHS:
-        errors.append(f"[model] arch: unknown architecture {arch!r}")
-        arch = "LSTM"
-    conv_raw = get("model", "conv_channels", str, default="8,8")
-    try:
-        conv_channels = tuple(int(c) for c in conv_raw.split(","))
-    except ValueError:
-        errors.append(f"[model] conv_channels: cannot parse {conv_raw!r}")
-        conv_channels = (8, 8)
-    model_kwargs = dict(
-        arch=arch,
-        hidden=get("model", "hidden", int, default=32),
-        num_layers=get("model", "num_layers", int, default=1),
-        num_heads=get("model", "num_heads", int, default=2),
-        conv_channels=conv_channels,
-        ff_dim=get("model", "ff_dim", int, default=0),
-        use_batchnorm=get("model", "use_batchnorm", bool, default=True),
-        use_positional=get("model", "use_positional", bool, default=True))
-
-    train_kwargs = dict(
-        learning_rate=get("train", "learning_rate", float,
-                          default=models._TABLE_LR[arch]),
-        batch_size=get("train", "batch_size", int, default=32),
-        local_epochs=get("train", "local_epochs", int,
-                         default=models._DEFAULT_EPOCHS[arch]),
-        optimizer=get("train", "optimizer", str, default="adam"),
-        include_bn_in_prox=get("train", "include_bn_in_prox", bool,
-                               default=False))
-
-    strategy = get("rounds", "strategy", str, default="FEDBN")
-    if strategy not in _STRATEGIES:
-        errors.append(f"[rounds] strategy: unknown strategy {strategy!r}")
-        strategy = "FEDBN"
-    mu = get("rounds", "mu", float, default=0.0)
-    if strategy == "FEDPROX" and mu <= 0:
-        errors.append("[rounds] mu: FEDPROX requires mu > 0")
-        mu = 0.1
-    rounds_kwargs = dict(
-        strategy=strategy, mu=mu,
-        total_rounds=get("rounds", "total_rounds", int, default=100),
-        participation=get("rounds", "participation", float, default=0.85),
-        aggregate_running_stats=get("rounds", "aggregate_running_stats", bool,
-                                    default=True))
-    if not 0 < rounds_kwargs["participation"] <= 1:
-        errors.append("[rounds] participation: must be in (0, 1]")
-        rounds_kwargs["participation"] = 0.85
-    if rounds_kwargs["total_rounds"] < 0:
-        errors.append("[rounds] total_rounds: must be >= 0")
-        rounds_kwargs["total_rounds"] = 0
-
-    ladder_raw = get("stream", "ladder_kbps", str,
-                     default="300,500,1000,2000,3000,6000")
-    try:
-        ladder = tuple(float(x) for x in ladder_raw.split(","))
-    except ValueError:
-        errors.append(f"[stream] ladder_kbps: cannot parse {ladder_raw!r}")
-        ladder = (300.0, 500.0, 1000.0, 2000.0, 3000.0, 6000.0)
-    stream_kwargs = dict(
-        ladder_kbps=ladder,
-        session_len=get("stream", "session_len", int, default=110),
-        rtt_overhead=get("stream", "rtt_overhead", float, default=0.08),
-        mpc_horizon=get("stream", "mpc_horizon", int, default=5),
-        playback_threshold=get("stream", "playback_threshold", float, default=2.0),
-        max_latency=get("stream", "max_latency", float, default=5.0),
-        join_prefetch_max=get("stream", "join_prefetch_max", int, default=3),
-        start_after=get("stream", "start_after", int, default=2))
-    qoe_kwargs = dict(
-        mu1=get("qoe", "mu1", float, default=0.2),
-        mu2=get("qoe", "mu2", float, default=6.0),
-        mu3=get("qoe", "mu3", float, default=1.0),
-        mu4=get("qoe", "mu4", float, default=0.8),
-        mu5=get("qoe", "mu5", float, default=1.2),
-        omega=get("qoe", "omega", float, default=4.0),
-        r_min_kbps=get("qoe", "r_min_kbps", float, default=min(ladder)))
-
-    predictor = get("stream", "predictor", str, default="model")
-    if predictor not in _PREDICTORS:
-        errors.append(f"[stream] predictor: unknown predictor {predictor!r}")
-        predictor = "model"
-    constant_mbps = get("stream", "constant_mbps", float, default=0.3)
-    train_ratio = get("window", "train_ratio", float, default=0.8)
-    if not 0 < train_ratio < 1:
-        errors.append("[window] train_ratio: must be in (0, 1)")
-        train_ratio = 0.8
-
-    if seed is None:
+    settings = given.setdefault(ExperimentConfig, {})
+    settings.update({k: v for k, v in overrides.items() if v is not None})
+    if settings.get("seed") is None:
         errors.append("[experiment] seed: a master seed is mandatory")
-        seed = 0
 
+    def build(cls, **base):
+        return _build(cls, base, given.get(cls, {}), errors)
+
+    cfg = build(ExperimentConfig)
+    cfg.synthetic = build(SyntheticSpec)
+    cfg.preprocess = build(PreprocessConfig)
+    cfg.window = build(WindowConfig)
+    spec = build(models.ModelSpec, in_features=1, history=1, horizon=1)
+    cfg.model_kwargs = {name: getattr(models.ModelSpec, name)
+                        for _, name, _ in _SCHEMA["model"].values()}
+    cfg.model_kwargs.update(given.get(models.ModelSpec, {}))
+    cfg.train = build(models.TrainConfig,
+                      **asdict(models.default_train_config(spec.arch)))
+    cfg.rounds = build(fl.RoundConfig, strategy=build(fl.StrategyKind),
+                       seed=cfg.seed)
+    cfg.stream_config = build(stream.StreamConfig)
+    cfg.qoe = build(stream.QoECoefficients,
+                    r_min_kbps=min(cfg.stream_config.ladder_kbps))
+    if cfg.qoe.r_min_kbps > cfg.stream_config.ladder_kbps[0]:
+        errors.append("[qoe] r_min_kbps: must not exceed the lowest "
+                      "rate of [stream] ladder_kbps")
     if errors:
         raise ConfigError("\n".join(errors))
-
     with open(path) as fh:
-        raw_echo = fh.read()
-    return ExperimentConfig(
-        seed=int(seed), out_dir=str(out_dir), workers=int(workers),
-        source=source, synthetic=syn, files=files, mapping_path=mapping_path,
-        dataset_tag=dataset_tag, preprocess=pre, window=win,
-        model_kwargs=model_kwargs, train_kwargs=train_kwargs,
-        rounds_kwargs=rounds_kwargs, stream_kwargs=stream_kwargs,
-        qoe_kwargs=qoe_kwargs, predictor=predictor,
-        constant_mbps=constant_mbps, train_ratio=train_ratio,
-        raw_echo=raw_echo)
+        cfg.raw_echo = fh.read()
+    return cfg
 
 
 def load_mapping(path):
@@ -343,34 +337,6 @@ def load_mapping(path):
 # ---------------------------------------------------------------------------
 # artifact helpers
 # ---------------------------------------------------------------------------
-
-
-def _atomic_write(path, text):
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp_")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _atomic_write_bytes(path, blob):
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp_")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(blob)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def _fmt(x):
@@ -423,19 +389,6 @@ def _model_spec(cfg, traces):
                             horizon=cfg.window.horizon, **cfg.model_kwargs)
 
 
-def _round_config(cfg):
-    rk = cfg.rounds_kwargs
-    strategy = fl.StrategyKind(rk["strategy"], mu=rk["mu"])
-    return fl.RoundConfig(strategy=strategy, total_rounds=rk["total_rounds"],
-                          participation_fraction=rk["participation"],
-                          seed=cfg.seed,
-                          aggregate_running_stats=rk["aggregate_running_stats"])
-
-
-def _train_config(cfg):
-    return models.TrainConfig(**cfg.train_kwargs)
-
-
 def _echo_config(cfg, out):
     _atomic_write(out / "config_echo.ini",
                   cfg.raw_echo + f"\n; resolved_seed = {cfg.seed}\n")
@@ -446,8 +399,6 @@ def cmd_federate(cfg):
     traces = _load_traces(cfg)
     clients = _build_clients(cfg, traces)
     spec = _model_spec(cfg, traces)
-    rc = _round_config(cfg)
-    tc = _train_config(cfg)
 
     rows = ["round,client_id,r2,mse,participated"]
 
@@ -455,33 +406,28 @@ def cmd_federate(cfg):
         for rnd, cid, r2, m, part in report.rows():
             rows.append(f"{rnd},{cid},{_fmt(r2)},{_fmt(m)},{part}")
 
-    reports, global_params = fl.run_experiment(clients, rc, tc, spec,
-                                               report_sink=sink)
+    reports, global_params = fl.run_experiment(clients, cfg.rounds, cfg.train,
+                                               spec, report_sink=sink)
     _echo_config(cfg, out)
     _atomic_write(out / "rounds.csv", "\n".join(rows) + "\n")
 
     ckpt_dir = out / "checkpoints"
-    ckpt_dir.mkdir(parents=True, exist_ok=True)
-    _save_checkpoint_atomic(ckpt_dir / "global.ckpt", spec, global_params)
+    models.save_checkpoint(ckpt_dir / "global.ckpt", spec, global_params)
     for client in clients:
-        _save_checkpoint_atomic(ckpt_dir / f"client_{client.client_id}.ckpt",
-                                spec, client.params)
+        models.save_checkpoint(ckpt_dir / f"client_{client.client_id}.ckpt",
+                               spec, client.params)
 
     summary = {
         "seed": cfg.seed,
         "config": {
             "model": cfg.model_kwargs,
-            "train": cfg.train_kwargs,
-            "rounds": cfg.rounds_kwargs,
-            "window": {"history": cfg.window.history,
-                       "horizon": cfg.window.horizon,
-                       "train_stride": cfg.window.train_stride,
-                       "eval_stride": cfg.window.eval_stride},
-            "preprocess": {"filter_window": cfg.preprocess.filter_window,
-                           "scaler": cfg.preprocess.scaler_kind,
-                           "scope": cfg.preprocess.scaling_scope},
+            "train": _settings("train", cfg.train),
+            "rounds": {**_settings("rounds", cfg.rounds.strategy),
+                       **_settings("rounds", cfg.rounds)},
+            "window": _settings("window", cfg.window),
+            "preprocess": _settings("preprocess", cfg.preprocess),
         },
-        "strategy": cfg.rounds_kwargs["strategy"],
+        "strategy": cfg.rounds.strategy.kind,
         "arch": cfg.model_kwargs["arch"],
         "rounds": len(reports),
         "clients": [c.client_id for c in clients],
@@ -493,11 +439,6 @@ def cmd_federate(cfg):
     _atomic_write(out / "summary.json",
                   json.dumps(summary, sort_keys=True, indent=2) + "\n")
     return 0
-
-
-def _save_checkpoint_atomic(path, spec, params):
-    header = json.dumps(asdict(spec), sort_keys=True).encode("utf-8")
-    _atomic_write_bytes(path, header + b"\n" + params.to_bytes())
 
 
 def cmd_analyze(cfg):
@@ -558,8 +499,7 @@ def cmd_stream(cfg):
     out = Path(cfg.out_dir)
     traces = _load_traces(cfg)
     _echo_config(cfg, out)
-    scfg = stream.StreamConfig(**cfg.stream_kwargs)
-    coeffs = stream.QoECoefficients(**cfg.qoe_kwargs)
+    scfg, coeffs = cfg.stream_config, cfg.qoe
 
     spec = params_by_client = None
     if cfg.predictor == "model":
@@ -616,7 +556,7 @@ def cmd_stream(cfg):
 
 def run(config_path, subcommand, out=None, seed=None, workers=None):
     """Entry shared by the CLI and tests; returns a process exit code."""
-    overrides = {"out": out, "seed": seed, "workers": workers}
+    overrides = {"out_dir": out, "seed": seed, "workers": workers}
     try:
         cfg = _parse_config(config_path, overrides)
     except ConfigError as exc:

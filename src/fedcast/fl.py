@@ -28,7 +28,7 @@ class FLError(ValueError):
 
 @dataclass
 class StrategyKind:
-    kind: str
+    kind: str = FEDBN
     mu: float = 0.0
 
     def __post_init__(self):
@@ -146,27 +146,30 @@ def aggregate_fedavg(updates):
     return out
 
 
-def aggregate_fedbn(updates):
-    """FedAvg on non-BN parameters; BN blocks return to their owners.
+def _is_bn(t, is_bn):
+    return is_bn
 
-    Returns (per_client ParamSets, shared ParamSet holding only the
-    aggregated non-BN entries).
+
+def aggregate_fedbn(updates, others=(), keep_local=_is_bn):
+    """FedAvg over the shared entries; client-local entries stay with their
+    owner.
+
+    `keep_local(tensor, is_bn)` marks the client-local entries, by default
+    every batch-norm entry. Returns (per_client, per_other): for each update
+    and for each ParamSet in `others`, the FedAvg average with that ParamSet's
+    own local entries put back.
     """
-    if not updates:
-        raise FLError("no updates to aggregate")
-    paramsets = [p for p, _ in updates]
-    _check_structures(paramsets)
     averaged = aggregate_fedavg(updates)
-    shared = ParamSet([(n, t, b) for n, t, b in averaged.entries if not b])
+    local = [i for i, (_, t, is_bn) in enumerate(averaged.entries)
+             if keep_local(t, is_bn)]
 
-    per_client = []
-    for ps, _ in updates:
-        merged = ps.copy()
-        for i, (name, t, is_bn) in enumerate(merged.entries):
-            if not is_bn:
-                t.data = averaged.entries[i][1].data.copy()
-        per_client.append(merged)
-    return per_client, shared
+    def merged(own):
+        out = averaged.copy()
+        for i in local:
+            out.entries[i][1].data = own.entries[i][1].data.copy()
+        return out
+
+    return [merged(ps) for ps, _ in updates], [merged(ps) for ps in others]
 
 
 def _broadcast_for(client, global_params, strategy):
@@ -196,7 +199,7 @@ def run_round(clients, global_params, rc, tc, spec, round_index=0):
 
     index_of = {id(c): i for i, c in enumerate(clients)}
     updates = []
-    trained_bn = {}
+    trained = []
     diverged = []
     for client in participants:
         broadcast = _broadcast_for(client, global_params, strategy)
@@ -213,31 +216,28 @@ def run_round(clients, global_params, rc, tc, spec, round_index=0):
             diverged.append(client.client_id)
             continue
         updates.append((new_params, client.n_samples))
-        trained_bn[client.client_id] = new_params
+        trained.append(client)
 
     if not updates:
         raise FLError(f"round {round_index}: every participant diverged")
 
-    if strategy.kind == FEDBN or not rc.aggregate_running_stats:
-        local_tags = _local_entry_mask(global_params, strategy, rc)
-        new_global = aggregate_fedavg(updates)
-        # restore global entries that must not be averaged
-        for i, (name, t, _) in enumerate(new_global.entries):
-            if local_tags[i]:
-                t.data = global_params.entries[i][1].data.copy()
-        for client in clients:
-            merged = new_global.copy()
-            source = trained_bn.get(client.client_id, client.params)
-            if source is not None:
-                for i, keep_local in enumerate(local_tags):
-                    if keep_local:
-                        merged.entries[i][1].data = \
-                            source.entries[i][1].data.copy()
-            client.params = merged
-    else:
-        new_global = aggregate_fedavg(updates)
-        for client in clients:
-            client.params = new_global.copy()
+    if strategy.kind == FEDBN:
+        keep_local = _is_bn
+    elif rc.aggregate_running_stats:
+        keep_local = lambda t, is_bn: False
+    else:  # batch-norm running statistics stay with their client
+        keep_local = lambda t, is_bn: is_bn and not t.requires_grad
+    # clients that did not train keep their own local entries; the global
+    # model keeps the previous global's
+    idle = [c for c in clients if c not in trained]
+    per_client, per_other = aggregate_fedbn(
+        updates, [global_params] + [c.params if c.params is not None
+                                    else global_params for c in idle],
+        keep_local)
+    new_global = per_other[0]
+    for client, params in zip(trained + idle,
+                              per_client + per_other[1:]):
+        client.params = params
 
     metrics = {}
     r2s = []
@@ -250,19 +250,6 @@ def run_round(clients, global_params, rc, tc, spec, round_index=0):
                          mean_r2=float(np.mean(r2s)),
                          var_r2=float(np.var(r2s)))
     return new_global, report
-
-
-def _local_entry_mask(params, strategy, rc):
-    """True for entries that stay client-local instead of being averaged."""
-    mask = []
-    for name, t, is_bn in params.entries:
-        if strategy.kind == FEDBN:
-            mask.append(is_bn)
-        elif not rc.aggregate_running_stats:
-            mask.append(is_bn and not t.requires_grad)
-        else:
-            mask.append(False)
-    return mask
 
 
 def run_experiment(clients, rc, tc, spec, report_sink=None):

@@ -8,7 +8,10 @@ so the aggregation layer can treat them as client-local state.
 
 import json
 import math
+import os
+import tempfile
 from dataclasses import dataclass, asdict
+from pathlib import Path
 
 import numpy as np
 
@@ -31,14 +34,14 @@ class TrainingDiverged(RuntimeError):
 
 @dataclass
 class ModelSpec:
-    arch: str
     in_features: int          # |F|+1 input rows (throughput history included)
     history: int              # H
     horizon: int              # F
+    arch: str = "LSTM"
     hidden: int = 32          # LSTM hidden size / transformer d_model
     num_layers: int = 1       # recurrent layers
     num_heads: int = 2
-    conv_channels: tuple = (8, 8)
+    conv_channels: tuple[int, ...] = (8, 8)
     ff_dim: int = 0           # transformer feed-forward width; 0 -> 2*hidden
     use_batchnorm: bool = True
     use_positional: bool = True
@@ -48,8 +51,15 @@ class ModelSpec:
             raise ModelError(f"unknown architecture {self.arch!r}")
         if self.in_features < 1 or self.history < 1 or self.horizon < 1:
             raise ModelError("in_features, history and horizon must be >= 1")
-        if isinstance(self.conv_channels, list):
-            self.conv_channels = tuple(self.conv_channels)
+        if min(self.hidden, self.num_layers, self.num_heads) < 1:
+            raise ModelError("hidden, num_layers and num_heads must be >= 1")
+        if self.ff_dim < 0:
+            raise ModelError("ff_dim must be >= 0")
+        self.conv_channels = tuple(self.conv_channels)
+        if min(self.conv_channels, default=0) < 1:
+            raise ModelError("conv_channels must be >= 1")
+        if self.arch == "CNN" and len(self.conv_channels) != 2:
+            raise ModelError("the CNN takes two conv_channels")
         if self.arch == "TRANSFORMER" and self.hidden % self.num_heads != 0:
             raise ModelError("hidden must be divisible by num_heads")
         if self.ff_dim == 0:
@@ -74,6 +84,8 @@ class TrainConfig:
             raise ModelError("learning_rate must be positive")
         if self.batch_size < 1:
             raise ModelError("batch_size must be >= 1")
+        if self.local_epochs < 0:
+            raise ModelError("local_epochs must be >= 0")
         if self.optimizer not in ("sgd", "adam"):
             raise ModelError(f"unknown optimizer {self.optimizer!r}")
         if self.prox_mu < 0:
@@ -81,8 +93,8 @@ class TrainConfig:
 
 
 def default_train_config(arch, **overrides):
-    """Per-architecture learning rate and epoch defaults, batch size 32."""
-    cfg = dict(learning_rate=_TABLE_LR[arch], batch_size=32,
+    """Per-architecture learning rate and epoch defaults."""
+    cfg = dict(learning_rate=_TABLE_LR[arch],
                local_epochs=_DEFAULT_EPOCHS[arch])
     cfg.update(overrides)
     return TrainConfig(**cfg)
@@ -498,11 +510,25 @@ def predict_trace(spec, params, samples):
 # ---------------------------------------------------------------------------
 
 
+def _atomic_write(path, data):
+    """Write str or bytes to `path` through a temp file in the same directory,
+    so a reader never sees a partial file."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp_")
+    try:
+        with os.fdopen(fd, "wb" if isinstance(data, bytes) else "w") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def save_checkpoint(path, spec, params):
     header = json.dumps(asdict(spec), sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(header + b"\n")
-        fh.write(params.to_bytes())
+    _atomic_write(path, header + b"\n" + params.to_bytes())
 
 
 def load_checkpoint(path):

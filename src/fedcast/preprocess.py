@@ -28,14 +28,17 @@ class PreprocessConfig:
 
 @dataclass
 class WindowConfig:
-    history: int
-    horizon: int
+    history: int = 15
+    horizon: int = 1
     train_stride: int = 1
     eval_stride: int = 0  # 0 -> horizon
 
     def __post_init__(self):
         if self.history < 1 or self.horizon < 1:
             raise PreprocessError("history and horizon must be >= 1")
+        if self.train_stride < 1 or self.eval_stride < 0:
+            raise PreprocessError(
+                "train_stride must be >= 1 and eval_stride >= 0")
         if self.eval_stride == 0:
             self.eval_stride = self.horizon
 

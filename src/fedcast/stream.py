@@ -28,7 +28,8 @@ class StreamError(ValueError):
 
 @dataclass
 class StreamConfig:
-    ladder_kbps: tuple = (300.0, 500.0, 1000.0, 2000.0, 3000.0, 6000.0)
+    ladder_kbps: tuple[float, ...] = (300.0, 500.0, 1000.0, 2000.0, 3000.0,
+                                      6000.0)
     segment_len: float = 1.0
     chunks_per_segment: int = 5
     playback_threshold: float = 2.0
@@ -43,6 +44,8 @@ class StreamConfig:
         self.ladder_kbps = tuple(float(r) for r in self.ladder_kbps)
         if not self.ladder_kbps:
             raise StreamError("empty bitrate ladder")
+        if self.ladder_kbps[0] <= 0:
+            raise StreamError("ladder rates must be positive")
         if any(b <= a for a, b in zip(self.ladder_kbps, self.ladder_kbps[1:])):
             raise StreamError("ladder must be strictly increasing")
         if self.chunks_per_segment < 1 or self.segment_len <= 0:
@@ -98,7 +101,6 @@ class SessionState:
     buffer: float = 0.0
     position: float = 0.0
     latency: float = 0.0
-    stall_total: float = 0.0
     next_chunk: int = 0
 
 

@@ -6,6 +6,7 @@ the full synthetic federated benchmark and dominates the runtime.
 """
 
 import filecmp
+import hashlib
 import math
 import time
 
@@ -437,3 +438,36 @@ def test_criterion_10_pipeline_determinism(tmp_path):
         ok = not mismatched
     _report(10, ok, f"{len(files_a)} artifacts byte-identical across two "
             f"`all` runs" + (f"; mismatches: {mismatched}" if mismatched else ""))
+
+
+# SHA-256 of every artifact that `all` writes for _REPLAY_CONFIG. A change
+# that alters any output must update this table and say why.
+_REPLAY_HASHES = {
+    "checkpoints/client_syn00.ckpt": "6f26292cd34135dc758cb629c17f3db6319101f2d274a91e6f74786f035323c3",
+    "checkpoints/client_syn01.ckpt": "9f3cf57608264161a8539b2762f16261884f1e93a82509e3c26802164863c8dc",
+    "checkpoints/client_syn02.ckpt": "489185689e491bf354278034cf37d8e0f4165ccaf3f91b2c9b9730dc5605cb29",
+    "checkpoints/global.ckpt": "b5f5feacf3e4685b7488f60dc157089ec0eec94e086bef0227ddd85fac841112",
+    "config_echo.ini": "d6a0026d2ca66c59e1366e77c28e274ab927256d3657d934ae28051c7e637982",
+    "correlations.csv": "1874cc4840bb28241799bc11668437cd708864d2ae1420efe38fb6c6907b46d8",
+    "events/syn00.csv": "9d4c621f407affc26c9f014192d01919fcce5a11cdd79da87c48d5368209c60d",
+    "events/syn01.csv": "76b4790482ecc32e0a29599a237cabe96cc38f13ab5c48403f5c763f7ed15411",
+    "events/syn02.csv": "1a97bd2d549bc98a2f554c903d880e8a259524a44aef2cd74bfa811bba57ab6e",
+    "kde.csv": "41a5e2c1f75658b993f9c5bac327207bb4c37307b565c5edf4a213392899a50a",
+    "qoe.csv": "6785a5c9a538134186d55a8b5c991a852852baee9683c03a86cf9eb896f143ec",
+    "qoe.json": "9743d52725f1dcb222ae4e4d35f2f47da3e352f173c4adb5022485115a07f578",
+    "rounds.csv": "98539978c78ff879153c71577c7d306bfd4106e90e3f296573d5a8e071502d20",
+    "summary.json": "a5974c16a395f39518346c5e7ac7e6838ea0afeea409cb87bb69c0260588966b",
+}
+
+
+def test_replay_artifacts_match_golden_hashes(tmp_path):
+    cfg_path = tmp_path / "replay.ini"
+    cfg_path.write_text(_REPLAY_CONFIG)
+    out = tmp_path / "run"
+    assert cli.run(cfg_path, "all", out=str(out)) == 0
+    got = {p.relative_to(out).as_posix():
+           hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in out.rglob("*") if p.is_file()}
+    changed = sorted(k for k in got.keys() | _REPLAY_HASHES.keys()
+                     if got.get(k) != _REPLAY_HASHES.get(k))
+    assert not changed, f"artifacts differ from the golden hashes: {changed}"

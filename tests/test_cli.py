@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from fedcast import cli
+from fedcast import cli, fl, models, stream
 from fedcast.analysis import gaussian_kde
+from fedcast.preprocess import PreprocessConfig, WindowConfig
 
 
 BASE_CONFIG = """\
@@ -121,19 +122,62 @@ seed = 7
 source = nonsense
 [model]
 arch = GPT
+hidden = 0
+use_batchnorm = maybe
+optimizer = foo
+[train]
+learning_rate = -1
+optimizer = foo
 [rounds]
 strategy = FEDLOL
 participation = 3.0
+[stream]
+mpc_horizon = 0
+[qoe]
+mu1 = -1
+[typo]
+key = 1
 """)
-    code = cli.run(cfg, "federate")
-    err = capsys.readouterr().err
-    assert code == 1
-    assert "source" in err and "arch" in err
-    assert "strategy" in err and "participation" in err
+    named = ("[data] source", "[model] arch", "[model] hidden",
+             "[model] use_batchnorm", "[model] optimizer",
+             "[train] learning_rate", "[train] optimizer", "[rounds] strategy",
+             "[rounds] participation", "[stream] mpc_horizon", "[qoe] mu1",
+             "[typo]")
+    for subcommand in ("federate", "analyze", "stream", "all"):
+        code = cli.run(cfg, subcommand)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "Traceback" not in err
+        for field in named:
+            assert field in err, (subcommand, field)
+
+
+def test_seed_only_config_resolves_to_dataclass_defaults(tmp_path):
+    path = tmp_path / "seed_only.ini"
+    path.write_text("[experiment]\nseed = 3\n")
+    cfg = cli._parse_config(path, {})
+    sizes = dict(in_features=6, history=15, horizon=1)
+    assert cfg.synthetic == cli.SyntheticSpec()
+    assert cfg.preprocess == PreprocessConfig()
+    assert cfg.window == WindowConfig()
+    assert models.ModelSpec(**sizes, **cfg.model_kwargs) == \
+        models.ModelSpec(**sizes)
+    assert cfg.train == models.default_train_config("LSTM")
+    assert cfg.rounds == fl.RoundConfig(strategy=fl.StrategyKind(), seed=3)
+    assert cfg.stream_config == stream.StreamConfig()
+    assert cfg.qoe == stream.QoECoefficients(
+        r_min_kbps=min(stream.StreamConfig().ladder_kbps))
+    defaults = cli.ExperimentConfig()
+    for name in ("out_dir", "workers", "source", "files", "mapping_path",
+                 "dataset_tag", "train_ratio", "predictor", "constant_mbps"):
+        assert getattr(cfg, name) == getattr(defaults, name), name
 
 
 def test_missing_config_file(tmp_path):
     assert cli.run(tmp_path / "nope.ini", "federate") == 1
+    headerless = tmp_path / "headerless.ini"
+    headerless.write_text("seed = 1\n")
+    assert cli.run(headerless, "federate") == 1
 
 
 def test_mapping_file_roundtrip(tmp_path):

@@ -168,9 +168,9 @@ def test_fedbn_degenerates_to_fedavg_without_bn():
     spec = _toy_spec(use_batchnorm=False)
     updates = [(_random_paramset(spec, s), s + 2) for s in range(3)]
     avg = fl.aggregate_fedavg(updates)
-    per_client, shared = fl.aggregate_fedbn(updates)
-    assert len(shared.entries) == len(avg.entries)
-    for client_ps in per_client:
+    per_client, per_other = fl.aggregate_fedbn(updates,
+                                               [_random_paramset(spec, 9)])
+    for client_ps in per_client + per_other:
         for (_, a, _), (_, b, _) in zip(client_ps.entries, avg.entries):
             assert np.array_equal(a.data, b.data)
 
@@ -178,16 +178,14 @@ def test_fedbn_degenerates_to_fedavg_without_bn():
 def test_fedbn_keeps_bn_blocks_bitwise():
     spec = _toy_spec()
     updates = [(_random_paramset(spec, s), 2 * s + 1) for s in range(4)]
-    per_client, shared = fl.aggregate_fedbn(updates)
+    idle = _random_paramset(spec, 9)
+    per_client, per_other = fl.aggregate_fedbn(updates, [idle])
     avg = fl.aggregate_fedavg(updates)
-    shared_names = {n for n, _, _ in shared.entries}
-    for (orig, _), merged in zip(updates, per_client):
+    owners = [ps for ps, _ in updates] + [idle]
+    for orig, merged in zip(owners, per_client + per_other):
         for i, (name, t, is_bn) in enumerate(merged.entries):
-            if is_bn:
-                assert name not in shared_names
-                assert np.array_equal(t.data, orig.entries[i][1].data)
-            else:
-                assert np.array_equal(t.data, avg.entries[i][1].data)
+            expected = orig if is_bn else avg
+            assert np.array_equal(t.data, expected.entries[i][1].data), name
 
 
 # --- rounds ------------------------------------------------------------------
@@ -312,3 +310,35 @@ def test_report_rows_format():
     for rnd, cid, r2, m, part in rows:
         assert rnd == 0 and part in (0, 1)
         assert isinstance(r2, float) and isinstance(m, float)
+
+
+def test_running_stats_stay_local_when_not_aggregated():
+    clients = _clients(n=3)
+    spec = _toy_spec()
+    tc = models.TrainConfig(learning_rate=0.01, batch_size=16, local_epochs=1)
+    rc = fl.RoundConfig(strategy=fl.StrategyKind("FEDAVG"), total_rounds=1,
+                        participation_fraction=0.5, seed=6,
+                        aggregate_running_stats=False)
+    global_params = models.init_model(spec, seed=(rc.seed, 7700))
+    for c in clients:
+        c.params = global_params.copy()
+    new_global, report = fl.run_round(clients, global_params, rc, tc, spec)
+    assert len(report.participants) == 2
+
+    stats = [i for i, (_, t, is_bn) in enumerate(global_params.entries)
+             if is_bn and not t.requires_grad]
+    assert stats
+    for i, (name, t, _) in enumerate(new_global.entries):
+        if i in stats:  # the global keeps the previous global's statistics
+            assert np.array_equal(t.data, global_params.entries[i][1].data)
+        for c in clients:  # the rest, BN scale and shift included, agree
+            if i not in stats:
+                assert np.array_equal(c.params.entries[i][1].data,
+                                      t.data), name
+    running_means = {c.client_id: c.params.get("bn.running_mean").data
+                     for c in clients}
+    idle = [cid for cid in running_means if cid not in report.participants]
+    assert np.array_equal(running_means[idle[0]],
+                          global_params.get("bn.running_mean").data)
+    a, b = (running_means[cid] for cid in report.participants)
+    assert not np.array_equal(a, b)

@@ -83,6 +83,15 @@ def test_forward_rejects_bad_shapes():
         models.forward(spec, params, np.zeros((0, 4, spec.steps)))
 
 
+@pytest.mark.parametrize("bad", [dict(hidden=0), dict(num_layers=0),
+                                 dict(num_heads=0), dict(ff_dim=-1),
+                                 dict(conv_channels=(8, 0)),
+                                 dict(conv_channels=(8,))])
+def test_spec_rejects_out_of_range_sizes(bad):
+    with pytest.raises(models.ModelError):
+        _toy_spec("CNN" if "conv_channels" in bad else "TRANSFORMER", **bad)
+
+
 def test_transformer_positional_encoding_distinguishes_order():
     rng = np.random.default_rng(5)
     x = rng.normal(size=(2, 4, 6))
