@@ -1,32 +1,9 @@
-"""Hot numeric kernels: numba @njit when available, pure numpy otherwise.
-
-Set FEDCAST_NO_NUMBA=1 to force the numpy path (useful for debugging and
-for the benchmark in benchmarks/bench_accel.py). Both paths implement the
-same arithmetic; results agree to floating-point reordering.
-"""
-
-import math
-import os
+"""Hot numeric kernels, one numpy implementation each: the MPC rollout and
+the 3x3 convolution with its two gradients."""
 
 import numpy as np
 
-_DISABLED_BY_ENV = os.environ.get("FEDCAST_NO_NUMBA", "") not in ("", "0")
-
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    _HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        return wrap
-
-
-NUMBA_ENABLED = _HAVE_NUMBA and not _DISABLED_BY_ENV
+NUMBA_ENABLED = False  # no compiled kernels; read by the benchmark's report
 
 _BIG_DOWNLOAD_TIME = 1e9  # seconds; stands in for "throughput is zero"
 
@@ -43,182 +20,63 @@ _BIG_DOWNLOAD_TIME = 1e9  # seconds; stands in for "throughput is zero"
 # buffer-sustainability charge prices any net buffer drain over the horizon
 # as future stall seconds; without it a short horizon starting from a full
 # buffer cannot see that a rate above the channel capacity is unsustainable.
+#
+# The sequences are expanded as a prefix tree: depth j holds the L**(j+1)
+# prefixes of length j+1, each parent (row) followed by every rate (column)
+# and raveled, which keeps the most-significant-first order. A prefix's
+# state is computed once for all the sequences that share it, with the same
+# per-element expressions, in the same order, as a flat rollout over all
+# sequences, so the scores are bit-identical to it.
 # ---------------------------------------------------------------------------
-
-
-def _mpc_scores_impl(pred_kbps, ladder_kbps, q_table, buffer0, latency0,
-                     prev_idx, rtt, chunk_dur, chunks_per_seg,
-                     mu1, mu2, mu3, mu4, omega, out):
-    horizon = pred_kbps.shape[0]
-    n_rates = ladder_kbps.shape[0]
-    n_seq = out.shape[0]
-    psi_base = 1.0 / (1.0 + math.exp(omega))
-    for s in range(n_seq):
-        buf = buffer0
-        lat = latency0
-        qp = prev_idx
-        score = 0.0
-        div = n_seq // n_rates
-        rem = s
-        for j in range(horizon):
-            r = rem // div
-            rem -= r * div
-            if j < horizon - 1:
-                div //= n_rates
-            bits = ladder_kbps[r] * chunk_dur  # Kbit per chunk
-            tp = pred_kbps[j]
-            if tp > 0.0:
-                d = rtt + bits / tp
-            else:
-                d = _BIG_DOWNLOAD_TIME
-            stall = d - buf
-            if stall < 0.0:
-                stall = 0.0
-            buf -= d
-            if buf < 0.0:
-                buf = 0.0
-            buf += chunk_dur
-            lat += stall
-            q = q_table[r]
-            if qp >= 0:
-                sw = q - q_table[qp]
-                if sw < 0.0:
-                    sw = -sw
-            else:
-                sw = 0.0
-            psi = 1.0 / (1.0 + math.exp(omega - lat)) - psi_base
-            score += (mu1 * q - mu3 * sw - mu4 * psi) / chunks_per_seg - mu2 * stall
-            qp = r
-        drain = buffer0 - buf
-        if drain > 0.0:
-            score -= mu2 * drain
-        out[s] = score
-    return out
-
-
-if NUMBA_ENABLED:
-    _mpc_scores_jit = njit(cache=True)(_mpc_scores_impl)
-
-
-def mpc_rollout_scores_numpy(pred_kbps, ladder_kbps, q_table, buffer0,
-                             latency0, prev_idx, rtt, chunk_dur,
-                             chunks_per_seg, mu1, mu2, mu3, mu4, omega):
-    """Vectorized rollout over all rate sequences; returns scores (L**h,)."""
-    horizon = len(pred_kbps)
-    n_rates = len(ladder_kbps)
-    n_seq = n_rates ** horizon
-    seq = np.arange(n_seq)
-    psi_base = 1.0 / (1.0 + np.exp(omega))
-
-    buf = np.full(n_seq, buffer0)
-    lat = np.full(n_seq, latency0)
-    if prev_idx >= 0:
-        q_prev = np.full(n_seq, q_table[prev_idx])
-        have_prev = True
-    else:
-        q_prev = np.zeros(n_seq)
-        have_prev = False
-    score = np.zeros(n_seq)
-
-    for j in range(horizon):
-        r = (seq // (n_rates ** (horizon - 1 - j))) % n_rates
-        bits = ladder_kbps[r] * chunk_dur
-        tp = pred_kbps[j]
-        if tp > 0.0:
-            d = rtt + bits / tp
-        else:
-            d = np.full(n_seq, _BIG_DOWNLOAD_TIME)
-        stall = np.maximum(d - buf, 0.0)
-        buf = np.maximum(buf - d, 0.0) + chunk_dur
-        lat = lat + stall
-        q = q_table[r]
-        if j == 0 and not have_prev:
-            sw = np.zeros(n_seq)
-        else:
-            sw = np.abs(q - q_prev)
-        psi = 1.0 / (1.0 + np.exp(omega - lat)) - psi_base
-        score += (mu1 * q - mu3 * sw - mu4 * psi) / chunks_per_seg - mu2 * stall
-        q_prev = q
-    score -= mu2 * np.maximum(buffer0 - buf, 0.0)
-    return score
 
 
 def mpc_rollout_scores(pred_kbps, ladder_kbps, q_table, buffer0, latency0,
                        prev_idx, rtt, chunk_dur, chunks_per_seg,
                        mu1, mu2, mu3, mu4, omega):
-    """Score every rate sequence over the horizon; see module stream."""
-    pred_kbps = np.ascontiguousarray(pred_kbps, dtype=np.float64)
-    ladder_kbps = np.ascontiguousarray(ladder_kbps, dtype=np.float64)
-    q_table = np.ascontiguousarray(q_table, dtype=np.float64)
-    if NUMBA_ENABLED:
-        n_seq = len(ladder_kbps) ** len(pred_kbps)
-        out = np.empty(n_seq)
-        return _mpc_scores_jit(pred_kbps, ladder_kbps, q_table,
-                               float(buffer0), float(latency0), int(prev_idx),
-                               float(rtt), float(chunk_dur),
-                               float(chunks_per_seg), float(mu1), float(mu2),
-                               float(mu3), float(mu4), float(omega), out)
-    return mpc_rollout_scores_numpy(pred_kbps, ladder_kbps, q_table,
-                                    float(buffer0), float(latency0),
-                                    int(prev_idx), float(rtt),
-                                    float(chunk_dur), float(chunks_per_seg),
-                                    float(mu1), float(mu2), float(mu3),
-                                    float(mu4), float(omega))
+    """Score every rate sequence over the horizon; returns scores (L**h,).
+    See module stream."""
+    pred_kbps = np.asarray(pred_kbps, dtype=np.float64)
+    ladder_kbps = np.asarray(ladder_kbps, dtype=np.float64)
+    q_table = np.asarray(q_table, dtype=np.float64)
+    buffer0 = float(buffer0)
+    n_rates = ladder_kbps.size
+    psi_base = 1.0 / (1.0 + np.exp(omega))
+    bits = ladder_kbps * chunk_dur  # Kbit per chunk
+
+    # quality minus switching penalty of each rate (column) after each
+    # previous rate (row); the first chunk follows prev_idx, if any
+    if prev_idx >= 0:
+        sw = np.abs(q_table - q_table[prev_idx])
+    else:
+        sw = np.zeros(n_rates)
+    gain_first = mu1 * q_table - mu3 * sw
+    gain = mu1 * q_table - mu3 * np.abs(q_table[None, :] - q_table[:, None])
+
+    buf = np.array([buffer0])
+    lat = np.array([float(latency0)])
+    score = np.zeros(1)
+    for j, tp in enumerate(pred_kbps):
+        if tp > 0.0:
+            d = rtt + bits / tp
+        else:
+            d = np.full(n_rates, _BIG_DOWNLOAD_TIME)
+        stall = np.maximum(d - buf[:, None], 0.0)
+        buf = (np.maximum(buf[:, None] - d, 0.0) + chunk_dur).ravel()
+        lat = (lat[:, None] + stall).ravel()
+        psi = 1.0 / (1.0 + np.exp(omega - lat)) - psi_base
+        # a parent's last rate cycles fastest, so its rows repeat `gain`
+        g = gain_first if j == 0 else gain
+        term = (g - mu4 * psi.reshape(-1, *g.shape)) / chunks_per_seg
+        term = term.reshape(stall.shape) - mu2 * stall
+        score = (score[:, None] + term).ravel()
+    score -= mu2 * np.maximum(buffer0 - buf, 0.0)
+    return score
 
 
 # ---------------------------------------------------------------------------
 # 3x3 same-padding convolution (stride 1), forward and both gradients.
 # Shapes: x (B, C, H, W), w (F, C, 3, 3), out (B, F, H, W).
 # ---------------------------------------------------------------------------
-
-
-def _conv2d_forward_impl(x, w, out):
-    b_n, c_n, h_n, w_n = x.shape
-    f_n = w.shape[0]
-    for b in range(b_n):
-        for f in range(f_n):
-            for y in range(h_n):
-                for xx in range(w_n):
-                    acc = 0.0
-                    for c in range(c_n):
-                        for ky in range(3):
-                            iy = y + ky - 1
-                            if iy < 0 or iy >= h_n:
-                                continue
-                            for kx in range(3):
-                                ix = xx + kx - 1
-                                if ix < 0 or ix >= w_n:
-                                    continue
-                                acc += x[b, c, iy, ix] * w[f, c, ky, kx]
-                    out[b, f, y, xx] = acc
-    return out
-
-
-def _conv2d_grad_weight_impl(x, dout, dw):
-    b_n, c_n, h_n, w_n = x.shape
-    f_n = dout.shape[1]
-    for f in range(f_n):
-        for c in range(c_n):
-            for ky in range(3):
-                for kx in range(3):
-                    acc = 0.0
-                    for b in range(b_n):
-                        for y in range(h_n):
-                            iy = y + ky - 1
-                            if iy < 0 or iy >= h_n:
-                                continue
-                            for xx in range(w_n):
-                                ix = xx + kx - 1
-                                if ix < 0 or ix >= w_n:
-                                    continue
-                                acc += x[b, c, iy, ix] * dout[b, f, y, xx]
-                    dw[f, c, ky, kx] = acc
-    return dw
-
-
-if NUMBA_ENABLED:
-    _conv2d_forward_jit = njit(cache=True)(_conv2d_forward_impl)
-    _conv2d_grad_weight_jit = njit(cache=True)(_conv2d_grad_weight_impl)
 
 
 def _im2col(x):
@@ -232,28 +90,14 @@ def _im2col(x):
     return cols.reshape(b_n, c_n * 9, h_n * w_n)
 
 
-def conv2d_forward_numpy(x, w):
+def conv2d_forward(x, w):
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    w = np.ascontiguousarray(w, dtype=np.float64)
     b_n, c_n, h_n, w_n = x.shape
     cols = _im2col(x)
     w_mat = w.reshape(w.shape[0], -1)
     out = np.einsum("fk,bkp->bfp", w_mat, cols)
     return out.reshape(b_n, w.shape[0], h_n, w_n)
-
-
-def conv2d_grad_weight_numpy(x, dout):
-    cols = _im2col(x)
-    d_mat = dout.reshape(dout.shape[0], dout.shape[1], -1)
-    dw = np.einsum("bfp,bkp->fk", d_mat, cols)
-    return dw.reshape(dout.shape[1], x.shape[1], 3, 3)
-
-
-def conv2d_forward(x, w):
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    w = np.ascontiguousarray(w, dtype=np.float64)
-    if NUMBA_ENABLED:
-        out = np.empty((x.shape[0], w.shape[0], x.shape[2], x.shape[3]))
-        return _conv2d_forward_jit(x, w, out)
-    return conv2d_forward_numpy(x, w)
 
 
 def conv2d_grad_input(dout, w):
@@ -265,7 +109,7 @@ def conv2d_grad_input(dout, w):
 def conv2d_grad_weight(x, dout):
     x = np.ascontiguousarray(x, dtype=np.float64)
     dout = np.ascontiguousarray(dout, dtype=np.float64)
-    if NUMBA_ENABLED:
-        dw = np.empty((dout.shape[1], x.shape[1], 3, 3))
-        return _conv2d_grad_weight_jit(x, dout, dw)
-    return conv2d_grad_weight_numpy(x, dout)
+    cols = _im2col(x)
+    d_mat = dout.reshape(dout.shape[0], dout.shape[1], -1)
+    dw = np.einsum("bfp,bkp->fk", d_mat, cols)
+    return dw.reshape(dout.shape[1], x.shape[1], 3, 3)

@@ -318,14 +318,23 @@ def load_mapping(path):
     cp.optionxform = str
     if not cp.read(path):
         raise ConfigError(f"cannot read mapping file {path}")
+
+    def number(section, key, raw):
+        try:
+            return _cast(float, raw)
+        except ValueError:
+            raise ConfigError(f"mapping file {path}: [{section}] {key}: "
+                              f"cannot parse {raw!r}") from None
+
     columns = dict(cp.items("columns")) if cp.has_section("columns") else {}
     constants = {}
     if cp.has_section("constants"):
         for key, val in cp.items("constants"):
-            constants[key] = val if key == "radio_type" else float(val)
+            constants[key] = val if key == "radio_type" \
+                else number("constants", key, val)
     units = {}
     if cp.has_section("units"):
-        units = {k: float(v) for k, v in cp.items("units")}
+        units = {k: number("units", k, v) for k, v in cp.items("units")}
     sentinels = ColumnMapping.__dataclass_fields__["sentinels"].default
     if cp.has_option("sentinels", "values"):
         sentinels = tuple(s.strip() for s in cp.get("sentinels", "values").split(","))

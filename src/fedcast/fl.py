@@ -172,11 +172,23 @@ def aggregate_fedbn(updates, others=(), keep_local=_is_bn):
     return [merged(ps) for ps, _ in updates], [merged(ps) for ps in others]
 
 
-def _broadcast_for(client, global_params, strategy):
+def _keep_local(rc):
+    """The entries that stay with their client: every batch-norm entry under
+    FedBN, the batch-norm running statistics when they are not aggregated,
+    otherwise none."""
+    if rc.strategy.kind == FEDBN:
+        return _is_bn
+    if rc.aggregate_running_stats:
+        return lambda t, is_bn: False
+    return lambda t, is_bn: is_bn and not t.requires_grad
+
+
+def _broadcast_for(client, global_params, keep_local):
+    """The global model with the client's own local entries put back."""
     out = global_params.copy()
-    if strategy.kind == FEDBN and client.params is not None:
+    if client.params is not None:
         for i, (name, t, is_bn) in enumerate(out.entries):
-            if is_bn:
+            if keep_local(t, is_bn):
                 t.data = client.params.entries[i][1].data.copy()
     return out
 
@@ -193,6 +205,7 @@ def evaluate_client(spec, client):
 def run_round(clients, global_params, rc, tc, spec, round_index=0):
     """One federated round: broadcast, local training, aggregate, evaluate."""
     strategy = rc.strategy
+    keep_local = _keep_local(rc)
     rng = np.random.default_rng((rc.seed, 7701, round_index))
     participants = sample_clients(clients, rc.participation_fraction, rng)
     part_ids = [c.client_id for c in participants]
@@ -202,7 +215,7 @@ def run_round(clients, global_params, rc, tc, spec, round_index=0):
     trained = []
     diverged = []
     for client in participants:
-        broadcast = _broadcast_for(client, global_params, strategy)
+        broadcast = _broadcast_for(client, global_params, keep_local)
         anchor = broadcast.copy() if strategy.kind == FEDPROX else None
         cfg = tc
         if strategy.kind == FEDPROX:
@@ -221,12 +234,6 @@ def run_round(clients, global_params, rc, tc, spec, round_index=0):
     if not updates:
         raise FLError(f"round {round_index}: every participant diverged")
 
-    if strategy.kind == FEDBN:
-        keep_local = _is_bn
-    elif rc.aggregate_running_stats:
-        keep_local = lambda t, is_bn: False
-    else:  # batch-norm running statistics stay with their client
-        keep_local = lambda t, is_bn: is_bn and not t.requires_grad
     # clients that did not train keep their own local entries; the global
     # model keeps the previous global's
     idle = [c for c in clients if c not in trained]

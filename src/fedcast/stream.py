@@ -26,6 +26,12 @@ class StreamError(ValueError):
     pass
 
 
+# The MPC scores every rate sequence over its horizon; this bound (6 rates
+# over 7 chunks, ~280k sequences) keeps a decision within tens of ms and
+# tens of MB.
+_MAX_MPC_SEQUENCES = 6 ** 7
+
+
 @dataclass
 class StreamConfig:
     ladder_kbps: tuple[float, ...] = (300.0, 500.0, 1000.0, 2000.0, 3000.0,
@@ -58,6 +64,11 @@ class StreamConfig:
             raise StreamError("max_latency must exceed playback_threshold")
         if self.mpc_horizon < 1:
             raise StreamError("mpc_horizon must be >= 1")
+        if len(self.ladder_kbps) ** self.mpc_horizon > _MAX_MPC_SEQUENCES:
+            raise StreamError(
+                f"{len(self.ladder_kbps)} rates over mpc_horizon "
+                f"{self.mpc_horizon} give more than {_MAX_MPC_SEQUENCES} "
+                f"rate sequences to score per decision")
 
     @property
     def chunk_dur(self):
@@ -220,7 +231,11 @@ class OraclePredictor:
 
 
 class ModelPredictor:
-    """Federated forecaster over the client's scaled feature history."""
+    """Federated forecaster over the client's scaled feature history.
+
+    The history is known in full up front, so the forecast depends on `now`
+    alone: it is computed once per `now` and kept.
+    """
 
     def __init__(self, spec, params, features_scaled, tput_scaled, scaler):
         self.spec = spec
@@ -229,18 +244,22 @@ class ModelPredictor:
         self.tput_scaled = np.asarray(tput_scaled, dtype=float)
         self.scaler = scaler
         self.fallback = HarmonicMeanPredictor()
+        self._forecasts = {}  # now -> unpadded forecast in Mbps
 
     def __call__(self, observed, horizon):
         now = len(observed) - 1
         h = self.spec.history
         if now < h or now >= self.tput_scaled.size:
             return self.fallback(observed, horizon)
-        x = np.concatenate([
-            self.features[:, now - h:now + 1],
-            self.tput_scaled[None, now - h:now + 1]], axis=0)
-        pred_scaled = models.forward(self.spec, self.params, x[None], training=False)[0]
-        pred = self.scaler.inverse_throughput(pred_scaled)
-        pred = np.maximum(pred, 0.0)
+        if now not in self._forecasts:
+            x = np.concatenate([
+                self.features[:, now - h:now + 1],
+                self.tput_scaled[None, now - h:now + 1]], axis=0)
+            pred_scaled = models.forward(self.spec, self.params, x[None],
+                                         training=False)[0]
+            pred = self.scaler.inverse_throughput(pred_scaled)
+            self._forecasts[now] = np.maximum(pred, 0.0)
+        pred = self._forecasts[now].copy()
         if pred.size < horizon:
             pred = np.concatenate([pred, np.full(horizon - pred.size, pred[-1])])
         return pred[:horizon]

@@ -150,6 +150,13 @@ key = 1
         assert "Traceback" not in err
         for field in named:
             assert field in err, (subcommand, field)
+    # 6 rates over 8 chunks is more rate sequences than the MPC may score
+    cfg.write_text("[experiment]\nseed = 7\n[stream]\nmpc_horizon = 8\n")
+    for subcommand in ("federate", "analyze", "stream", "all"):
+        assert cli.run(cfg, subcommand) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "[stream] mpc_horizon" in err, subcommand
 
 
 def test_seed_only_config_resolves_to_dataclass_defaults(tmp_path):
@@ -202,6 +209,28 @@ cqi = cqi_col
     assert mapping.units["throughput"] == 0.001
     assert mapping.sentinels == ("-", "NA")
     assert mapping.extras == {"cqi": "cqi_col"}
+
+
+def test_unparsable_mapping_value_is_a_config_error(tmp_path, capsys):
+    from fedcast.trace import export_mapping_for, export_trace
+    tr = cli.generate_synthetic(cli.SyntheticSpec(n_clients=1, length=60),
+                                seed=0)[0]
+    export_trace(tr, tmp_path / "c0.csv")
+    mapping = export_mapping_for(tr)
+    cfg, _ = _config(tmp_path)
+    text = cfg.read_text().replace(
+        "source = synthetic",
+        f"source = files\nfiles = {tmp_path / 'c0.csv'}\n"
+        f"mapping = {tmp_path / 'map.ini'}")
+    cfg.write_text(text)
+    columns = "".join(f"{k} = {v}\n" for k, v in mapping.columns.items())
+    for section, key in (("units", "throughput"), ("constants", "speed")):
+        (tmp_path / "map.ini").write_text(
+            f"[columns]\n{columns}[{section}]\n{key} = abc\n")
+        assert cli.run(cfg, "analyze") == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "map.ini" in err and f"[{section}] {key}" in err, err
 
 
 # --- subcommands -----------------------------------------------------------

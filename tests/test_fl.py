@@ -312,7 +312,7 @@ def test_report_rows_format():
         assert isinstance(r2, float) and isinstance(m, float)
 
 
-def test_running_stats_stay_local_when_not_aggregated():
+def test_running_stats_stay_local_when_not_aggregated(monkeypatch):
     clients = _clients(n=3)
     spec = _toy_spec()
     tc = models.TrainConfig(learning_rate=0.01, batch_size=16, local_epochs=1)
@@ -342,3 +342,26 @@ def test_running_stats_stay_local_when_not_aggregated():
                           global_params.get("bn.running_mean").data)
     a, b = (running_means[cid] for cid in report.participants)
     assert not np.array_equal(a, b)
+
+    # the next round trains each participant from its own statistics
+    broadcasts = {}
+    real_train = fl.local_train
+
+    def recording(spec, params, train, *args, **kwargs):
+        broadcasts[id(train)] = params.copy()
+        return real_train(spec, params, train, *args, **kwargs)
+
+    monkeypatch.setattr(fl, "local_train", recording)
+    own = {id(c.train): c.params.copy() for c in clients}
+    second_global, report = fl.run_round(clients, new_global, rc, tc, spec,
+                                         round_index=1)
+    assert len(broadcasts) == 2
+    carried_own = False
+    for key, sent in broadcasts.items():
+        for i, (name, t, _) in enumerate(sent.entries):
+            want = own[key] if i in stats else new_global
+            assert np.array_equal(t.data, want.entries[i][1].data), name
+            if i in stats:
+                carried_own |= not np.array_equal(
+                    t.data, new_global.entries[i][1].data)
+    assert carried_own

@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from fedcast import models
+from fedcast.preprocess import ScalerState
 from fedcast.stream import (ConstantPredictor, HarmonicMeanPredictor,
-                            OraclePredictor, QoECoefficients, SegmentRecord,
+                            ModelPredictor, OraclePredictor, QoECoefficients, SegmentRecord,
                             SessionState, StreamConfig, StreamError,
                             compute_qoe, latency_penalty, mpc_select_bitrate,
                             perceptible_quality, simulate_session)
@@ -336,3 +338,33 @@ def test_oracle_predictor_reads_future():
     assert np.array_equal(out, [4.0, 5.0, 6.0])
     tail = pred(trace[:9], 3)
     assert np.array_equal(tail, [9.0, 9.0, 9.0])
+
+
+def test_model_predictor_forecasts_once_per_now(monkeypatch):
+    spec = models.ModelSpec(arch="LSTM", in_features=3, history=4, horizon=2,
+                            hidden=4)
+    params = models.init_model(spec, seed=0)
+    rng = np.random.default_rng(0)
+    scaler = ScalerState(kind="minmax", params={"throughput": (1.0, 20.0)})
+    pred = ModelPredictor(spec, params, rng.uniform(size=(2, 30)),
+                          rng.uniform(size=30), scaler)
+    calls = []
+    real_forward = models.forward
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real_forward(*args, **kwargs)
+
+    monkeypatch.setattr(models, "forward", counting)
+    trace = rng.uniform(1.0, 20.0, size=30)
+    nows = (4, 9, 29)
+    for now in nows:
+        first = pred(trace[:now + 1], 3)
+        first_copy = first.copy()
+        first[:] = -1.0  # the caller owns what it gets
+        second = pred(trace[:now + 1], 3)
+        assert first_copy.shape == (3,)
+        assert np.array_equal(second, first_copy)
+        assert first_copy[2] == first_copy[1]  # padded past the model horizon
+    assert len(calls) == len(nows)
+
