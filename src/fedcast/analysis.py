@@ -53,16 +53,10 @@ def pearson(x, y):
 
 def horizon_correlation(trace, feature, horizon):
     """Pearson correlation of feature[n] against throughput[n+F]."""
-    n_rec = len(trace.records)
-    if n_rec <= horizon + 2:
+    if len(trace) <= horizon + 2:
         raise AnalysisError("trace too short for this horizon")
     tput = trace.throughput()
-    if feature == "throughput":
-        series = tput
-    else:
-        series = np.array([
-            rec.extras[feature] if feature in rec.extras else getattr(rec, feature)
-            for rec in trace.records])
+    series = trace.columns[feature]
     if horizon == 0:
         return pearson(series, tput)
     return pearson(series[:-horizon], tput[horizon:])

@@ -19,8 +19,8 @@ import numpy as np
 
 from . import analysis, fl, models, stream
 from .models import _atomic_write
-from .preprocess import PreprocessConfig, WindowConfig
-from .trace import ClientTrace, ColumnMapping, TraceRecord, clean_and_resample, \
+from .preprocess import PreprocessConfig, PreprocessError, WindowConfig
+from .trace import ClientTrace, ColumnMapping, TraceError, clean_and_resample, \
     load_trace
 
 
@@ -89,15 +89,14 @@ def generate_synthetic(spec, seed):
         lat = lat0 + np.cumsum(rng.normal(0.0, 1e-5, spec.length))
         lon = lon0 + np.cumsum(rng.normal(0.0, 1e-5, spec.length))
 
-        records = [TraceRecord(timestamp=float(k), latitude=float(lat[k]),
-                               longitude=float(lon[k]), speed=float(speed[k]),
-                               rsrp=float(rsrp[k]), sinr=float(sinr[k]),
-                               throughput=float(tput[k]), radio_type="NR-SA")
-                   for k in range(spec.length)]
+        columns = {"timestamp": t, "latitude": lat, "longitude": lon,
+                   "speed": speed, "rsrp": rsrp, "sinr": sinr,
+                   "throughput": tput,
+                   "radio_type": np.full(spec.length, "NR-SA")}
         group = min(i * spec.n_datasets // n, spec.n_datasets - 1)
         traces.append(ClientTrace(client_id=f"syn{i:02d}",
                                   dataset_tag=f"synth{group}",
-                                  records=records, sample_period=1.0))
+                                  columns=columns, sample_period=1.0))
     return traces
 
 
@@ -499,7 +498,7 @@ def _stream_predictor(cfg, kind, client_trace, session_tput, spec, params):
     scaled = apply_scaler(filtered, scaler)
     feats = scaled.feature_matrix()
     tput_scaled = scaled.throughput()
-    start = len(client_trace.records) - len(session_tput)
+    start = len(client_trace) - len(session_tput)
     return stream.ModelPredictor(spec, params, feats[:, start:],
                                  tput_scaled[start:], scaler)
 
@@ -589,6 +588,9 @@ def run(config_path, subcommand, out=None, seed=None, workers=None):
         return 1
     except ConfigError as exc:
         print(f"config validation failed:\n{exc}", file=sys.stderr)
+        return 1
+    except (TraceError, PreprocessError, models.CheckpointError) as exc:
+        print(f"bad input: {exc}", file=sys.stderr)
         return 1
     except Exception:
         traceback.print_exc()

@@ -15,7 +15,7 @@ from .analysis import EvalPair, r2_score, mse
 from .models import ParamSet, TrainingDiverged, init_model, local_train, \
     predict_trace
 from .preprocess import build_windows, filter_trace, fit_scaler, apply_scaler, \
-    split_train_test
+    split_train_test, window_anchors
 
 FEDAVG = "FEDAVG"
 FEDPROX = "FEDPROX"
@@ -88,13 +88,13 @@ class RoundReport:
 def build_client(trace, pre_cfg, wc, train_ratio=0.8, scaler=None):
     """Filter, scale (fit on the train prefix only) and window one trace."""
     filtered = filter_trace(trace, pre_cfg)
-    probe = build_windows(filtered, wc, stride=wc.train_stride)
-    if len(probe) < 2:
+    anchors = window_anchors(filtered, wc, wc.train_stride)
+    if len(anchors) < 2:
         raise FLError(f"client {trace.client_id}: too few windows")
-    n_train = int(len(probe) * train_ratio)
-    if n_train < 1 or n_train >= len(probe):
+    n_train = int(len(anchors) * train_ratio)
+    if n_train < 1 or n_train >= len(anchors):
         raise FLError(f"client {trace.client_id}: degenerate split")
-    boundary_anchor = probe[n_train - 1].anchor
+    boundary_anchor = anchors[n_train - 1]
     if scaler is None:
         scaler = fit_scaler(filtered, pre_cfg,
                             fit_rows=boundary_anchor + wc.horizon + 1)

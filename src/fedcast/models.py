@@ -28,6 +28,10 @@ class ModelError(ValueError):
     pass
 
 
+class CheckpointError(ValueError):
+    pass
+
+
 class TrainingDiverged(RuntimeError):
     pass
 
@@ -532,10 +536,14 @@ def save_checkpoint(path, spec, params):
 
 
 def load_checkpoint(path):
+    """(spec, params) of a checkpoint; CheckpointError naming the file when
+    its header or parameter blob is corrupt or cut short."""
     with open(path, "rb") as fh:
-        header = fh.readline().decode("utf-8")
+        header = fh.readline()
         blob = fh.read()
-    fields = json.loads(header)
-    fields["conv_channels"] = tuple(fields["conv_channels"])
-    spec = ModelSpec(**fields)
-    return spec, ParamSet.from_bytes(blob)
+    try:
+        fields = json.loads(header)
+        fields["conv_channels"] = tuple(fields["conv_channels"])
+        return ModelSpec(**fields), ParamSet.from_bytes(blob)
+    except (ValueError, TypeError, KeyError) as exc:
+        raise CheckpointError(f"{path}: corrupt checkpoint: {exc}") from None

@@ -4,7 +4,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .trace import ClientTrace, TraceRecord
+from .trace import ClientTrace
 
 
 class PreprocessError(ValueError):
@@ -93,31 +93,9 @@ def moving_average(series, window):
 
 def filter_trace(trace, cfg):
     """Moving-average filter on throughput and every continuous feature."""
-    w = cfg.filter_window
-    names = trace.feature_names()
-    cols = {name: moving_average(
-        [rec.extras[name] if name in rec.extras else getattr(rec, name)
-         for rec in trace.records], w) for name in names}
-    tput = moving_average(trace.throughput(), w)
-    extra_names = trace.extra_names()
-    records = []
-    for j, rec in enumerate(trace.records):
-        records.append(TraceRecord(
-            timestamp=rec.timestamp,
-            latitude=cols["latitude"][j], longitude=cols["longitude"][j],
-            speed=cols["speed"][j], rsrp=cols["rsrp"][j], sinr=cols["sinr"][j],
-            throughput=tput[j], radio_type=rec.radio_type,
-            extras={n: cols[n][j] for n in extra_names}))
-    return replace(trace, records=records)
-
-
-def _collect(traces, name, limit=None):
-    vals = []
-    for tr in traces:
-        recs = tr.records if limit is None else tr.records[:limit]
-        for rec in recs:
-            vals.append(rec.extras[name] if name in rec.extras else getattr(rec, name))
-    return np.asarray(vals, dtype=float)
+    filtered = {name: moving_average(trace.columns[name], cfg.filter_window)
+                for name in trace.feature_names() + ["throughput"]}
+    return replace(trace, columns={**trace.columns, **filtered})
 
 
 def fit_scaler(traces, cfg, fit_rows=None):
@@ -133,7 +111,7 @@ def fit_scaler(traces, cfg, fit_rows=None):
     names = traces[0].feature_names() + ["throughput"]
     state = ScalerState(kind=cfg.scaler_kind)
     for name in names:
-        vals = _collect(traces, name, fit_rows)
+        vals = np.concatenate([tr.columns[name][:fit_rows] for tr in traces])
         if cfg.scaler_kind == "minmax":
             lo, hi = float(vals.min()), float(vals.max())
             if hi - lo == 0.0:
@@ -155,18 +133,19 @@ def apply_scaler(trace, state):
     for name in names:
         if name not in state.constant and name not in state.params:
             raise PreprocessError(f"scaler missing feature {name!r}")
-    cols = {name: state.transform(name, _collect([trace], name))
-            for name in names}
-    extra_names = trace.extra_names()
-    records = []
-    for j, rec in enumerate(trace.records):
-        records.append(TraceRecord(
-            timestamp=rec.timestamp,
-            latitude=cols["latitude"][j], longitude=cols["longitude"][j],
-            speed=cols["speed"][j], rsrp=cols["rsrp"][j], sinr=cols["sinr"][j],
-            throughput=cols["throughput"][j], radio_type=rec.radio_type,
-            extras={n: cols[n][j] for n in extra_names}))
-    return replace(trace, records=records)
+    scaled = {name: state.transform(name, trace.columns[name])
+              for name in names}
+    return replace(trace, columns={**trace.columns, **scaled})
+
+
+def window_anchors(trace, wc, stride):
+    """Anchors n = H, H+s, ... of the windows whose F-step target still
+    fits in the trace."""
+    h, f = wc.history, wc.horizon
+    if len(trace) < h + f + 1:
+        raise PreprocessError(f"client {trace.client_id}: trace of length "
+                              f"{len(trace)} too short for H={h}, F={f}")
+    return range(h, len(trace) - f, stride)
 
 
 def build_windows(trace, wc, stride=None):
@@ -177,15 +156,12 @@ def build_windows(trace, wc, stride=None):
     """
     if stride is None:
         stride = wc.train_stride
-    n_rec = len(trace.records)
+    anchors = window_anchors(trace, wc, stride)
     h, f = wc.history, wc.horizon
-    if n_rec < h + f + 1:
-        raise PreprocessError(
-            f"trace of length {n_rec} too short for H={h}, F={f}")
     feats = trace.feature_matrix()
     tput = trace.throughput()
     samples = []
-    for n in range(h, n_rec - f, stride):
+    for n in anchors:
         samples.append(WindowSample(
             features=feats[:, n - h:n + 1].copy(),
             thpt_history=tput[n - h:n + 1].copy(),
@@ -212,18 +188,3 @@ def stack_samples(samples):
     hist = np.stack([s.thpt_history for s in samples])
     y = np.stack([s.target for s in samples])
     return x, hist, y
-
-
-def dump_windows(samples, path):
-    """Debug dump: one CSV row per window cell, replayable by eye."""
-    with open(path, "w") as fh:
-        fh.write("anchor,kind,row,col,value\n")
-        for s in samples:
-            for i in range(s.features.shape[0]):
-                for j in range(s.features.shape[1]):
-                    fh.write(f"{s.anchor},feature,{i},{j},"
-                             f"{float(s.features[i, j])!r}\n")
-            for j, v in enumerate(s.thpt_history):
-                fh.write(f"{s.anchor},thpt_history,0,{j},{float(v)!r}\n")
-            for j, v in enumerate(s.target):
-                fh.write(f"{s.anchor},target,0,{j},{float(v)!r}\n")

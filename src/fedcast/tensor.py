@@ -6,6 +6,7 @@ order. float64 throughout by default (float32 inputs are preserved for
 callers that want the speed).
 """
 
+import math
 import struct
 
 import numpy as np
@@ -499,25 +500,31 @@ def write_named_arrays(entries):
 
 
 def read_named_arrays(blob):
-    if blob[:4] != _MAGIC:
+    """Inverse of write_named_arrays. ValueError when the blob is not one:
+    bad magic, a field or payload cut short, or bytes left over."""
+    view = memoryview(blob)
+    off = 0
+
+    def take(n, what):
+        nonlocal off
+        if off + n > len(view):
+            raise ValueError(f"truncated at byte {off}: {what} needs {n} "
+                             f"bytes, {len(view) - off} left")
+        off += n
+        return view[off - n:off]
+
+    if take(4, "magic") != _MAGIC:
         raise ValueError("bad checkpoint magic")
-    off = 4
-    (count,) = struct.unpack_from("<I", blob, off)
-    off += 4
+    (count,) = struct.unpack("<I", take(4, "entry count"))
     entries = []
-    for _ in range(count):
-        (nlen,) = struct.unpack_from("<H", blob, off)
-        off += 2
-        name = blob[off:off + nlen].decode("utf-8")
-        off += nlen
-        (flags,) = struct.unpack_from("<B", blob, off)
-        off += 1
-        (ndim,) = struct.unpack_from("<B", blob, off)
-        off += 1
-        shape = struct.unpack_from(f"<{ndim}I", blob, off)
-        off += 4 * ndim
-        size = int(np.prod(shape)) if ndim else 1
-        arr = np.frombuffer(blob, dtype="<f8", count=size, offset=off).copy()
-        off += 8 * size
-        entries.append((name, arr.reshape(shape), bool(flags & 1), bool(flags & 2)))
+    for i in range(count):
+        (nlen,) = struct.unpack("<H", take(2, f"entry {i} name length"))
+        name = str(take(nlen, f"entry {i} name"), "utf-8")
+        flags, ndim = struct.unpack("<BB", take(2, f"{name} flags"))
+        shape = struct.unpack(f"<{ndim}I", take(4 * ndim, f"{name} shape"))
+        payload = take(8 * math.prod(shape), f"{name} payload")
+        arr = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
+        entries.append((name, arr, bool(flags & 1), bool(flags & 2)))
+    if off != len(view):
+        raise ValueError(f"{len(view) - off} trailing bytes after {count} entries")
     return entries

@@ -2,20 +2,18 @@
 
 Canonical fields are the intersection available across the public 5G
 datasets: timestamp, latitude, longitude, speed, rsrp, sinr, throughput
-(Mbps), radio_type. Anything else rides along in `extras`.
+(Mbps), radio_type. Anything else rides along as an extra column.
 """
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 MANDATORY_FIELDS = ("timestamp", "latitude", "longitude", "speed",
                     "rsrp", "sinr", "throughput", "radio_type")
-NUMERIC_FIELDS = ("timestamp", "latitude", "longitude", "speed",
-                  "rsrp", "sinr", "throughput")
 # feature rows of the input matrix; throughput is handled separately
 CONTINUOUS_FEATURES = ("latitude", "longitude", "speed", "rsrp", "sinr")
 
@@ -29,50 +27,32 @@ class TraceError(ValueError):
     pass
 
 
-@dataclass
-class TraceRecord:
-    timestamp: float
-    latitude: float
-    longitude: float
-    speed: float
-    rsrp: float
-    sinr: float
-    throughput: float
-    radio_type: str
-    extras: dict = field(default_factory=dict)
-
-
-@dataclass
+@dataclass(eq=False)
 class ClientTrace:
+    """One client's trace as columns of equal length, keyed by field name:
+    a `radio_type` array of strings and a float64 array for each other
+    field of MANDATORY_FIELDS and each extra."""
     client_id: str
     dataset_tag: str
-    records: list
+    columns: dict
     sample_period: float = 1.0
     dropped_rows: int = 0
 
     def __len__(self):
-        return len(self.records)
+        return len(self.columns["timestamp"])
 
     def extra_names(self):
-        return sorted(self.records[0].extras) if self.records else []
+        return sorted(self.columns.keys() - set(MANDATORY_FIELDS))
 
     def feature_names(self):
         return list(CONTINUOUS_FEATURES) + self.extra_names()
 
     def feature_matrix(self):
         """All continuous features (rows) over time (columns)."""
-        names = self.feature_names()
-        out = np.empty((len(names), len(self.records)))
-        for j, rec in enumerate(self.records):
-            for i, name in enumerate(names):
-                out[i, j] = rec.extras[name] if name in rec.extras else getattr(rec, name)
-        return out
+        return np.array([self.columns[name] for name in self.feature_names()])
 
     def throughput(self):
-        return np.array([r.throughput for r in self.records])
-
-    def timestamps(self):
-        return np.array([r.timestamp for r in self.records])
+        return self.columns["throughput"]
 
 
 @dataclass
@@ -123,77 +103,66 @@ def load_trace(path, mapping, client_id=None, dataset_tag=""):
             if src not in col_index:
                 raise TraceError(f"{path}: missing column {src!r} for field {canon!r}")
 
+        # the fields read from the file, in the order a row is checked
+        sources = [(canon, mapping.columns[canon]) for canon in MANDATORY_FIELDS
+                   if canon not in mapping.constants]
+        sources += list(mapping.extras.items())
+        read = [(canon, src, col_index[src]) for canon, src in sources]
         sentinels = set(mapping.sentinels)
-        records = []
+        rows = []
         dropped = 0
         for row in reader:
             if not row or all(not c.strip() for c in row):
                 continue
-            vals = {}
-            bad = False
-            for canon in MANDATORY_FIELDS:
-                if canon in mapping.constants:
-                    vals[canon] = mapping.constants[canon]
-                    continue
-                raw = row[col_index[mapping.columns[canon]]].strip()
+            vals = []
+            for canon, src, i in read:
+                raw = row[i].strip()
                 if raw in sentinels:
-                    bad = True
                     break
                 if canon == "radio_type":
-                    vals[canon] = raw
-                else:
-                    try:
-                        v = float(raw)
-                    except ValueError:
-                        raise TraceError(
-                            f"{path}: non-numeric value {raw!r} in column "
-                            f"{mapping.columns[canon]!r}") from None
-                    if not math.isfinite(v):
-                        bad = True
-                        break
-                    vals[canon] = v * mapping.units.get(canon, 1.0)
-            if not bad:
-                extras = {}
-                for canon, src in mapping.extras.items():
-                    raw = row[col_index[src]].strip()
-                    if raw in sentinels:
-                        bad = True
-                        break
-                    try:
-                        v = float(raw)
-                    except ValueError:
-                        raise TraceError(
-                            f"{path}: non-numeric value {raw!r} in column {src!r}"
-                        ) from None
-                    if not math.isfinite(v):
-                        bad = True
-                        break
-                    extras[canon] = v * mapping.units.get(canon, 1.0)
-                vals["extras"] = extras
-            if bad:
-                dropped += 1
+                    vals.append(raw)
+                    continue
+                try:
+                    v = float(raw)
+                except ValueError:
+                    raise TraceError(f"{path}: non-numeric value {raw!r} in "
+                                     f"column {src!r}") from None
+                if not math.isfinite(v):
+                    break
+                vals.append(v)
+            else:
+                rows.append(vals)
                 continue
-            if vals["throughput"] < 0:
-                dropped += 1
-                continue
-            records.append(TraceRecord(**vals))
+            dropped += 1
 
-    if not records:
+    n = len(rows)
+    read_cols = dict(zip([canon for canon, _ in sources],
+                         zip(*rows) if rows else [()] * len(sources)))
+    columns = {}
+    for canon in (*MANDATORY_FIELDS, *mapping.extras):
+        if canon == "radio_type":
+            columns[canon] = np.array(read_cols[canon], dtype=str) \
+                if canon in read_cols else np.full(n, mapping.constants[canon])
+        elif canon in read_cols:
+            columns[canon] = np.array(read_cols[canon], dtype=float) \
+                * mapping.units.get(canon, 1.0)
+        else:
+            columns[canon] = np.full(n, float(mapping.constants[canon]))
+    usable = np.flatnonzero(columns["throughput"] >= 0)
+    dropped += n - usable.size
+    if not usable.size:
         raise TraceError(f"{path}: no usable rows")
-    records.sort(key=lambda r: r.timestamp)
-    t0 = records[0].timestamp
-    for rec in records:
-        rec.timestamp -= t0
-    period = _infer_period(records)
+    order = usable[np.argsort(columns["timestamp"][usable], kind="stable")]
+    columns = {name: col[order] for name, col in columns.items()}
+    columns["timestamp"] = columns["timestamp"] - columns["timestamp"][0]
     cid = client_id if client_id is not None else path.stem
-    return ClientTrace(client_id=cid, dataset_tag=dataset_tag, records=records,
-                       sample_period=period, dropped_rows=dropped)
+    return ClientTrace(client_id=cid, dataset_tag=dataset_tag, columns=columns,
+                       sample_period=_infer_period(columns["timestamp"]),
+                       dropped_rows=dropped)
 
 
-def _infer_period(records):
-    if len(records) < 2:
-        return 1.0
-    diffs = np.diff([r.timestamp for r in records])
+def _infer_period(timestamps):
+    diffs = np.diff(timestamps)
     diffs = diffs[diffs > 0]
     if diffs.size == 0:
         return 1.0
@@ -207,104 +176,66 @@ def clean_and_resample(trace):
     samples are linearly interpolated; larger gaps split the trace and the
     longest contiguous run wins. Output timestamps are 0, p, 2p, ...
     """
-    if not trace.records:
-        raise TraceError("empty trace")
+    if not len(trace):
+        raise TraceError(f"client {trace.client_id}: empty trace")
     period = trace.sample_period
-    extra_names = trace.extra_names()
 
-    slots = {}
-    order = []
-    for rec in trace.records:
-        k = int(round(rec.timestamp / period))
-        if k not in slots:
-            slots[k] = []
-            order.append(k)
-        slots[k].append(rec)
-    order.sort()
+    # the samples sorted into grid slots; runs of occupied slots split at
+    # gaps of more than 3 empty slots, and the first longest run wins
+    slot = np.rint(trace.columns["timestamp"] / period).astype(np.int64)
+    order = np.argsort(slot, kind="stable")
+    slot = slot[order]
+    starts = np.flatnonzero(np.r_[True, slot[1:] != slot[:-1]])
+    ends = np.r_[starts[1:], slot.size]
+    occupied = slot[starts]
+    cuts = np.flatnonzero(np.diff(occupied) > 4) + 1
+    firsts, lasts = np.r_[0, cuts], np.r_[cuts, occupied.size] - 1
+    best = np.argmax(occupied[lasts] - occupied[firsts])
+    run = slice(firsts[best], lasts[best] + 1)
+    starts, ends, occupied = starts[run], ends[run], occupied[run]
+    if occupied.size < 2:
+        raise TraceError(
+            f"client {trace.client_id}: trace shorter than 2 records after cleaning")
+    shared = np.flatnonzero(ends - starts > 1)
 
-    merged = []
-    for k in order:
-        group = slots[k]
-        if len(group) == 1:
-            src = group[0]
-            rec = TraceRecord(timestamp=k * period, latitude=src.latitude,
-                              longitude=src.longitude, speed=src.speed,
-                              rsrp=src.rsrp, sinr=src.sinr,
-                              throughput=src.throughput,
-                              radio_type=src.radio_type,
-                              extras=dict(src.extras))
-        else:
-            rec = TraceRecord(
-                timestamp=k * period,
-                latitude=float(np.mean([g.latitude for g in group])),
-                longitude=float(np.mean([g.longitude for g in group])),
-                speed=float(np.mean([g.speed for g in group])),
-                rsrp=float(np.mean([g.rsrp for g in group])),
-                sinr=float(np.mean([g.sinr for g in group])),
-                throughput=float(np.mean([g.throughput for g in group])),
-                radio_type=group[0].radio_type,
-                extras={n: float(np.mean([g.extras[n] for g in group]))
-                        for n in extra_names},
-            )
-        merged.append((k, rec))
-
-    # fill gaps of <= 3 missing slots, split on larger ones
-    runs = [[merged[0]]]
-    for (k_prev, prev), (k, rec) in zip(merged, merged[1:]):
-        missing = k - k_prev - 1
-        if missing == 0:
-            runs[-1].append((k, rec))
-        elif missing <= 3:
-            for j in range(1, missing + 1):
-                f = j / (missing + 1)
-                runs[-1].append((k_prev + j, _lerp(prev, rec, f, k_prev + j,
-                                                   period, extra_names)))
-            runs[-1].append((k, rec))
-        else:
-            runs.append([(k, rec)])
-
-    best = max(runs, key=len)
-    if len(best) < 2:
-        raise TraceError("trace shorter than 2 records after cleaning")
-    records = []
-    k0 = best[0][0]
-    for k, rec in best:
-        rec.timestamp = (k - k0) * period
-        records.append(rec)
-    return ClientTrace(client_id=trace.client_id, dataset_tag=trace.dataset_tag,
-                       records=records, sample_period=period,
-                       dropped_rows=trace.dropped_rows)
+    # every grid slot of the run takes the values of the occupied slot at or
+    # before it; an empty slot mixes them with the next occupied slot's
+    grid = np.arange(occupied[0], occupied[-1] + 1)
+    prev = np.searchsorted(occupied, grid, side="right") - 1
+    empty = np.flatnonzero(grid != occupied[prev])
+    frac = (grid[empty] - occupied[prev[empty]]) \
+        / (occupied[prev[empty] + 1] - occupied[prev[empty]])
+    columns = {"timestamp": (grid - grid[0]) * period}
+    for name, col in trace.columns.items():
+        if name == "timestamp":
+            continue
+        # one value per occupied slot: the mean of its samples, or the
+        # first sample's radio_type
+        col = col[order]
+        merged = col[starts]
+        if name == "radio_type":
+            columns[name] = merged[prev]
+            continue
+        for g in shared:
+            merged[g] = col[starts[g]:ends[g]].mean()
+        columns[name] = merged[prev]
+        columns[name][empty] = _lerp(merged, prev[empty], frac)
+    return replace(trace, columns=columns)
 
 
-def _lerp(a, b, f, k, period, extra_names):
-    def mix(x, y):
-        return float(x + f * (y - x))
-
-    return TraceRecord(
-        timestamp=k * period,
-        latitude=mix(a.latitude, b.latitude),
-        longitude=mix(a.longitude, b.longitude),
-        speed=mix(a.speed, b.speed),
-        rsrp=mix(a.rsrp, b.rsrp),
-        sinr=mix(a.sinr, b.sinr),
-        throughput=mix(a.throughput, b.throughput),
-        radio_type=a.radio_type,
-        extras={n: mix(a.extras[n], b.extras[n]) for n in extra_names},
-    )
+def _lerp(col, i, frac):
+    """The values a fraction `frac` of the way from col[i] to col[i + 1]."""
+    return col[i] + frac * (col[i + 1] - col[i])
 
 
 def export_trace(trace, path):
     """Write the canonical column order (plus sorted extras) as CSV."""
-    extra_names = trace.extra_names()
-    header = list(MANDATORY_FIELDS) + extra_names
+    header = list(MANDATORY_FIELDS) + trace.extra_names()
+    cells = [trace.columns[name].tolist() for name in header]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for rec in trace.records:
-            row = [repr(float(getattr(rec, f))) for f in NUMERIC_FIELDS]
-            row.append(rec.radio_type)
-            row.extend(repr(float(rec.extras[n])) for n in extra_names)
-            writer.writerow(row)
+        writer.writerows(zip(*cells))       # floats are written by repr()
 
 
 def export_mapping_for(trace):

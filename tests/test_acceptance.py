@@ -17,7 +17,7 @@ from fedcast import tensor as T
 from fedcast.analysis import horizon_correlation
 from fedcast.preprocess import (PreprocessConfig, WindowConfig, build_windows,
                                 moving_average, split_train_test)
-from fedcast.trace import ClientTrace, TraceRecord
+from fedcast.trace import ClientTrace
 
 
 def _report(num, ok, detail):
@@ -196,11 +196,12 @@ def test_criterion_05_window_pipeline_oracles():
         if n < h + f + 1:
             continue
         tput = rng.uniform(0, 60, n)
-        recs = [TraceRecord(timestamp=float(i), latitude=0.0, longitude=0.0,
-                            speed=float(i % 7), rsrp=-100 + tput[i] * 0.1,
-                            sinr=5.0, throughput=float(tput[i]),
-                            radio_type="NR") for i in range(n)]
-        tr = ClientTrace(client_id="c", dataset_tag="d", records=recs)
+        i = np.arange(n)
+        columns = {"timestamp": i.astype(float), "latitude": np.zeros(n),
+                   "longitude": np.zeros(n), "speed": (i % 7).astype(float),
+                   "rsrp": -100 + tput * 0.1, "sinr": np.full(n, 5.0),
+                   "throughput": tput, "radio_type": np.full(n, "NR")}
+        tr = ClientTrace(client_id="c", dataset_tag="d", columns=columns)
         feats = tr.feature_matrix()
         samples = build_windows(tr, WindowConfig(history=h, horizon=f),
                                 stride=stride)
@@ -470,4 +471,135 @@ def test_replay_artifacts_match_golden_hashes(tmp_path):
            for p in out.rglob("*") if p.is_file()}
     changed = sorted(k for k in got.keys() | _REPLAY_HASHES.keys()
                      if got.get(k) != _REPLAY_HASHES.get(k))
+    assert not changed, f"artifacts differ from the golden hashes: {changed}"
+
+
+_FILES_CONFIG = """\
+[experiment]
+seed = 5
+out_dir = unused
+
+[data]
+source = files
+files = {files}
+mapping = {mapping}
+dataset_tag = field
+
+[preprocess]
+filter_window = 3
+scaler = standard
+scope = per_dataset
+
+[window]
+history = 5
+horizon = 1
+
+[model]
+arch = LSTM
+hidden = 8
+
+[train]
+learning_rate = 0.01
+batch_size = 16
+local_epochs = 1
+
+[rounds]
+strategy = FEDBN
+total_rounds = 1
+participation = 1.0
+"""
+
+_FILES_MAPPING = """\
+[columns]
+timestamp = time_s
+latitude = lat
+longitude = lon
+speed = speed_kmh
+rsrp = rsrp_dbm
+sinr = sinr_db
+throughput = dl_kbps
+radio_type = tech
+
+[units]
+throughput = 0.001
+speed = 0.2777777777777778
+
+[extras]
+cqi = cqi
+"""
+
+
+def _write_field_traces(tmp_path):
+    """Three CSV logs, written row by row, with the faults the cleaner
+    handles: jittered and duplicate timestamps, 1-3 slot gaps, one gap of
+    more than 3 slots, sentinel and non-finite rows, negative throughput,
+    an extra column, throughput in kbps and speed in km/h."""
+    import csv
+    header = ["time_s", "lat", "lon", "speed_kmh", "rsrp_dbm", "sinr_db",
+              "dl_kbps", "tech", "cqi"]
+    paths = []
+    for c in range(3):
+        rng = np.random.default_rng((31, c))
+        n = 150 + 20 * c
+        slots = [k for k in range(n) if k not in (20, 41, 42, 60, 61, 62)]
+        if c == 1:
+            slots = [k for k in slots if not 100 <= k < 110]
+        rows = []
+        for k in slots:
+            copies = 2 if k % 17 == 3 else 1
+            for _ in range(copies):
+                t = 1700000000.0 + 0.5 * k + rng.uniform(-0.05, 0.05)
+                tput = 20000.0 + 8000.0 * c + rng.normal(0.0, 3000.0)
+                rows.append([repr(t), repr(45.0 + 1e-4 * k),
+                             repr(-93.0 - 1e-4 * k),
+                             repr(float(rng.uniform(0, 60))),
+                             repr(-110.0 + 1e-3 * tput + rng.normal()),
+                             repr(3.0 + 5e-4 * tput + rng.normal()),
+                             repr(tput), "NR-NSA" if k % 2 else "LTE",
+                             repr(float(rng.integers(0, 16)))])
+        rows[30][6] = "NA"
+        rows[45][4] = "-"
+        rows[70][5] = "inf"
+        rows[90][6] = "-5.0"
+        if c == 2:
+            rows.reverse()      # the loader sorts by timestamp
+        path = tmp_path / f"cell{c}.csv"
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+        paths.append(path)
+    return paths
+
+
+# SHA-256 of the artifacts that `federate` then `analyze` write for
+# _FILES_CONFIG over the logs of _write_field_traces.
+_FILES_HASHES = {
+    "checkpoints/client_cell0.ckpt": "6eb47befac13ca92828ee15ce819779e38291d63211c4102cbd570a07d4fa8fa",
+    "checkpoints/client_cell1.ckpt": "2736ec3c1e92c2c90a18682b0fad53ef3265550a27c173d4ec993d8fe15e7fc3",
+    "checkpoints/client_cell2.ckpt": "f4c8aae325c0678e18867118ac86ab66586176319ae484527e22160f5dc2b3df",
+    "checkpoints/global.ckpt": "1a111de8887409d01770711ae7dd222d8de23a3eebe5db27d6551d3321b44c44",
+    "correlations.csv": "e263ed39fff7ddd4b3fc2b74d3d8dff969a1fd611eb6b692a2387b23367ef926",
+    "kde.csv": "a42a3dfb8791f881622f9fa45e33987968ce385cd7a4a2a58044afeec9daafe9",
+    "rounds.csv": "d44893200759a325991d20e27f85fb25f87da415436f92d48bf91ee924858ffd",
+    "summary.json": "ac27daa28499a73e59908636bf9dbd2fd75ed71fb02546a1622b3803bdd419a0",
+}
+
+
+def test_files_path_artifacts_match_golden_hashes(tmp_path):
+    paths = _write_field_traces(tmp_path)
+    mapping = tmp_path / "mapping.ini"
+    mapping.write_text(_FILES_MAPPING)
+    cfg_path = tmp_path / "files.ini"
+    cfg_path.write_text(_FILES_CONFIG.format(
+        files=", ".join(str(p) for p in paths), mapping=mapping))
+    out = tmp_path / "run"
+    for stage in ("federate", "analyze"):
+        assert cli.run(cfg_path, stage, out=str(out)) == 0
+    got = {p.relative_to(out).as_posix():
+           hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in out.rglob("*")
+           if p.is_file() and p.name != "config_echo.ini"}
+    changed = sorted(k for k in got.keys() | _FILES_HASHES.keys()
+                     if got.get(k) != _FILES_HASHES.get(k))
     assert not changed, f"artifacts differ from the golden hashes: {changed}"

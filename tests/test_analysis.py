@@ -6,17 +6,18 @@ import pytest
 from fedcast.analysis import (AnalysisError, CorrelationTable, EvalPair,
                               gaussian_kde, horizon_correlation, mse, pearson,
                               r2_score)
-from fedcast.trace import ClientTrace, TraceRecord
+from fedcast.trace import ClientTrace
 
 
 def _trace(tput, rsrp=None):
     n = len(tput)
     rsrp = rsrp if rsrp is not None else np.linspace(-110, -80, n)
-    recs = [TraceRecord(timestamp=float(i), latitude=0.0, longitude=0.0,
-                        speed=0.0, rsrp=float(rsrp[i]), sinr=0.0,
-                        throughput=float(tput[i]), radio_type="LTE")
-            for i in range(n)]
-    return ClientTrace(client_id="c", dataset_tag="d", records=recs)
+    columns = {"timestamp": np.arange(n, dtype=float),
+               "latitude": np.zeros(n), "longitude": np.zeros(n),
+               "speed": np.zeros(n), "rsrp": np.asarray(rsrp, dtype=float),
+               "sinr": np.zeros(n), "throughput": np.asarray(tput, dtype=float),
+               "radio_type": np.full(n, "LTE")}
+    return ClientTrace(client_id="c", dataset_tag="d", columns=columns)
 
 
 def test_r2_perfect_predictions():

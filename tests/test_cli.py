@@ -233,6 +233,58 @@ def test_unparsable_mapping_value_is_a_config_error(tmp_path, capsys):
         assert "map.ini" in err and f"[{section}] {key}" in err, err
 
 
+def _files_config(tmp_path, rows, **edits):
+    """The base config reading one CSV of `rows` (canonical columns) as its
+    only client, with `old=new` text edits applied."""
+    from fedcast.trace import MANDATORY_FIELDS
+    path = tmp_path / "cell.csv"
+    path.write_text(",".join(MANDATORY_FIELDS) + "\n"
+                    + "".join(",".join(map(str, r)) + "\n" for r in rows))
+    cfg, out = _config(tmp_path)
+    text = cfg.read_text().replace("source = synthetic",
+                                   f"source = files\nfiles = {path}")
+    for old, new in edits.values():
+        text = text.replace(old, new)
+    cfg.write_text(text)
+    return cfg, out
+
+
+def _assert_one_line_error(capsys, *named):
+    err = capsys.readouterr().err
+    assert "Traceback" not in err, err
+    assert len(err.strip().splitlines()) == 1, err
+    for name in named:
+        assert name in err, err
+
+
+def test_non_numeric_trace_value_exits_1_naming_the_file(tmp_path, capsys):
+    rows = [(t, 0, 0, 0, -90, 10, "abc" if t == 2 else 20.0, "LTE")
+            for t in range(40)]
+    cfg, _ = _files_config(tmp_path, rows)
+    assert cli.run(cfg, "analyze") == 1
+    _assert_one_line_error(capsys, "cell.csv", "'abc'")
+
+
+def test_too_short_trace_exits_1_naming_the_client(tmp_path, capsys):
+    rows = [(t, 0, 0, 0, -90, 10, 20.0 + t, "LTE") for t in range(10)]
+    cfg, _ = _files_config(tmp_path, rows,
+                           history=("history = 5", "history = 15"))
+    assert cli.run(cfg, "federate") == 1
+    _assert_one_line_error(capsys, "client cell",
+                           "trace of length 10 too short for H=15, F=1")
+
+
+def test_truncated_checkpoint_exits_1_naming_the_file(tmp_path, capsys):
+    cfg, out = _config(tmp_path, rounds=1)
+    cfg.write_text(cfg.read_text().replace("predictor = harmonic",
+                                           "predictor = model"))
+    assert cli.run(cfg, "federate") == 0
+    ckpt = out / "checkpoints" / "client_syn00.ckpt"
+    ckpt.write_bytes(ckpt.read_bytes()[:-50])
+    assert cli.run(cfg, "stream") == 1
+    _assert_one_line_error(capsys, str(ckpt), "truncated")
+
+
 # --- subcommands -----------------------------------------------------------
 
 

@@ -6,7 +6,7 @@ import pytest
 from fedcast import models
 from fedcast import tensor as T
 from fedcast.preprocess import WindowConfig, build_windows
-from fedcast.trace import ClientTrace, TraceRecord
+from fedcast.trace import ClientTrace
 
 
 def _toy_spec(arch, **kw):
@@ -127,11 +127,13 @@ def test_bn_eval_uses_frozen_running_stats():
 
 def _samples_from_series(series, h=5, f=1):
     n = len(series)
-    recs = [TraceRecord(timestamp=float(i), latitude=0.1, longitude=0.2,
-                        speed=1.0 + 0.5 * np.sin(i / 7), rsrp=-100 + 0.2 * series[i],
-                        sinr=5.0 + 0.1 * series[i], throughput=float(series[i]),
-                        radio_type="NR") for i in range(n)]
-    tr = ClientTrace(client_id="c", dataset_tag="d", records=recs)
+    series = np.asarray(series, dtype=float)
+    i = np.arange(n)
+    columns = {"timestamp": i.astype(float), "latitude": np.full(n, 0.1),
+               "longitude": np.full(n, 0.2), "speed": 1.0 + 0.5 * np.sin(i / 7),
+               "rsrp": -100 + 0.2 * series, "sinr": 5.0 + 0.1 * series,
+               "throughput": series, "radio_type": np.full(n, "NR")}
+    tr = ClientTrace(client_id="c", dataset_tag="d", columns=columns)
     return build_windows(tr, WindowConfig(history=h, horizon=f))
 
 
@@ -284,6 +286,18 @@ def test_checkpoint_roundtrip(tmp_path):
     spec2, params2 = models.load_checkpoint(path)
     assert spec2 == spec
     assert params2.to_bytes() == params.to_bytes()
+
+
+def test_corrupt_checkpoint_header_names_the_file(tmp_path):
+    spec = _toy_spec("LSTM")
+    path = tmp_path / "model.ckpt"
+    models.save_checkpoint(path, spec, models.init_model(spec, seed=5))
+    header, blob = path.read_bytes().split(b"\n", 1)
+    for bad in (b"{not json", b"[1, 2]", header.replace(b'"hidden": 8',
+                                                         b'"hidden": 0')):
+        path.write_bytes(bad + b"\n" + blob)
+        with pytest.raises(models.CheckpointError, match="model.ckpt"):
+            models.load_checkpoint(path)
 
 
 def test_default_train_configs_match_architecture_table():

@@ -6,18 +6,21 @@ import pytest
 from fedcast.preprocess import (PreprocessConfig, PreprocessError, WindowConfig,
                                 apply_scaler, build_windows, fit_scaler,
                                 moving_average, split_train_test, stack_samples)
-from fedcast.trace import ClientTrace, TraceRecord
+from fedcast.trace import ClientTrace
 
 
 def _trace(tput, rsrp=None, sinr=None):
     n = len(tput)
     rsrp = rsrp if rsrp is not None else np.linspace(-110, -80, n)
     sinr = sinr if sinr is not None else np.linspace(0, 20, n)
-    recs = [TraceRecord(timestamp=float(i), latitude=1.0 + 0.1 * i,
-                        longitude=2.0, speed=3.0 + i % 5, rsrp=float(rsrp[i]),
-                        sinr=float(sinr[i]), throughput=float(tput[i]),
-                        radio_type="NR-SA") for i in range(n)]
-    return ClientTrace(client_id="c", dataset_tag="d", records=recs,
+    i = np.arange(n)
+    columns = {"timestamp": i.astype(float), "latitude": 1.0 + 0.1 * i,
+               "longitude": np.full(n, 2.0), "speed": 3.0 + i % 5,
+               "rsrp": np.asarray(rsrp, dtype=float),
+               "sinr": np.asarray(sinr, dtype=float),
+               "throughput": np.asarray(tput, dtype=float),
+               "radio_type": np.full(n, "NR-SA")}
+    return ClientTrace(client_id="c", dataset_tag="d", columns=columns,
                        sample_period=1.0)
 
 
@@ -85,8 +88,7 @@ def test_scaler_feature_mismatch_rejected():
     tr = _trace([1.0, 2.0, 3.0])
     state = fit_scaler(tr, PreprocessConfig())
     other = _trace([1.0, 2.0, 3.0])
-    for rec in other.records:
-        rec.extras["cqi"] = 1.0
+    other.columns["cqi"] = np.ones(len(other))
     with pytest.raises(PreprocessError):
         apply_scaler(other, state)
 
@@ -201,19 +203,3 @@ def test_stack_samples_shapes():
     assert x.shape == (len(samples), 5, 6)
     assert hist.shape == (len(samples), 6)
     assert y.shape == (len(samples), 2)
-
-
-def test_dump_windows_roundtrips_cells(tmp_path):
-    from fedcast.preprocess import dump_windows
-    tr = _trace(np.arange(12, dtype=float))
-    samples = build_windows(tr, WindowConfig(history=3, horizon=1))
-    path = tmp_path / "windows.csv"
-    dump_windows(samples, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "anchor,kind,row,col,value"
-    cells_per_sample = samples[0].features.size + \
-        samples[0].thpt_history.size + samples[0].target.size
-    assert len(lines) - 1 == cells_per_sample * len(samples)
-    anchor, kind, row, col, value = lines[1].split(",")
-    assert kind == "feature"
-    assert float(value) == samples[0].features[0, 0]

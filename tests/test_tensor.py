@@ -184,3 +184,13 @@ def test_named_array_serialization_roundtrip_and_stability():
 def test_named_array_bad_magic():
     with pytest.raises(ValueError):
         T.read_named_arrays(b"XXXX" + b"\x00" * 16)
+
+
+def test_named_arrays_reject_every_truncation_and_trailing_bytes():
+    blob = T.write_named_arrays([("w", np.arange(6.0).reshape(2, 3), False,
+                                  True), ("s", np.array(2.0), True, False)])
+    for cut in range(len(blob)):
+        with pytest.raises(ValueError):
+            T.read_named_arrays(blob[:cut])
+    with pytest.raises(ValueError, match="trailing"):
+        T.read_named_arrays(blob + b"\x00")
