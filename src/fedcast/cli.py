@@ -589,7 +589,8 @@ def run(config_path, subcommand, out=None, seed=None, workers=None):
     except ConfigError as exc:
         print(f"config validation failed:\n{exc}", file=sys.stderr)
         return 1
-    except (TraceError, PreprocessError, models.CheckpointError) as exc:
+    except (TraceError, PreprocessError, fl.FLError,
+            models.CheckpointError) as exc:
         print(f"bad input: {exc}", file=sys.stderr)
         return 1
     except Exception:

@@ -101,11 +101,14 @@ def build_client(trace, pre_cfg, wc, train_ratio=0.8, scaler=None):
     scaled = apply_scaler(filtered, scaler)
     windows = build_windows(scaled, wc, stride=wc.train_stride)
     train, test = split_train_test(windows, train_ratio)
-    first_test_anchor = test[0].anchor
-    eval_windows = [s for s in build_windows(scaled, wc, stride=wc.eval_stride)
-                    if s.anchor >= first_test_anchor] or test
+    if wc.eval_stride != wc.train_stride:
+        test = [s for s in build_windows(scaled, wc, stride=wc.eval_stride)
+                if s.anchor >= test[0].anchor] or test
+    if len(test) < 2:
+        raise FLError(f"client {trace.client_id}: {len(test)} evaluation "
+                      f"window(s), R^2 needs at least 2")
     return ClientHandle(client_id=trace.client_id, train=train,
-                        test=eval_windows, scaler=scaler,
+                        test=test, scaler=scaler,
                         dataset_tag=trace.dataset_tag)
 
 

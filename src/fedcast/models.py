@@ -257,25 +257,9 @@ def _bn(params, name, x, channel_axis, training):
                         channel_axis=channel_axis, training=training)
 
 
-def _lstm_layer(params, prefix, x_seq, hidden):
-    b_n, steps, _ = x_seq.data.shape
-    w_ih = params.get(f"{prefix}.w_ih")
-    w_hh = params.get(f"{prefix}.w_hh")
-    bias = params.get(f"{prefix}.b")
-    h = T.Tensor(np.zeros((b_n, hidden)))
-    c = T.Tensor(np.zeros((b_n, hidden)))
-    outputs = []
-    for t in range(steps):
-        xt = x_seq[:, t, :]
-        gates = T.add(T.add(T.matmul(xt, w_ih), T.matmul(h, w_hh)), bias)
-        i = T.sigmoid(gates[:, :hidden])
-        f = T.sigmoid(gates[:, hidden:2 * hidden])
-        g = T.tanh(gates[:, 2 * hidden:3 * hidden])
-        o = T.sigmoid(gates[:, 3 * hidden:])
-        c = T.add(T.mul(f, c), T.mul(i, g))
-        h = T.mul(o, T.tanh(c))
-        outputs.append(T.reshape(h, (b_n, 1, hidden)))
-    return h, T.concat(outputs, axis=1)
+def _lstm(params, prefix, x_seq):
+    return T.lstm(x_seq, params.get(f"{prefix}.w_ih"),
+                  params.get(f"{prefix}.w_hh"), params.get(f"{prefix}.b"))
 
 
 def _positional_encoding(steps, dim):
@@ -334,12 +318,9 @@ def forward_graph(spec, params, x_raw, training=False):
 
     if spec.arch == "LSTM":
         x = T.Tensor(np.ascontiguousarray(x_raw.transpose(0, 2, 1)))
-        h = x
-        layers = spec.num_layers
-        for layer in range(layers):
-            last, seq = _lstm_layer(params, f"lstm{layer}", h, spec.hidden)
-            h = seq
-        feat = last
+        for layer in range(spec.num_layers):
+            x = _lstm(params, f"lstm{layer}", x)
+        feat = x[:, -1, :]
         if spec.use_batchnorm:
             feat = _bn(params, "bn", feat, channel_axis=1, training=training)
         feat = T.relu(T.add(T.matmul(feat, params.get("fc.w")), params.get("fc.b")))
@@ -347,7 +328,7 @@ def forward_graph(spec, params, x_raw, training=False):
 
     if spec.arch == "LSTM_CNN":
         x = T.Tensor(np.ascontiguousarray(x_raw.transpose(0, 2, 1)))
-        _, seq = _lstm_layer(params, "lstm0", x, spec.hidden)
+        seq = _lstm(params, "lstm0", x)
         img = T.reshape(seq, (b_n, 1, spec.steps, spec.hidden))
         conv_w = params.get("conv1.w")
         conv_b = params.get("conv1.b")
@@ -387,12 +368,18 @@ def batch_to_arrays(samples):
 
 
 def forward(spec, params, batch, training=False):
-    """Predictions (B, F) for a batch of WindowSamples or a raw array."""
+    """Predictions (B, F) for a batch of WindowSamples or a raw array.
+
+    The parameters enter as constants sharing their arrays, so no autodiff
+    graph is built; with training=True the batch-norm running statistics in
+    `params` are still updated."""
     if isinstance(batch, np.ndarray):
         x = batch
     else:
         x, _ = batch_to_arrays(batch)
-    out = forward_graph(spec, params, x, training=training).data
+    constants = ParamSet([(name, T.Tensor(t.data), is_bn)
+                          for name, t, is_bn in params])
+    out = forward_graph(spec, constants, x, training=training).data
     if not np.isfinite(out).all():
         raise TrainingDiverged("non-finite predictions")
     return out

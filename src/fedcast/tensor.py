@@ -230,9 +230,13 @@ def sqrt(a):
     return _make(y, (a,), back)
 
 
+def _sigmoid(z):
+    return 1.0 / (1.0 + np.exp(-z))
+
+
 def sigmoid(a):
     a = as_tensor(a)
-    y = 1.0 / (1.0 + np.exp(-a.data))
+    y = _sigmoid(a.data)
 
     def back(g):
         if a.requires_grad:
@@ -398,6 +402,76 @@ def conv2d(x, w):
             w._accum(accel.conv2d_grad_weight(x.data, g))
 
     return _make(accel.conv2d_forward(x.data, w.data), (x, w), back)
+
+
+def lstm(x_seq, w_ih, w_hh, bias):
+    """One LSTM layer from a zero state; x_seq (B,S,D), w_ih (D,4H),
+    w_hh (H,4H), bias (4H,) with gates in the order i, f, g, o.
+
+    Returns the (B,S,H) hidden sequence as one node whose backward runs
+    BPTT over the gate activations cached by the forward. Every step
+    repeats the arithmetic of the per-step graph (sigmoid, tanh, mul and
+    matmul ops) on arrays of the same shape and layout, and the weight and
+    bias gradients are accumulated step by step in reverse time order, so
+    outputs and gradients are bit-identical to that graph. Projecting all
+    steps with one matmul, or summing the weight gradient over steps in
+    one, would reorder the floating-point sums.
+    """
+    x_seq, w_ih, w_hh, bias = (as_tensor(t) for t in (x_seq, w_ih, w_hh, bias))
+    b_n, steps, _ = x_seq.data.shape
+    hid = w_hh.data.shape[0]
+    track = any(t.requires_grad for t in (x_seq, w_ih, w_hh, bias))
+    h = np.zeros((b_n, hid))
+    c = np.zeros((b_n, hid))
+    hs, cache = [], []
+    for t in range(steps):
+        xt = x_seq.data[:, t, :].copy()
+        h_prev, c_prev = h, c
+        gates = xt @ w_ih.data + h @ w_hh.data + bias.data
+        # each activation reads a contiguous (B,H) array, like the graph's
+        # slice copies (`-z` makes one for the sigmoids): a ufunc may take
+        # another code path on a strided view
+        i = _sigmoid(gates[:, :hid])
+        f = _sigmoid(gates[:, hid:2 * hid])
+        g = np.tanh(gates[:, 2 * hid:3 * hid].copy())
+        o = _sigmoid(gates[:, 3 * hid:])
+        c = f * c + i * g
+        tc = np.tanh(c)
+        h = o * tc
+        hs.append(h)
+        if track:
+            cache.append((xt, h_prev, c_prev, i, f, g, o, tc))
+
+    def back(grad):
+        dx = np.zeros_like(x_seq.data) if x_seq.requires_grad else None
+        w_ih_t, w_hh_t = w_ih.data.T, w_hh.data.T
+        dh_next = dc_next = None
+        for t in reversed(range(steps)):
+            xt, h_prev, c_prev, i, f, g, o, tc = cache[t]
+            dh = grad[:, t, :] if dh_next is None else grad[:, t, :] + dh_next
+            do = dh * tc
+            dc = (dh * o) * (1.0 - tc * tc)
+            if dc_next is not None:
+                dc = dc + dc_next
+            dgates = np.empty((b_n, 4 * hid))
+            dgates[:, :hid] = ((dc * g) * i) * (1.0 - i)
+            dgates[:, hid:2 * hid] = ((dc * c_prev) * f) * (1.0 - f)
+            dgates[:, 2 * hid:3 * hid] = (dc * i) * (1.0 - g * g)
+            dgates[:, 3 * hid:] = (do * o) * (1.0 - o)
+            if bias.requires_grad:
+                bias._accum(dgates.sum(axis=0))
+            if dx is not None:
+                dx[:, t, :] = dgates @ w_ih_t
+            if w_ih.requires_grad:
+                w_ih._accum(xt.T @ dgates)
+            if w_hh.requires_grad:
+                w_hh._accum(h_prev.T @ dgates)
+            dh_next = dgates @ w_hh_t
+            dc_next = dc * f
+        if dx is not None:
+            x_seq._accum(dx)
+
+    return _make(np.stack(hs, axis=1), (x_seq, w_ih, w_hh, bias), back)
 
 
 def batch_norm(x, gamma, beta, running_mean, running_var, channel_axis,

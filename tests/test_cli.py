@@ -274,6 +274,18 @@ def test_too_short_trace_exits_1_naming_the_client(tmp_path, capsys):
                            "trace of length 10 too short for H=15, F=1")
 
 
+@pytest.mark.parametrize("length", [17, 18, 20])
+def test_trace_short_of_two_eval_windows_exits_1(tmp_path, capsys, length):
+    # H=15, F=1: 17 rows give one window in all; 18-20 give 2-4 windows,
+    # of which the test split keeps one
+    cfg, _ = _config(tmp_path)
+    cfg.write_text(cfg.read_text().replace("length = 160",
+                                           f"length = {length}")
+                   .replace("history = 5", "history = 15"))
+    assert cli.run(cfg, "federate") == 1
+    _assert_one_line_error(capsys, "client syn00")
+
+
 def test_truncated_checkpoint_exits_1_naming_the_file(tmp_path, capsys):
     cfg, out = _config(tmp_path, rounds=1)
     cfg.write_text(cfg.read_text().replace("predictor = harmonic",

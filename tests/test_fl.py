@@ -5,7 +5,8 @@ import pytest
 
 from fedcast import fl, models
 from fedcast.cli import SyntheticSpec, generate_synthetic
-from fedcast.preprocess import PreprocessConfig, WindowConfig
+from fedcast.preprocess import PreprocessConfig, WindowConfig, \
+    apply_scaler, build_windows, filter_trace, split_train_test
 
 
 def _toy_spec(**kw):
@@ -29,6 +30,27 @@ def _clients(n=4, seed=11, length=140, h=5):
     pre = PreprocessConfig(filter_window=3)
     wc = WindowConfig(history=h, horizon=1)
     return [fl.build_client(tr, pre, wc) for tr in traces]
+
+
+@pytest.mark.parametrize("train_stride, eval_stride, horizon",
+                         [(1, 1, 1), (2, 2, 3), (1, 3, 3), (2, 1, 1)])
+def test_eval_windows_are_the_eval_stride_windows_of_the_test_span(
+        train_stride, eval_stride, horizon):
+    tr = generate_synthetic(SyntheticSpec(n_clients=1, length=120),
+                            seed=5)[0]
+    pre = PreprocessConfig(filter_window=3)
+    wc = WindowConfig(history=5, horizon=horizon, train_stride=train_stride,
+                      eval_stride=eval_stride)
+    client = fl.build_client(tr, pre, wc)
+    scaled = apply_scaler(filter_trace(tr, pre), client.scaler)
+    _, test = split_train_test(build_windows(scaled, wc, train_stride), 0.8)
+    want = [s for s in build_windows(scaled, wc, eval_stride)
+            if s.anchor >= test[0].anchor]
+    assert [s.anchor for s in client.test] == [s.anchor for s in want]
+    for a, b in zip(client.test, want):
+        assert a.features.tobytes() == b.features.tobytes()
+        assert a.thpt_history.tobytes() == b.thpt_history.tobytes()
+        assert a.target.tobytes() == b.target.tobytes()
 
 
 # --- strategy / config invariants -------------------------------------------

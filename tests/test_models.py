@@ -137,6 +137,133 @@ def _samples_from_series(series, h=5, f=1):
     return build_windows(tr, WindowConfig(history=h, horizon=f))
 
 
+def _lstm_layer(params, prefix, x_seq, hidden):
+    """The per-step LSTM graph that `T.lstm` replaced, kept as its exact
+    oracle: ~15 tape nodes per timestep."""
+    b_n, steps, _ = x_seq.data.shape
+    w_ih = params.get(f"{prefix}.w_ih")
+    w_hh = params.get(f"{prefix}.w_hh")
+    bias = params.get(f"{prefix}.b")
+    h = T.Tensor(np.zeros((b_n, hidden)))
+    c = T.Tensor(np.zeros((b_n, hidden)))
+    outputs = []
+    for t in range(steps):
+        xt = x_seq[:, t, :]
+        gates = T.add(T.add(T.matmul(xt, w_ih), T.matmul(h, w_hh)), bias)
+        i = T.sigmoid(gates[:, :hidden])
+        f = T.sigmoid(gates[:, hidden:2 * hidden])
+        g = T.tanh(gates[:, 2 * hidden:3 * hidden])
+        o = T.sigmoid(gates[:, 3 * hidden:])
+        c = T.add(T.mul(f, c), T.mul(i, g))
+        h = T.mul(o, T.tanh(c))
+        outputs.append(T.reshape(h, (b_n, 1, hidden)))
+    return h, T.concat(outputs, axis=1)
+
+
+def _lstm_params(rng, d, hidden, scale):
+    return models.ParamSet([
+        ("l.w_ih", T.Tensor(rng.normal(size=(d, 4 * hidden)) * scale,
+                            requires_grad=True), False),
+        ("l.w_hh", T.Tensor(rng.normal(size=(hidden, 4 * hidden)) * scale,
+                            requires_grad=True), False),
+        ("l.b", T.Tensor(rng.normal(size=4 * hidden) * scale,
+                         requires_grad=True), False)])
+
+
+def _lstm_run(fused, params, x, g_out, whole_sequence):
+    """Output, input gradient and parameter gradients of one layer under a
+    linear loss on the last hidden state or on the whole sequence."""
+    params = params.copy()
+    hidden = params.get("l.w_hh").data.shape[0]
+    xt = T.Tensor(x.copy(), requires_grad=True)
+    if fused:
+        seq = T.lstm(xt, params.get("l.w_ih"), params.get("l.w_hh"),
+                     params.get("l.b"))
+        last = seq[:, -1, :]
+    else:
+        last, seq = _lstm_layer(params, "l", xt, hidden)
+    if whole_sequence:
+        loss = T.reduce_sum(T.mul(seq, T.Tensor(g_out)))
+    else:
+        loss = T.reduce_sum(T.mul(last, T.Tensor(g_out[:, -1, :])))
+    loss.backward()
+    return [seq.data, xt.grad] + [t.grad for _, t, _ in params]
+
+
+def test_fused_lstm_is_bit_identical_to_per_step_graph():
+    rng = np.random.default_rng(11)
+    shapes = [(1, 1, 1, 1), (1, 16, 6, 24), (32, 1, 6, 24), (32, 16, 6, 24)]
+    shapes += [tuple(int(v) for v in rng.integers(1, (40, 20, 8, 33)))
+               for _ in range(40)]
+    for k, (b_n, steps, d, hidden) in enumerate(shapes):
+        # every third case has all-zero inputs: exact-zero gradient terms,
+        # whose signs must match too
+        scale = 0.0 if k % 3 == 2 else 0.5
+        x = rng.normal(size=(b_n, steps, d)) * scale
+        params = _lstm_params(rng, d, hidden, 0.5)
+        g_out = rng.normal(size=(b_n, steps, hidden))
+        for whole in (False, True):
+            got = _lstm_run(True, params, x, g_out, whole)
+            want = _lstm_run(False, params, x, g_out, whole)
+            for a, b in zip(got, want):
+                assert a.shape == b.shape
+                assert a.tobytes() == b.tobytes(), (b_n, steps, d, hidden)
+
+
+@pytest.mark.parametrize("arch, layers", [("LSTM", 1), ("LSTM", 2),
+                                          ("LSTM_CNN", 1)])
+def test_fused_lstm_models_match_per_step_graph(monkeypatch, arch, layers):
+    """Whole-model outputs and every parameter gradient, byte for byte:
+    with two layers the input gradient of the upper layer trains the lower
+    one; LSTM_CNN takes gradients from the whole sequence."""
+    spec = _toy_spec(arch, in_features=6, num_layers=layers)
+    rng = np.random.default_rng(layers)
+    x = rng.normal(size=(7, 6, spec.steps))
+    y = rng.normal(size=(7, 1))
+
+    def run():
+        params = models.init_model(spec, seed=4)
+        pred = models.forward_graph(spec, params, x, training=True)
+        T.mse(pred, y).backward()
+        return [pred.data] + [t.grad for t in params.trainable()] \
+            + [t.data for _, t, _ in params]
+
+    fused = run()
+    monkeypatch.setattr(models, "_lstm", lambda params, prefix, x_seq:
+                        _lstm_layer(params, prefix, x_seq, spec.hidden)[1])
+    per_step = run()
+    assert len(fused) == len(per_step)
+    for a, b in zip(fused, per_step):
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("arch", models.ARCHS)
+def test_eval_forward_builds_no_graph(arch, monkeypatch):
+    spec = _toy_spec(arch)
+    params = models.init_model(spec, seed=3)
+    x = np.random.default_rng(2).normal(size=(3, spec.in_features,
+                                              spec.steps))
+    graphs = []
+    forward_graph = models.forward_graph
+
+    def spy(*args, **kwargs):
+        out = forward_graph(*args, **kwargs)
+        graphs.append(out)
+        return out
+
+    monkeypatch.setattr(models, "forward_graph", spy)
+    out = models.forward(spec, params, x)
+    assert not graphs[0].requires_grad and graphs[0]._backward is None
+    # same arithmetic as the differentiable graph
+    assert out.tobytes() == forward_graph(spec, params, x).data.tobytes()
+    assert all(t.grad is None for t in params.trainable())
+    # training=True still moves the batch-norm running statistics
+    stats = [t for _, t, is_bn in params if is_bn and not t.requires_grad]
+    before = [t.data.copy() for t in stats]
+    models.forward(spec, params, x, training=True)
+    assert all(not np.array_equal(t.data, b) for t, b in zip(stats, before))
+
+
 def test_local_train_prox_zero_matches_plain_mse_gradient():
     spec = _toy_spec("LSTM")
     params = models.init_model(spec, seed=1)

@@ -82,6 +82,20 @@ def test_conv2d_grad_check():
     assert T.grad_check(f, [x, w], eps=1e-5) < 1e-6
 
 
+def test_lstm_grad_check():
+    rng = np.random.default_rng(3)
+    x = T.Tensor(rng.normal(size=(3, 4, 2)), requires_grad=True)
+    w_ih = T.Tensor(rng.normal(size=(2, 12)) * 0.5, requires_grad=True)
+    w_hh = T.Tensor(rng.normal(size=(3, 12)) * 0.5, requires_grad=True)
+    b = T.Tensor(rng.normal(size=12) * 0.5, requires_grad=True)
+    weights = T.Tensor(rng.normal(size=(3, 4, 3)))
+
+    def f():
+        return T.reduce_sum(T.mul(T.lstm(x, w_ih, w_hh, b), weights))
+
+    assert T.grad_check(f, [x, w_ih, w_hh, b], eps=1e-5) < 1e-6
+
+
 def test_batchnorm_train_grad_check():
     rng = np.random.default_rng(7)
     x = T.Tensor(rng.normal(size=(6, 3)), requires_grad=True)
