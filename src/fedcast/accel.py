@@ -76,40 +76,67 @@ def mpc_rollout_scores(pred_kbps, ladder_kbps, q_table, buffer0, latency0,
 # ---------------------------------------------------------------------------
 # 3x3 same-padding convolution (stride 1), forward and both gradients.
 # Shapes: x (B, C, H, W), w (F, C, 3, 3), out (B, F, H, W).
+#
+# Each direction is one GEMM over an im2col matrix laid out (C*9, B*H*W):
+# row c*9 + ky*3 + kx holds channel c shifted by (ky - 1, kx - 1), with zero
+# padding, for every output pixel of every sample. BLAS sums in its own order,
+# so results differ from a sequential sum in the last bits. The gradients
+# rebuild the columns instead of keeping the forward's, so no column matrix
+# outlives its call: rebuilding is cheap, and kept columns add to peak memory.
 # ---------------------------------------------------------------------------
 
 
 def _im2col(x):
     b_n, c_n, h_n, w_n = x.shape
-    xp = np.zeros((b_n, c_n, h_n + 2, w_n + 2), dtype=x.dtype)
-    xp[:, :, 1:-1, 1:-1] = x
-    cols = np.empty((b_n, c_n, 3, 3, h_n, w_n), dtype=x.dtype)
+    xp = np.zeros((c_n, b_n, h_n + 2, w_n + 2))
+    xp[:, :, 1:-1, 1:-1] = x.transpose(1, 0, 2, 3)
+    cols = np.empty((c_n, 3, 3, b_n, h_n, w_n))
     for ky in range(3):
         for kx in range(3):
-            cols[:, :, ky, kx] = xp[:, :, ky:ky + h_n, kx:kx + w_n]
-    return cols.reshape(b_n, c_n * 9, h_n * w_n)
+            cols[:, ky, kx] = xp[:, :, ky:ky + h_n, kx:kx + w_n]
+    return cols.reshape(c_n * 9, b_n * h_n * w_n)
+
+
+def _col2im(cols, shape):
+    """Adjoint of _im2col: add each column entry back onto its pixel."""
+    b_n, c_n, h_n, w_n = shape
+    cols = cols.reshape(c_n, 3, 3, b_n, h_n, w_n)
+    xp = np.zeros((c_n, b_n, h_n + 2, w_n + 2))
+    for ky in range(3):
+        for kx in range(3):
+            xp[:, :, ky:ky + h_n, kx:kx + w_n] += cols[:, ky, kx]
+    return np.ascontiguousarray(xp[:, :, 1:-1, 1:-1].transpose(1, 0, 2, 3))
+
+
+def _channels_first(a):
+    """(B, K, H, W) -> (K, B*H*W)."""
+    return a.transpose(1, 0, 2, 3).reshape(a.shape[1], -1)
 
 
 def conv2d_forward(x, w):
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    w = np.ascontiguousarray(w, dtype=np.float64)
-    b_n, c_n, h_n, w_n = x.shape
-    cols = _im2col(x)
-    w_mat = w.reshape(w.shape[0], -1)
-    out = np.einsum("fk,bkp->bfp", w_mat, cols)
-    return out.reshape(b_n, w.shape[0], h_n, w_n)
+    x = np.asarray(x, dtype=np.float64)
+    w = np.asarray(w, dtype=np.float64)
+    b_n, _, h_n, w_n = x.shape
+    out = w.reshape(w.shape[0], -1) @ _im2col(x)
+    return np.ascontiguousarray(
+        out.reshape(w.shape[0], b_n, h_n, w_n).transpose(1, 0, 2, 3))
 
 
 def conv2d_grad_input(dout, w):
+    dout = np.asarray(dout, dtype=np.float64)
+    w = np.asarray(w, dtype=np.float64)
+    f_n, c_n = w.shape[:2]
+    if c_n < f_n:
+        # fewer input than output channels: scatter the (C*9, B*H*W)
+        # column gradient, smaller than dout's own im2col
+        dcols = w.reshape(f_n, -1).T @ _channels_first(dout)
+        return _col2im(dcols, (dout.shape[0], c_n) + dout.shape[2:])
     # full correlation with the 180-degree-rotated, channel-swapped kernel
-    w_rot = np.ascontiguousarray(w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
-    return conv2d_forward(dout, w_rot)
+    return conv2d_forward(dout, w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
 
 
 def conv2d_grad_weight(x, dout):
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    dout = np.ascontiguousarray(dout, dtype=np.float64)
-    cols = _im2col(x)
-    d_mat = dout.reshape(dout.shape[0], dout.shape[1], -1)
-    dw = np.einsum("bfp,bkp->fk", d_mat, cols)
+    x = np.asarray(x, dtype=np.float64)
+    dout = np.asarray(dout, dtype=np.float64)
+    dw = _channels_first(dout) @ _im2col(x).T
     return dw.reshape(dout.shape[1], x.shape[1], 3, 3)

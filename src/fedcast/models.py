@@ -432,7 +432,8 @@ def _prox_penalty(params, anchor, include_bn):
             continue
         if is_bn and not include_bn:
             continue
-        diff = T.sub(t, T.Tensor(anchor.get(name).data.copy()))
+        # local_train never writes the anchor, so it is wrapped, not copied
+        diff = T.sub(t, T.Tensor(anchor.get(name).data))
         term = T.reduce_sum(T.mul(diff, diff))
         total = term if total is None else T.add(total, term)
     return total

@@ -188,16 +188,6 @@ def matmul(a, b):
     return _make(out, (a, b), back)
 
 
-def pow_const(a, p):
-    a = as_tensor(a)
-
-    def back(g):
-        if a.requires_grad:
-            a._accum(g * p * a.data ** (p - 1))
-
-    return _make(a.data ** p, (a,), back)
-
-
 def exp(a):
     a = as_tensor(a)
     y = np.exp(a.data)
@@ -321,21 +311,6 @@ def getitem(a, key):
             a._accum(buf)
 
     return _make(a.data[key].copy(), (a,), back)
-
-
-def concat(tensors, axis=0):
-    tensors = [as_tensor(t) for t in tensors]
-    sizes = [t.data.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
-
-    def back(g):
-        parts = np.split(g, splits, axis=axis)
-        for t, part in zip(tensors, parts):
-            if t.requires_grad:
-                t._accum(part)
-
-    return _make(np.concatenate([t.data for t in tensors], axis=axis),
-                 tensors, back)
 
 
 def _axes_tuple(axis, ndim):

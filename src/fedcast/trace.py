@@ -236,8 +236,3 @@ def export_trace(trace, path):
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(zip(*cells))       # floats are written by repr()
-
-
-def export_mapping_for(trace):
-    """Mapping that reloads a file produced by export_trace."""
-    return ColumnMapping.identity(extras={n: n for n in trace.extra_names()})

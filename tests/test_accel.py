@@ -1,12 +1,14 @@
-"""Kernels against their oracles: the flat rollout, straight-line loops and
-finite differences."""
+"""Kernels against their oracles: the flat rollout, the einsum convolution,
+straight-line loops and finite differences."""
 
 import itertools
 import math
 
 import numpy as np
+import pytest
 
-from fedcast import accel
+from fedcast import accel, models
+from fedcast import tensor as T
 
 
 def _random_case(rng, horizon=4, n_rates=5):
@@ -176,3 +178,102 @@ def test_conv2d_gradients_match_finite_differences():
             dn = loss(x, w)
             flat[i] = orig
             assert abs((up - dn) / (2 * eps) - gflat[i]) < 1e-5
+
+
+# The einsum convolution that the GEMM kernels replaced, kept as their
+# oracle. The GEMMs sum in BLAS order, so agreement is to a tolerance.
+
+
+def _einsum_im2col(x):
+    b_n, c_n, h_n, w_n = x.shape
+    xp = np.zeros((b_n, c_n, h_n + 2, w_n + 2), dtype=x.dtype)
+    xp[:, :, 1:-1, 1:-1] = x
+    cols = np.empty((b_n, c_n, 3, 3, h_n, w_n), dtype=x.dtype)
+    for ky in range(3):
+        for kx in range(3):
+            cols[:, :, ky, kx] = xp[:, :, ky:ky + h_n, kx:kx + w_n]
+    return cols.reshape(b_n, c_n * 9, h_n * w_n)
+
+
+def _einsum_forward(x, w):
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    w = np.ascontiguousarray(w, dtype=np.float64)
+    b_n, c_n, h_n, w_n = x.shape
+    cols = _einsum_im2col(x)
+    w_mat = w.reshape(w.shape[0], -1)
+    out = np.einsum("fk,bkp->bfp", w_mat, cols)
+    return out.reshape(b_n, w.shape[0], h_n, w_n)
+
+
+def _einsum_grad_input(dout, w):
+    w_rot = np.ascontiguousarray(w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
+    return _einsum_forward(dout, w_rot)
+
+
+def _einsum_grad_weight(x, dout):
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    dout = np.ascontiguousarray(dout, dtype=np.float64)
+    cols = _einsum_im2col(x)
+    d_mat = dout.reshape(dout.shape[0], dout.shape[1], -1)
+    dw = np.einsum("bfp,bkp->fk", d_mat, cols)
+    return dw.reshape(dout.shape[1], x.shape[1], 3, 3)
+
+
+# (B, C, F, H, W): the CNN's two convolutions and the LSTM_CNN's one at
+# their benchmark shapes, then the edge cases
+_CONV_SHAPES = [(32, 1, 8, 7, 16), (32, 8, 8, 7, 16), (32, 1, 8, 16, 24),
+                (1, 2, 3, 4, 5), (3, 2, 4, 1, 6), (3, 2, 4, 5, 1),
+                (2, 1, 1, 1, 1), (4, 5, 2, 3, 3), (2, 3, 7, 4, 4)]
+
+
+@pytest.mark.parametrize("shape", _CONV_SHAPES,
+                         ids=lambda s: "B{}-C{}-F{}-{}x{}".format(*s))
+@pytest.mark.parametrize("zeros", [False, True])
+def test_conv2d_gemm_kernels_match_einsum_oracle(shape, zeros):
+    b_n, c_n, f_n, h_n, w_n = shape
+    rng = np.random.default_rng(sum(shape))
+    x = rng.normal(size=(b_n, c_n, h_n, w_n))
+    w = rng.normal(size=(f_n, c_n, 3, 3))
+    dout = rng.normal(size=(b_n, f_n, h_n, w_n))
+    if zeros:
+        x, dout = np.zeros_like(x), np.zeros_like(dout)
+    for got, want in ((accel.conv2d_forward(x, w), _einsum_forward(x, w)),
+                      (accel.conv2d_grad_input(dout, w),
+                       _einsum_grad_input(dout, w)),
+                      (accel.conv2d_grad_weight(x, dout),
+                       _einsum_grad_weight(x, dout))):
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.flags.c_contiguous
+        assert np.allclose(got, want, rtol=1e-10, atol=1e-12)
+        if zeros:
+            assert not got.any()
+
+
+@pytest.mark.parametrize("arch", ["CNN", "LSTM_CNN"])
+@pytest.mark.parametrize("use_batchnorm", [True, False])
+def test_conv_models_match_einsum_oracle(monkeypatch, arch, use_batchnorm):
+    """One training step of each conv model: the prediction, every
+    parameter gradient and the running statistics, with the GEMM kernels
+    and with the einsum oracle in their place."""
+    spec = models.ModelSpec(arch=arch, in_features=7, history=15, horizon=1,
+                            hidden=24, conv_channels=(8, 8),
+                            use_batchnorm=use_batchnorm)
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(9, 7, spec.steps))
+    y = rng.normal(size=(9, 1))
+
+    def run():
+        params = models.init_model(spec, seed=4)
+        pred = models.forward_graph(spec, params, x, training=True)
+        T.mse(pred, y).backward()
+        return [pred.data] + [t.grad for t in params.trainable()] \
+            + [t.data for _, t, _ in params]
+
+    gemm = run()
+    monkeypatch.setattr(accel, "conv2d_forward", _einsum_forward)
+    monkeypatch.setattr(accel, "conv2d_grad_input", _einsum_grad_input)
+    monkeypatch.setattr(accel, "conv2d_grad_weight", _einsum_grad_weight)
+    oracle = run()
+    assert len(gemm) == len(oracle)
+    for a, b in zip(gemm, oracle):
+        assert np.allclose(a, b, rtol=1e-9)

@@ -212,11 +212,12 @@ cqi = cqi_col
 
 
 def test_unparsable_mapping_value_is_a_config_error(tmp_path, capsys):
-    from fedcast.trace import export_mapping_for, export_trace
+    from fedcast.trace import ColumnMapping, export_trace
     tr = cli.generate_synthetic(cli.SyntheticSpec(n_clients=1, length=60),
                                 seed=0)[0]
     export_trace(tr, tmp_path / "c0.csv")
-    mapping = export_mapping_for(tr)
+    mapping = ColumnMapping.identity(
+        extras={n: n for n in tr.extra_names()})
     cfg, _ = _config(tmp_path)
     text = cfg.read_text().replace(
         "source = synthetic",

@@ -7,6 +7,7 @@ from fedcast import models
 from fedcast import tensor as T
 from fedcast.preprocess import WindowConfig, build_windows
 from fedcast.trace import ClientTrace
+from test_tensor import concat
 
 
 def _toy_spec(arch, **kw):
@@ -157,7 +158,7 @@ def _lstm_layer(params, prefix, x_seq, hidden):
         c = T.add(T.mul(f, c), T.mul(i, g))
         h = T.mul(o, T.tanh(c))
         outputs.append(T.reshape(h, (b_n, 1, hidden)))
-    return h, T.concat(outputs, axis=1)
+    return h, concat(outputs, axis=1)
 
 
 def _lstm_params(rng, d, hidden, scale):

@@ -6,6 +6,23 @@ import pytest
 from fedcast import tensor as T
 
 
+def concat(tensors, axis=0):
+    """Concatenation as a tape op; no model uses it, so it lives here, for
+    the per-step LSTM oracle in test_models."""
+    tensors = [T.as_tensor(t) for t in tensors]
+    sizes = [t.data.shape[axis] for t in tensors]
+    splits = np.cumsum(sizes)[:-1]
+
+    def back(g):
+        parts = np.split(g, splits, axis=axis)
+        for t, part in zip(tensors, parts):
+            if t.requires_grad:
+                t._accum(part)
+
+    return T._make(np.concatenate([t.data for t in tensors], axis=axis),
+                   tensors, back)
+
+
 def test_mse_identical_vectors():
     assert float(T.mse(T.Tensor([1.0, 2.0]), np.array([1.0, 2.0])).data) == 0.0
 
@@ -57,7 +74,7 @@ def test_mlp_grad_check():
     lambda a: T.reduce_sum(T.softmax(a, axis=-1)[:, :2]),
     lambda a: T.reduce_sum(T.exp(T.mul(a, T.Tensor(0.3)))),
     lambda a: T.reduce_sum(T.tanh(T.matmul(a, T.transpose(a, (1, 0))))),
-    lambda a: T.reduce_mean(T.concat([a, T.mul(a, a)], axis=1)),
+    lambda a: T.reduce_mean(concat([a, T.mul(a, a)], axis=1)),
     lambda a: T.reduce_sum(T.mul(T.reshape(a, (2, 6)), T.Tensor(np.arange(12.0).reshape(2, 6)))),
     lambda a: T.reduce_sum(T.sqrt(T.add(T.mul(a, a), T.Tensor(0.5)))),
     lambda a: T.reduce_sum(T.div(a, T.Tensor(np.full((3, 4), 2.0)))),

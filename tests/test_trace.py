@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from fedcast.trace import (ClientTrace, ColumnMapping, TraceError,
-                           clean_and_resample, export_mapping_for, export_trace,
-                           load_trace)
+                           clean_and_resample, export_trace, load_trace)
 
 
 def _write(tmp_path, text, name="trace.csv"):
@@ -221,8 +220,8 @@ def test_export_load_roundtrip(tmp_path):
                      sample_period=1.0)
     path = tmp_path / "out.csv"
     export_trace(tr, path)
-    back = load_trace(path, export_mapping_for(tr), client_id="c9",
-                      dataset_tag="d")
+    mapping = ColumnMapping.identity(extras={n: n for n in tr.extra_names()})
+    back = load_trace(path, mapping, client_id="c9", dataset_tag="d")
     assert back.columns.keys() == tr.columns.keys()
     for name, col in tr.columns.items():
         assert np.array_equal(back.columns[name], col), name
