@@ -97,22 +97,6 @@ def _im2col(x):
     return cols.reshape(c_n * 9, b_n * h_n * w_n)
 
 
-def _col2im(cols, shape):
-    """Adjoint of _im2col: add each column entry back onto its pixel."""
-    b_n, c_n, h_n, w_n = shape
-    cols = cols.reshape(c_n, 3, 3, b_n, h_n, w_n)
-    xp = np.zeros((c_n, b_n, h_n + 2, w_n + 2))
-    for ky in range(3):
-        for kx in range(3):
-            xp[:, :, ky:ky + h_n, kx:kx + w_n] += cols[:, ky, kx]
-    return np.ascontiguousarray(xp[:, :, 1:-1, 1:-1].transpose(1, 0, 2, 3))
-
-
-def _channels_first(a):
-    """(B, K, H, W) -> (K, B*H*W)."""
-    return a.transpose(1, 0, 2, 3).reshape(a.shape[1], -1)
-
-
 def conv2d_forward(x, w):
     x = np.asarray(x, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
@@ -125,12 +109,6 @@ def conv2d_forward(x, w):
 def conv2d_grad_input(dout, w):
     dout = np.asarray(dout, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
-    f_n, c_n = w.shape[:2]
-    if c_n < f_n:
-        # fewer input than output channels: scatter the (C*9, B*H*W)
-        # column gradient, smaller than dout's own im2col
-        dcols = w.reshape(f_n, -1).T @ _channels_first(dout)
-        return _col2im(dcols, (dout.shape[0], c_n) + dout.shape[2:])
     # full correlation with the 180-degree-rotated, channel-swapped kernel
     return conv2d_forward(dout, w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
 
@@ -138,5 +116,6 @@ def conv2d_grad_input(dout, w):
 def conv2d_grad_weight(x, dout):
     x = np.asarray(x, dtype=np.float64)
     dout = np.asarray(dout, dtype=np.float64)
-    dw = _channels_first(dout) @ _im2col(x).T
-    return dw.reshape(dout.shape[1], x.shape[1], 3, 3)
+    f_n = dout.shape[1]
+    dout_mat = dout.transpose(1, 0, 2, 3).reshape(f_n, -1)  # (F, B*H*W)
+    return (dout_mat @ _im2col(x).T).reshape(f_n, x.shape[1], 3, 3)

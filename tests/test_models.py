@@ -7,7 +7,6 @@ from fedcast import models
 from fedcast import tensor as T
 from fedcast.preprocess import WindowConfig, build_windows
 from fedcast.trace import ClientTrace
-from test_tensor import concat
 
 
 def _toy_spec(arch, **kw):
@@ -138,6 +137,20 @@ def _samples_from_series(series, h=5, f=1):
     return build_windows(tr, WindowConfig(history=h, horizon=f))
 
 
+def _concat(tensors, axis):
+    """Concatenation as a tape op, for the oracle below; no model uses it."""
+    sizes = [t.data.shape[axis] for t in tensors]
+    splits = np.cumsum(sizes)[:-1]
+
+    def back(g):
+        for t, part in zip(tensors, np.split(g, splits, axis=axis)):
+            if t.requires_grad:
+                t._accum(part)
+
+    return T._make(np.concatenate([t.data for t in tensors], axis=axis),
+                   tensors, back)
+
+
 def _lstm_layer(params, prefix, x_seq, hidden):
     """The per-step LSTM graph that `T.lstm` replaced, kept as its exact
     oracle: ~15 tape nodes per timestep."""
@@ -158,7 +171,7 @@ def _lstm_layer(params, prefix, x_seq, hidden):
         c = T.add(T.mul(f, c), T.mul(i, g))
         h = T.mul(o, T.tanh(c))
         outputs.append(T.reshape(h, (b_n, 1, hidden)))
-    return h, concat(outputs, axis=1)
+    return h, _concat(outputs, axis=1)
 
 
 def _lstm_params(rng, d, hidden, scale):

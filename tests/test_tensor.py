@@ -8,7 +8,7 @@ from fedcast import tensor as T
 
 def concat(tensors, axis=0):
     """Concatenation as a tape op; no model uses it, so it lives here, for
-    the per-step LSTM oracle in test_models."""
+    the grad-check below."""
     tensors = [T.as_tensor(t) for t in tensors]
     sizes = [t.data.shape[axis] for t in tensors]
     splits = np.cumsum(sizes)[:-1]
