@@ -1,6 +1,8 @@
 """Hot numeric kernels, one numpy implementation each: the MPC rollout and
 the 3x3 convolution with its two gradients."""
 
+import mmap
+
 import numpy as np
 
 NUMBA_ENABLED = False  # no compiled kernels; read by the benchmark's report
@@ -22,29 +24,57 @@ _BIG_DOWNLOAD_TIME = 1e9  # seconds; stands in for "throughput is zero"
 # buffer cannot see that a rate above the channel capacity is unsustainable.
 #
 # The sequences are expanded as a prefix tree: depth j holds the L**(j+1)
-# prefixes of length j+1, each parent (row) followed by every rate (column)
-# and raveled, which keeps the most-significant-first order. A prefix's
-# state is computed once for all the sequences that share it, with the same
-# per-element expressions, in the same order, as a flat rollout over all
-# sequences, so the scores are bit-identical to it.
+# prefixes of length j+1, and a prefix's state is computed once for all the
+# sequences that share it, with the same per-element expressions, in the
+# same order, as a flat rollout over all sequences, so the scores are
+# bit-identical to it. Inside the tree the NEWEST rate is the most
+# significant digit (child r*P + p of parent p), so every broadcast is a
+# per-rate column against a long contiguous row of parents; the scores are
+# put back in first-chunk-first order once, at the end.
+#
+# Every depth computes in place, with out=, into a caller-owned workspace:
+# at horizon 6 a per-depth temporary is 373 KB, above glibc's mmap
+# threshold, so fresh temporaries would be mapped, page-faulted and
+# unmapped on every decision.
 # ---------------------------------------------------------------------------
+
+
+def mpc_workspace(n_rates, horizon):
+    """Scratch for `mpc_rollout_scores` over up to L**h = n_rates**horizon
+    sequences: five rows of L**h and three of L**(h-1)."""
+    n = 5 * n_rates ** horizon + 3 * n_rates ** (horizon - 1)
+    # an anonymous mapping of its own, unmapped when the array is freed:
+    # malloc would serve 2 MB (horizon 6) by mmap too, but freeing it would
+    # raise glibc's dynamic mmap threshold to 2 MB for the rest of the
+    # process and change how every later large array is allocated
+    return np.frombuffer(mmap.mmap(-1, 8 * n), dtype=np.float64)
 
 
 def mpc_rollout_scores(pred_kbps, ladder_kbps, q_table, buffer0, latency0,
                        prev_idx, rtt, chunk_dur, chunks_per_seg,
-                       mu1, mu2, mu3, mu4, omega):
-    """Score every rate sequence over the horizon; returns scores (L**h,).
+                       mu1, mu2, mu3, mu4, omega, work=None):
+    """Score every rate sequence over the horizon; returns scores (L**h,),
+    a new array. `work` is an `mpc_workspace` at least this large, reused
+    across calls; one is allocated for the call when it is None.
     See module stream."""
     pred_kbps = np.asarray(pred_kbps, dtype=np.float64)
     ladder_kbps = np.asarray(ladder_kbps, dtype=np.float64)
     q_table = np.asarray(q_table, dtype=np.float64)
     buffer0 = float(buffer0)
     n_rates = ladder_kbps.size
+    horizon = pred_kbps.size
+    n_seq = n_rates ** horizon
+    n_half = n_rates ** (horizon - 1)
+    if work is None:
+        work = mpc_workspace(n_rates, horizon)
+    if work.size < 5 * n_seq + 3 * n_half:
+        raise ValueError(f"MPC workspace of {work.size} values is too small "
+                         f"for {n_rates} rates over {horizon} chunks")
     psi_base = 1.0 / (1.0 + np.exp(omega))
     bits = ladder_kbps * chunk_dur  # Kbit per chunk
 
-    # quality minus switching penalty of each rate (column) after each
-    # previous rate (row); the first chunk follows prev_idx, if any
+    # quality minus switching penalty of each rate after each previous rate
+    # (gain[prev, rate]); the first chunk follows prev_idx, if any
     if prev_idx >= 0:
         sw = np.abs(q_table - q_table[prev_idx])
     else:
@@ -52,6 +82,12 @@ def mpc_rollout_scores(pred_kbps, ladder_kbps, q_table, buffer0, latency0,
     gain_first = mu1 * q_table - mu3 * sw
     gain = mu1 * q_table - mu3 * np.abs(q_table[None, :] - q_table[:, None])
 
+    # buffer, latency and score of every prefix ping-pong between two row
+    # sets by depth parity, so that the last depth lands in the L**h set
+    rows = work[:3 * n_seq].reshape(3, n_seq)
+    half = work[3 * n_seq:3 * n_seq + 3 * n_half].reshape(3, n_half)
+    stall_row = work[3 * n_seq + 3 * n_half:4 * n_seq + 3 * n_half]
+    term_row = work[4 * n_seq + 3 * n_half:5 * n_seq + 3 * n_half]
     buf = np.array([buffer0])
     lat = np.array([float(latency0)])
     score = np.zeros(1)
@@ -60,17 +96,49 @@ def mpc_rollout_scores(pred_kbps, ladder_kbps, q_table, buffer0, latency0,
             d = rtt + bits / tp
         else:
             d = np.full(n_rates, _BIG_DOWNLOAD_TIME)
-        stall = np.maximum(d - buf[:, None], 0.0)
-        buf = (np.maximum(buf[:, None] - d, 0.0) + chunk_dur).ravel()
-        lat = (lat[:, None] + stall).ravel()
-        psi = 1.0 / (1.0 + np.exp(omega - lat)) - psi_base
-        # a parent's last rate cycles fastest, so its rows repeat `gain`
-        g = gain_first if j == 0 else gain
-        term = (g - mu4 * psi.reshape(-1, *g.shape)) / chunks_per_seg
-        term = term.reshape(stall.shape) - mu2 * stall
-        score = (score[:, None] + term).ravel()
-    score -= mu2 * np.maximum(buffer0 - buf, 0.0)
-    return score
+        d = d[:, None]
+        shape = (n_rates, buf.size)
+        n_ch = n_rates * buf.size
+        state = rows if (horizon - 1 - j) % 2 == 0 else half
+        buf_c, lat_c, score_c = (r[:n_ch].reshape(shape) for r in state)
+        stall = stall_row[:n_ch].reshape(shape)
+        term = term_row[:n_ch].reshape(shape)
+
+        np.subtract(d, buf, out=stall)
+        np.maximum(stall, 0.0, out=stall)
+        np.subtract(buf, d, out=buf_c)
+        np.maximum(buf_c, 0.0, out=buf_c)
+        np.add(buf_c, chunk_dur, out=buf_c)
+        np.add(lat, stall, out=lat_c)
+        # term = (gain - mu4 * psi(lat)) / chunks_per_seg - mu2 * stall
+        np.subtract(omega, lat_c, out=term)
+        np.exp(term, out=term)
+        np.add(1.0, term, out=term)
+        np.divide(1.0, term, out=term)
+        np.subtract(term, psi_base, out=term)
+        np.multiply(mu4, term, out=term)
+        if j == 0:
+            np.subtract(gain_first[:, None], term, out=term)
+        else:
+            # the parent's own last rate is its most significant digit
+            by_prev = term.reshape(n_rates, n_rates, -1)
+            np.subtract(gain.T[:, :, None], by_prev, out=by_prev)
+        np.divide(term, chunks_per_seg, out=term)
+        np.multiply(mu2, stall, out=stall)
+        np.subtract(term, stall, out=term)
+        np.add(score, term, out=score_c)
+        buf, lat, score = buf_c.ravel(), lat_c.ravel(), score_c.ravel()
+
+    drain = stall_row[:n_seq]
+    np.subtract(buffer0, buf, out=drain)
+    np.maximum(drain, 0.0, out=drain)
+    np.multiply(mu2, drain, out=drain)
+    np.subtract(score, drain, out=score)
+    # rate-major (last chunk most significant) -> first chunk most significant
+    scores = np.empty(n_seq)
+    digits = (n_rates,) * horizon
+    np.copyto(scores.reshape(digits), score.reshape(digits).T)
+    return scores
 
 
 # ---------------------------------------------------------------------------

@@ -107,15 +107,6 @@ def latency_penalty(latency_s, omega):
 
 
 @dataclass
-class SessionState:
-    wall: float = 0.0
-    buffer: float = 0.0
-    position: float = 0.0
-    latency: float = 0.0
-    next_chunk: int = 0
-
-
-@dataclass
 class SegmentRecord:
     index: int
     quality: float      # mean Q over fully played chunks (0 if none played)
@@ -161,30 +152,38 @@ def compute_qoe(records, coeffs):
                         latency=latency, skip=skip, qoe=qoe, n_segments=n)
 
 
-def mpc_select_bitrate(state, pred_chunk_kbps, cfg, coeffs, prev_rate_idx=-1):
+def quality_table(cfg, coeffs):
+    """Q(r) = ln(r / R_min) of every ladder rate, as an array."""
+    ladder = np.asarray(cfg.ladder_kbps)
+    if ladder[0] < coeffs.r_min_kbps:
+        raise StreamError("ladder bottom below R_min")
+    return np.log(ladder / coeffs.r_min_kbps)
+
+
+def mpc_select_bitrate(buffer, latency, pred_chunk_kbps, cfg, coeffs,
+                       prev_rate_idx=-1, q_table=None, work=None):
     """Exhaustively score every rate sequence over the horizon.
 
+    `q_table` is `quality_table(cfg, coeffs)`, computed here when None;
+    `work` is an `accel.mpc_workspace` reused across decisions, or None.
     Returns the ladder index of the first rate of the argmax sequence;
     ties break toward the lower rate.
     """
-    ladder = np.asarray(cfg.ladder_kbps)
-    if ladder.size == 0:
-        raise StreamError("empty bitrate ladder")
     pred = np.asarray(pred_chunk_kbps, dtype=float)
     if pred.size < cfg.mpc_horizon:
         raise StreamError("predictor output shorter than the MPC horizon")
-    if ladder[0] < coeffs.r_min_kbps:
-        raise StreamError("ladder bottom below R_min")
-    q_table = np.log(ladder / coeffs.r_min_kbps)
+    if q_table is None:
+        q_table = quality_table(cfg, coeffs)
     scores = accel.mpc_rollout_scores(
-        pred[:cfg.mpc_horizon], ladder, q_table,
-        state.buffer, state.latency, prev_rate_idx,
+        pred[:cfg.mpc_horizon], cfg.ladder_kbps, q_table,
+        buffer, latency, prev_rate_idx,
         cfg.rtt_overhead, cfg.chunk_dur, cfg.chunks_per_segment,
-        coeffs.mu1, coeffs.mu2, coeffs.mu3, coeffs.mu4, coeffs.omega)
+        coeffs.mu1, coeffs.mu2, coeffs.mu3, coeffs.mu4, coeffs.omega,
+        work=work)
     # sequences are encoded most-significant-digit-first, so the integer
     # division recovers the first chunk's rate; ties already broke low
     best_seq = int(np.argmax(scores))
-    return best_seq // len(ladder) ** (cfg.mpc_horizon - 1)
+    return best_seq // len(cfg.ladder_kbps) ** (cfg.mpc_horizon - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +322,15 @@ class _Session:
         self.seg_stall = np.zeros(self.n_seg)
         self.seg_eta = np.zeros(self.n_seg)
         self.seg_latency = np.full(self.n_seg, np.nan)
-        self.q_table = np.log(np.asarray(cfg.ladder_kbps) / coeffs.r_min_kbps)
+        self.q_table = quality_table(cfg, coeffs)
+        # per-decision constants: the MPC's scratch (freed with the session)
+        # and which predicted second each lookahead chunk falls in
+        self.mpc_work = accel.mpc_workspace(len(cfg.ladder_kbps),
+                                            cfg.mpc_horizon)
+        self.horizon_sec = max(1, int(math.ceil(cfg.mpc_horizon * self.cd)))
+        self.pred_idx = np.minimum(
+            (np.arange(cfg.mpc_horizon) * self.cd).astype(int),
+            self.horizon_sec - 1)
 
     # --- geometry helpers ---------------------------------------------
 
@@ -475,17 +482,15 @@ class _Session:
         return t
 
     def _predict_chunks(self, t):
-        horizon_sec = max(1, int(math.ceil(self.cfg.mpc_horizon * self.cd)))
         now = min(int(t), self.trace.size - 1)
         observed = self.trace[:now + 1]
-        pred_sec = np.asarray(self.predictor(observed, horizon_sec), dtype=float)
-        if pred_sec.size < horizon_sec:
+        pred_sec = np.asarray(self.predictor(observed, self.horizon_sec),
+                              dtype=float)
+        if pred_sec.size < self.horizon_sec:
             raise StreamError("predictor returned too few values")
         if (pred_sec < 0).any():
             raise StreamError("negative predicted throughput")
-        idx = np.minimum((np.arange(self.cfg.mpc_horizon) * self.cd).astype(int),
-                         horizon_sec - 1)
-        return pred_sec[idx] * 1000.0  # Mbps -> Kbps
+        return pred_sec[self.pred_idx] * 1000.0  # Mbps -> Kbps
 
     def _maybe_start(self):
         if self.started or self.done:
@@ -517,7 +522,6 @@ class _Session:
             s += 1
 
     def run(self):
-        state = SessionState()
         while not self.done:
             if self.next_ci >= self.n_chunks:
                 self._maybe_start()
@@ -533,13 +537,9 @@ class _Session:
             if self.done:
                 break
             pred = self._predict_chunks(t_req)
-            state.wall = self.wall
-            state.buffer = self.buffer
-            state.position = self.position
-            state.latency = self.latency
-            state.next_chunk = self.next_ci
-            rate = mpc_select_bitrate(state, pred, self.cfg, self.coeffs,
-                                      self.prev_rate)
+            rate = mpc_select_bitrate(self.buffer, self.latency, pred,
+                                      self.cfg, self.coeffs, self.prev_rate,
+                                      self.q_table, self.mpc_work)
             rate_kbps = self.cfg.ladder_kbps[rate]
             self._log("rate_select", chunk=ci, rate=rate_kbps)
             self._log("download_start", chunk=ci, rate=rate_kbps)

@@ -3,6 +3,7 @@ straight-line loops and finite differences."""
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -107,17 +108,44 @@ def _flat_scores(pred_kbps, ladder_kbps, q_table, buffer0, latency0,
 
 def test_prefix_tree_scores_equal_flat_rollout():
     rng = np.random.default_rng(1)
-    for horizon in range(1, 7):
-        for n_rates in range(2, 7):
-            for prev_idx in (-1, int(rng.integers(0, n_rates))):
-                case = _random_case(rng, horizon, n_rates)
-                case["prev_idx"] = prev_idx
-                # an outage on some steps: every download takes "forever"
-                case["pred_kbps"][rng.random(horizon) < 0.3] = 0.0
-                got = accel.mpc_rollout_scores(**case)
-                want = _flat_scores(**case)
-                assert got.shape == (n_rates ** horizon,)
-                assert np.array_equal(got, want), (horizon, n_rates, prev_idx)
+    # every case runs through one workspace, sized for the largest: the
+    # session bound of 6 rates over 7 chunks
+    work = accel.mpc_workspace(6, 7)
+    shapes = [(h, n) for h in range(1, 7) for n in range(2, 7)] + [(7, 6)]
+    earlier = None
+    for horizon, n_rates in shapes:
+        for prev_idx in (-1, int(rng.integers(0, n_rates))):
+            case = _random_case(rng, horizon, n_rates)
+            case["prev_idx"] = prev_idx
+            # an outage on some steps: every download takes "forever"
+            case["pred_kbps"][rng.random(horizon) < 0.3] = 0.0
+            got = accel.mpc_rollout_scores(**case, work=work)
+            want = _flat_scores(**case)
+            assert got.shape == (n_rates ** horizon,)
+            # bytes, so that a flipped sign of zero fails too
+            assert got.tobytes() == want.tobytes(), (horizon, n_rates,
+                                                     prev_idx)
+            # the result is no view of the workspace: a later call leaves
+            # it as it was
+            if earlier is not None:
+                assert earlier[0].tobytes() == earlier[1]
+            earlier = (got, got.tobytes())
+
+
+def test_rollout_allocates_only_its_scores():
+    # numpy reports its data buffers to tracemalloc; with a warm workspace a
+    # horizon-6 call allocates the scores it returns and next to nothing else
+    rng = np.random.default_rng(2)
+    case = _random_case(rng, horizon=6, n_rates=6)
+    work = accel.mpc_workspace(6, 6)
+    accel.mpc_rollout_scores(**case, work=work)
+    tracemalloc.start()
+    try:
+        scores = accel.mpc_rollout_scores(**case, work=work)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * scores.nbytes, (peak, scores.nbytes)
 
 
 def test_sequence_digit_order_breaks_ties_low():

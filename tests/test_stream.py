@@ -9,7 +9,7 @@ from fedcast import models
 from fedcast.preprocess import ScalerState
 from fedcast.stream import (ConstantPredictor, HarmonicMeanPredictor,
                             ModelPredictor, OraclePredictor, QoECoefficients, SegmentRecord,
-                            SessionState, StreamConfig, StreamError,
+                            StreamConfig, StreamError,
                             compute_qoe, latency_penalty, mpc_select_bitrate,
                             perceptible_quality, simulate_session)
 
@@ -116,14 +116,15 @@ def test_qoe_switch_bridges_unplayed_segments():
 
 
 def _state(buffer=2.0, latency=2.0):
-    return SessionState(wall=0.0, buffer=buffer, position=0.0, latency=latency)
+    """The (buffer, latency) a decision is taken from."""
+    return buffer, latency
 
 
 def test_mpc_plentiful_capacity_picks_top():
     cfg = StreamConfig()
     co = QoECoefficients()
     pred = np.full(5, 2 * 6000.0)  # Kbps, twice the top rung
-    idx = mpc_select_bitrate(_state(), pred, cfg, co, prev_rate_idx=5)
+    idx = mpc_select_bitrate(*_state(), pred, cfg, co, prev_rate_idx=5)
     assert idx == len(cfg.ladder_kbps) - 1
 
 
@@ -131,7 +132,7 @@ def test_mpc_starved_capacity_picks_bottom():
     cfg = StreamConfig()
     co = QoECoefficients()
     pred = np.full(5, 100.0)  # below the lowest rung
-    idx = mpc_select_bitrate(_state(buffer=0.5), pred, cfg, co)
+    idx = mpc_select_bitrate(*_state(buffer=0.5), pred, cfg, co)
     assert idx == 0
 
 
@@ -154,7 +155,7 @@ def test_mpc_horizon_one_two_rung_hand_oracle():
         return s - co.mu2 * max(0.0, buf0 - buf)
 
     want = 0 if score(300.0) >= score(1200.0) else 1
-    got = mpc_select_bitrate(_state(buffer=buf0, latency=lat0), pred, cfg, co)
+    got = mpc_select_bitrate(*_state(buffer=buf0, latency=lat0), pred, cfg, co)
     assert got == want
     # the hand scores genuinely order the two rungs
     assert abs(score(300.0) - score(1200.0)) > 1e-9
@@ -163,7 +164,7 @@ def test_mpc_horizon_one_two_rung_hand_oracle():
 def test_mpc_rejects_short_prediction():
     cfg = StreamConfig()
     with pytest.raises(StreamError):
-        mpc_select_bitrate(_state(), np.ones(3), cfg, QoECoefficients())
+        mpc_select_bitrate(*_state(), np.ones(3), cfg, QoECoefficients())
 
 
 def test_mpc_exhaustive_enumeration_oracle():
@@ -198,7 +199,7 @@ def test_mpc_exhaustive_enumeration_oracle():
             s -= co.mu2 * max(0.0, buf0 - buf)
             if s > best_score + 1e-12:
                 best_score, best_first = s, seq[0]
-        got = mpc_select_bitrate(_state(buffer=buf0, latency=lat0), pred, cfg,
+        got = mpc_select_bitrate(*_state(buffer=buf0, latency=lat0), pred, cfg,
                                  co, prev_rate_idx=prev)
         assert got == best_first
 
