@@ -148,9 +148,10 @@ def mpc_rollout_scores(pred_kbps, ladder_kbps, q_table, buffer0, latency0,
 # Each direction is one GEMM over an im2col matrix laid out (C*9, B*H*W):
 # row c*9 + ky*3 + kx holds channel c shifted by (ky - 1, kx - 1), with zero
 # padding, for every output pixel of every sample. BLAS sums in its own order,
-# so results differ from a sequential sum in the last bits. The gradients
-# rebuild the columns instead of keeping the forward's, so no column matrix
-# outlives its call: rebuilding is cheap, and kept columns add to peak memory.
+# so results differ from a sequential sum in the last bits. The forward hands
+# its columns out on request (keep_cols) and the weight gradient takes them
+# (cols), so a training step builds each layer's input columns once; the
+# columns are rebuilt only when none are passed.
 # ---------------------------------------------------------------------------
 
 
@@ -165,13 +166,19 @@ def _im2col(x):
     return cols.reshape(c_n * 9, b_n * h_n * w_n)
 
 
-def conv2d_forward(x, w):
+def conv2d_forward(x, w, keep_cols=False):
+    """The convolution of x with w; with keep_cols, (out, cols): the im2col
+    matrix of x as well, for `conv2d_grad_weight`."""
     x = np.asarray(x, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
     b_n, _, h_n, w_n = x.shape
-    out = w.reshape(w.shape[0], -1) @ _im2col(x)
-    return np.ascontiguousarray(
+    cols = _im2col(x)
+    out = w.reshape(w.shape[0], -1) @ cols
+    if not keep_cols:
+        cols = None  # freed before the copy below, as it is not returned
+    out = np.ascontiguousarray(
         out.reshape(w.shape[0], b_n, h_n, w_n).transpose(1, 0, 2, 3))
+    return out if cols is None else (out, cols)
 
 
 def conv2d_grad_input(dout, w):
@@ -181,9 +188,13 @@ def conv2d_grad_input(dout, w):
     return conv2d_forward(dout, w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
 
 
-def conv2d_grad_weight(x, dout):
+def conv2d_grad_weight(x, dout, cols=None):
+    """The weight gradient; `cols` is x's im2col matrix from the forward,
+    built here when None."""
     x = np.asarray(x, dtype=np.float64)
     dout = np.asarray(dout, dtype=np.float64)
+    if cols is None:
+        cols = _im2col(x)
     f_n = dout.shape[1]
     dout_mat = dout.transpose(1, 0, 2, 3).reshape(f_n, -1)  # (F, B*H*W)
-    return (dout_mat @ _im2col(x).T).reshape(f_n, x.shape[1], 3, 3)
+    return (dout_mat @ cols.T).reshape(f_n, x.shape[1], 3, 3)

@@ -92,13 +92,6 @@ class QoECoefficients:
             raise StreamError("R_min must be positive")
 
 
-def perceptible_quality(rate_kbps, r_min_kbps):
-    """Q(r) = ln(r / R_min)."""
-    if rate_kbps < r_min_kbps:
-        raise StreamError(f"rate {rate_kbps} below R_min {r_min_kbps}")
-    return math.log(rate_kbps / r_min_kbps)
-
-
 def latency_penalty(latency_s, omega):
     """Logistic growth, zeroed at l=0: 1/(1+e^(w-l)) - 1/(1+e^w)."""
     if latency_s < 0:

@@ -36,8 +36,11 @@ class Tensor:
 
     def _accum(self, g):
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # the bits of zeros + g (-0.0 becomes +0.0) in one pass; a new
+            # array, so a later += never writes into the caller's g
+            self.grad = np.add(g, 0.0, out=np.empty_like(self.data))
+        else:
+            self.grad += g
 
     def backward(self, grad=None):
         if grad is None:
@@ -329,7 +332,7 @@ def reduce_sum(a, axis=None, keepdims=False):
         if a.requires_grad:
             if not keepdims:
                 g = np.expand_dims(g, axes)
-            a._accum(np.broadcast_to(g, a.data.shape).copy())
+            a._accum(np.broadcast_to(g, a.data.shape))
 
     return _make(a.data.sum(axis=axes, keepdims=keepdims), (a,), back)
 
@@ -345,7 +348,7 @@ def reduce_mean(a, axis=None, keepdims=False):
         if a.requires_grad:
             if not keepdims:
                 g = np.expand_dims(g, axes)
-            a._accum(np.broadcast_to(g / count, a.data.shape).copy())
+            a._accum(np.broadcast_to(g / count, a.data.shape))
 
     return _make(a.data.mean(axis=axes, keepdims=keepdims), (a,), back)
 
@@ -367,16 +370,26 @@ def mse(pred, target):
 
 
 def conv2d(x, w):
-    """3x3, stride-1, same-padding convolution; x (B,C,H,W), w (F,C,3,3)."""
+    """3x3, stride-1, same-padding convolution; x (B,C,H,W), w (F,C,3,3).
+
+    When w needs a gradient, the forward's im2col matrix is kept for the
+    weight gradient and dropped as soon as that is computed, before the
+    input gradient builds columns of its own."""
     x, w = as_tensor(x), as_tensor(w)
+    if w.requires_grad:
+        out, cols = accel.conv2d_forward(x.data, w.data, keep_cols=True)
+    else:
+        out, cols = accel.conv2d_forward(x.data, w.data), None
 
     def back(g):
+        nonlocal cols
+        if w.requires_grad:
+            w._accum(accel.conv2d_grad_weight(x.data, g, cols))
+            cols = None
         if x.requires_grad:
             x._accum(accel.conv2d_grad_input(g, w.data))
-        if w.requires_grad:
-            w._accum(accel.conv2d_grad_weight(x.data, g))
 
-    return _make(accel.conv2d_forward(x.data, w.data), (x, w), back)
+    return _make(out, (x, w), back)
 
 
 def lstm(x_seq, w_ih, w_hh, bias):
@@ -455,37 +468,74 @@ def batch_norm(x, gamma, beta, running_mean, running_var, channel_axis,
 
     gamma/beta are flat (C,) Tensors; running_mean/var are flat (C,)
     Tensors updated in place (no gradient) while training.
+
+    In training mode this is one node whose backward repeats, bit for bit,
+    the arithmetic of the graph of elementary ops it replaces
+    (mean, centered = x - mean, var = mean(centered**2),
+    inv_std = 1 / sqrt(var + eps), xhat = centered * inv_std,
+    out = gamma * xhat + beta): each intermediate gradient starts as
+    `value + 0.0`, as the graph's accumulation from zero does (so -0.0
+    becomes +0.0); every reduction goes through `_unbroadcast`, one axis at
+    a time; centered's gradient is (p + q) + q, p from xhat and q from each
+    factor of the square, in the graph's order; and x takes two
+    accumulations, first centered's gradient, then the mean's.
     """
-    x = as_tensor(x)
+    x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     ndim = x.data.ndim
     channel_axis = channel_axis % ndim
     axes = tuple(ax for ax in range(ndim) if ax != channel_axis)
     bshape = [1] * ndim
     bshape[channel_axis] = x.data.shape[channel_axis]
-    gamma_r = reshape(gamma, bshape)
-    beta_r = reshape(beta, bshape)
+    gamma_r = gamma.data.reshape(bshape)
+    beta_r = beta.data.reshape(bshape)
 
-    if training:
-        mean = reduce_mean(x, axis=axes, keepdims=True)
-        centered = sub(x, mean)
-        var = reduce_mean(mul(centered, centered), axis=axes, keepdims=True)
-        inv_std = div(Tensor(1.0), sqrt(add(var, Tensor(eps))))
-        xhat = mul(centered, inv_std)
-        # running statistics track detached batch moments (unbiased variance)
-        n = 1
-        for ax in axes:
-            n *= x.data.shape[ax]
-        bm = mean.data.reshape(-1)
-        bv = var.data.reshape(-1) * (n / (n - 1)) if n > 1 else var.data.reshape(-1)
-        running_mean.data *= (1.0 - momentum)
-        running_mean.data += momentum * bm
-        running_var.data *= (1.0 - momentum)
-        running_var.data += momentum * bv
-    else:
+    if not training:
         rm = running_mean.data.reshape(bshape)
         rv = running_var.data.reshape(bshape)
         xhat = mul(sub(x, Tensor(rm)), Tensor(1.0 / np.sqrt(rv + eps)))
-    return add(mul(gamma_r, xhat), beta_r)
+        return add(mul(reshape(gamma, bshape), xhat), reshape(beta, bshape))
+
+    mean = x.data.mean(axis=axes, keepdims=True)
+    centered = x.data - mean
+    var = (centered * centered).mean(axis=axes, keepdims=True)
+    std = np.sqrt(var + eps)
+    inv_std = 1.0 / std
+    xhat = centered * inv_std
+    n = math.prod(x.data.shape[ax] for ax in axes)
+    # running statistics track detached batch moments (unbiased variance)
+    bm = mean.reshape(-1)
+    bv = var.reshape(-1) * (n / (n - 1)) if n > 1 else var.reshape(-1)
+    running_mean.data *= (1.0 - momentum)
+    running_mean.data += momentum * bm
+    running_var.data *= (1.0 - momentum)
+    running_var.data += momentum * bv
+
+    def back(g):
+        if beta.requires_grad:
+            g_beta = _unbroadcast(g, bshape) + 0.0
+            beta._accum(g_beta.reshape(beta.data.shape))
+        g_scaled = g + 0.0  # gradient of gamma * xhat
+        if gamma.requires_grad:
+            g_gamma = _unbroadcast(g_scaled * xhat, bshape) + 0.0
+            gamma._accum(g_gamma.reshape(gamma.data.shape))
+        if not x.requires_grad:
+            return
+        g_xhat = g_scaled * gamma_r
+        g_xhat += 0.0
+        g_inv_std = _unbroadcast(g_xhat * centered, bshape) + 0.0
+        g_std = -g_inv_std / (std * std) + 0.0
+        g_var = g_std * 0.5 / std + 0.0
+        # the gradient each factor of the square gives the centred input
+        q = (g_var / n + 0.0) * centered
+        g_centered = g_xhat * inv_std
+        g_centered += 0.0
+        g_centered += q
+        g_centered += q
+        x._accum(g_centered)
+        g_mean = _unbroadcast(-g_centered, bshape) + 0.0
+        x._accum(np.broadcast_to(g_mean / n, x.data.shape))
+
+    return _make(gamma_r * xhat + beta_r, (x, gamma, beta), back)
 
 
 def grad_check(f, params, eps=1e-5):

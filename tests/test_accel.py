@@ -223,14 +223,15 @@ def _einsum_im2col(x):
     return cols.reshape(b_n, c_n * 9, h_n * w_n)
 
 
-def _einsum_forward(x, w):
+def _einsum_forward(x, w, keep_cols=False):
     x = np.ascontiguousarray(x, dtype=np.float64)
     w = np.ascontiguousarray(w, dtype=np.float64)
     b_n, c_n, h_n, w_n = x.shape
     cols = _einsum_im2col(x)
     w_mat = w.reshape(w.shape[0], -1)
     out = np.einsum("fk,bkp->bfp", w_mat, cols)
-    return out.reshape(b_n, w.shape[0], h_n, w_n)
+    out = out.reshape(b_n, w.shape[0], h_n, w_n)
+    return (out, cols) if keep_cols else out
 
 
 def _einsum_grad_input(dout, w):
@@ -238,10 +239,11 @@ def _einsum_grad_input(dout, w):
     return _einsum_forward(dout, w_rot)
 
 
-def _einsum_grad_weight(x, dout):
+def _einsum_grad_weight(x, dout, cols=None):
     x = np.ascontiguousarray(x, dtype=np.float64)
     dout = np.ascontiguousarray(dout, dtype=np.float64)
-    cols = _einsum_im2col(x)
+    if cols is None:
+        cols = _einsum_im2col(x)
     d_mat = dout.reshape(dout.shape[0], dout.shape[1], -1)
     dw = np.einsum("bfp,bkp->fk", d_mat, cols)
     return dw.reshape(dout.shape[1], x.shape[1], 3, 3)
@@ -305,3 +307,81 @@ def test_conv_models_match_einsum_oracle(monkeypatch, arch, use_batchnorm):
     assert len(gemm) == len(oracle)
     for a, b in zip(gemm, oracle):
         assert np.allclose(a, b, rtol=1e-9)
+
+
+def _rebuilding_conv2d(x, w):
+    """The convolution op as it was before the forward handed its columns
+    to the weight gradient: the backward rebuilds them."""
+    x, w = T.as_tensor(x), T.as_tensor(w)
+
+    def back(g):
+        if x.requires_grad:
+            x._accum(accel.conv2d_grad_input(g, w.data))
+        if w.requires_grad:
+            w._accum(accel.conv2d_grad_weight(x.data, g))
+
+    return T._make(accel.conv2d_forward(x.data, w.data), (x, w), back)
+
+
+@pytest.mark.parametrize("arch", ["CNN", "LSTM_CNN"])
+@pytest.mark.parametrize("use_batchnorm", [True, False])
+def test_conv_columns_from_the_forward_give_the_rebuilt_gradients(
+        monkeypatch, arch, use_batchnorm):
+    """A training step builds each convolution's input columns once, and
+    its prediction, gradients and running statistics are byte-equal to
+    the path that rebuilds them in the backward."""
+    spec = models.ModelSpec(arch=arch, in_features=7, history=15, horizon=1,
+                            hidden=24, conv_channels=(8, 8),
+                            use_batchnorm=use_batchnorm)
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=(32, 7, spec.steps))
+    y = rng.normal(size=(32, 1))
+    im2col = accel._im2col
+    built = []
+
+    def counting_im2col(a):
+        built.append(a.shape)
+        return im2col(a)
+
+    monkeypatch.setattr(accel, "_im2col", counting_im2col)
+
+    def run():
+        built.clear()
+        params = models.init_model(spec, seed=4)
+        pred = models.forward_graph(spec, params, x, training=True)
+        T.mse(pred, y).backward()
+        return [pred.data] + [t.grad for t in params.trainable()] \
+            + [t.data for _, t, _ in params]
+
+    kept = run()
+    n_kept = len(built)
+    monkeypatch.setattr(T, "conv2d", _rebuilding_conv2d)
+    rebuilt = run()
+    n_convs = 2 if arch == "CNN" else 1
+    # one build per forward, one per input gradient (the first convolution
+    # of the CNN takes none), and none for a weight gradient
+    assert n_kept == 2 * n_convs - (arch == "CNN")
+    assert len(built) == n_kept + n_convs
+    assert len(kept) == len(rebuilt)
+    for a, b in zip(kept, rebuilt):
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("training", [False, True])
+def test_eval_forward_keeps_no_conv_columns(training):
+    """`models.forward` on a CNN batch leaves nothing allocated beyond its
+    output once it returns: no column matrix outlives the forward."""
+    spec = models.ModelSpec(arch="CNN", in_features=7, history=15, horizon=1,
+                            conv_channels=(8, 8))
+    params = models.init_model(spec, seed=2)
+    x = np.random.default_rng(1).normal(size=(32, 7, spec.steps))
+    models.forward(spec, params, x, training=training)  # warm-up
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = models.forward(spec, params, x, training=training)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # a column matrix of the second convolution is 72 x 3584 doubles, 2 MB
+    assert retained <= out.nbytes + 16384

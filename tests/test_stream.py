@@ -11,27 +11,33 @@ from fedcast.stream import (ConstantPredictor, HarmonicMeanPredictor,
                             ModelPredictor, OraclePredictor, QoECoefficients, SegmentRecord,
                             StreamConfig, StreamError,
                             compute_qoe, latency_penalty, mpc_select_bitrate,
-                            perceptible_quality, simulate_session)
+                            quality_table, simulate_session)
 
 
 # --- Q and psi ---------------------------------------------------------------
 
 
+def _quality(ladder_kbps):
+    """Q of each rate of the ladder, at R_min = 300 kbps."""
+    return quality_table(StreamConfig(ladder_kbps=ladder_kbps),
+                         QoECoefficients(r_min_kbps=300.0))
+
+
 def test_quality_at_rmin_is_zero():
-    assert perceptible_quality(300.0, 300.0) == 0.0
+    assert _quality((300.0, 600.0))[0] == 0.0
 
 
 def test_quality_doubling():
-    assert abs(perceptible_quality(600.0, 300.0) - math.log(2)) < 1e-12
+    assert abs(_quality((300.0, 600.0))[1] - math.log(2)) < 1e-12
 
 
 def test_quality_ladder_top():
-    assert abs(perceptible_quality(6000.0, 300.0) - math.log(20)) < 1e-12
+    assert abs(_quality((300.0, 6000.0))[-1] - math.log(20)) < 1e-12
 
 
 def test_quality_below_rmin_rejected():
     with pytest.raises(StreamError):
-        perceptible_quality(200.0, 300.0)
+        _quality((200.0, 600.0))
 
 
 def test_latency_penalty_zero_at_zero():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from fedcast import models
 from fedcast import tensor as T
 
 
@@ -145,6 +146,172 @@ def test_batchnorm_running_stats_track_batch():
     out = T.batch_norm(T.Tensor(data), gamma, beta, rm, rv, channel_axis=1,
                        training=False)
     assert abs(out.data.mean()) < 1e-6
+
+
+# The graph of elementary ops that the fused training-mode batch norm
+# replaced, and the zero-filling first accumulation it was run with, kept as
+# the exact oracle of both.
+
+
+def _tape_batch_norm(x, gamma, beta, running_mean, running_var, channel_axis,
+                     training, momentum=0.1, eps=1e-5):
+    x = T.as_tensor(x)
+    ndim = x.data.ndim
+    channel_axis = channel_axis % ndim
+    axes = tuple(ax for ax in range(ndim) if ax != channel_axis)
+    bshape = [1] * ndim
+    bshape[channel_axis] = x.data.shape[channel_axis]
+    gamma_r = T.reshape(gamma, bshape)
+    beta_r = T.reshape(beta, bshape)
+    if training:
+        mean = T.reduce_mean(x, axis=axes, keepdims=True)
+        centered = T.sub(x, mean)
+        var = T.reduce_mean(T.mul(centered, centered), axis=axes,
+                            keepdims=True)
+        inv_std = T.div(T.Tensor(1.0), T.sqrt(T.add(var, T.Tensor(eps))))
+        xhat = T.mul(centered, inv_std)
+        n = 1
+        for ax in axes:
+            n *= x.data.shape[ax]
+        bm = mean.data.reshape(-1)
+        bv = var.data.reshape(-1) * (n / (n - 1)) if n > 1 \
+            else var.data.reshape(-1)
+        running_mean.data *= (1.0 - momentum)
+        running_mean.data += momentum * bm
+        running_var.data *= (1.0 - momentum)
+        running_var.data += momentum * bv
+    else:
+        rm = running_mean.data.reshape(bshape)
+        rv = running_var.data.reshape(bshape)
+        xhat = T.mul(T.sub(x, T.Tensor(rm)), T.Tensor(1.0 / np.sqrt(rv + eps)))
+    return T.add(T.mul(gamma_r, xhat), beta_r)
+
+
+def _zero_fill_accum(self, g):
+    if self.grad is None:
+        self.grad = np.zeros_like(self.data)
+    self.grad += g
+
+
+def _bn_case(rng, shape, channel_axis, x_kind, g_kind):
+    channels = shape[channel_axis]
+    x = {"normal": rng.normal(size=shape) * 3.0 + 1.0,
+         "zeros": np.zeros(shape)}[x_kind]
+    g = {"normal": rng.normal(size=shape), "zeros": np.zeros(shape),
+         "neg_zeros": np.full(shape, -0.0)}[g_kind]
+    return (x, rng.normal(size=channels), rng.normal(size=channels),
+            rng.normal(size=channels), rng.uniform(0.5, 2.0, channels), g)
+
+
+def _bn_run(batch_norm, case, channel_axis, needs_grad=(True, True, True)):
+    """Output, x/gamma/beta gradients and running statistics after one
+    training-mode batch norm under upstream gradient g."""
+    x, gamma, beta, rm, rv, g = case
+    xt, gt, bt = (T.Tensor(a.copy(), requires_grad=r)
+                  for a, r in zip((x, gamma, beta), needs_grad))
+    rmt, rvt = T.Tensor(rm.copy()), T.Tensor(rv.copy())
+    out = batch_norm(xt, gt, bt, rmt, rvt, channel_axis=channel_axis,
+                     training=True)
+    out.backward(g.copy())
+    return [out.data, xt.grad, gt.grad, bt.grad, rmt.data, rvt.data]
+
+
+# (shape, channel_axis): the LSTM's features at batch 1, 2 and 32, the
+# Transformer's feed-forward activations, the CNN's second convolution
+_BN_SHAPES = [((1, 24), 1), ((2, 24), 1), ((32, 24), 1), ((5, 16, 48), 2),
+              ((32, 8, 7, 16), 1), ((3, 4, 5, 6), -3)]
+
+
+@pytest.mark.parametrize("shape, channel_axis", _BN_SHAPES,
+                         ids=lambda v: "x".join(map(str, v))
+                         if isinstance(v, tuple) else str(v))
+@pytest.mark.parametrize("x_kind, g_kind", [
+    ("normal", "normal"), ("zeros", "normal"), ("normal", "zeros"),
+    ("normal", "neg_zeros"), ("zeros", "neg_zeros")])
+def test_fused_batch_norm_is_bit_identical_to_tape_graph(
+        monkeypatch, shape, channel_axis, x_kind, g_kind):
+    case = _bn_case(np.random.default_rng(len(shape) * 100 + shape[0]),
+                    shape, channel_axis, x_kind, g_kind)
+    fused = _bn_run(T.batch_norm, case, channel_axis)
+    monkeypatch.setattr(T.Tensor, "_accum", _zero_fill_accum)
+    tape = _bn_run(_tape_batch_norm, case, channel_axis)
+    for a, b in zip(fused, tape):
+        assert a.shape == b.shape and a.dtype == b.dtype
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("needs_grad", [(False, True, True),
+                                        (True, False, False),
+                                        (False, True, False)],
+                         ids=["x-constant", "gamma-beta-constant",
+                              "gamma-only"])
+def test_fused_batch_norm_partial_gradients(monkeypatch, needs_grad):
+    """Only the inputs that need a gradient get one, with the tape's bits."""
+    case = _bn_case(np.random.default_rng(3), (6, 4), 1, "normal", "normal")
+    fused = _bn_run(T.batch_norm, case, 1, needs_grad)
+    monkeypatch.setattr(T.Tensor, "_accum", _zero_fill_accum)
+    tape = _bn_run(_tape_batch_norm, case, 1, needs_grad)
+    for a, b in zip(fused, tape):
+        assert (a is None) == (b is None)
+        assert a is None or a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("arch", models.ARCHS)
+def test_fused_batch_norm_models_match_tape_graph(monkeypatch, arch):
+    """One training step of every architecture with batch norm: the
+    prediction, every parameter gradient and the running statistics, byte
+    for byte, against the tape graph with zero-filled accumulation."""
+    spec = models.ModelSpec(arch=arch, in_features=5, history=7, horizon=2,
+                            hidden=8, conv_channels=(4, 4),
+                            use_batchnorm=True)
+    rng = np.random.default_rng(6)
+    x = rng.normal(size=(9, 5, spec.steps))
+    y = rng.normal(size=(9, 2))
+
+    def run():
+        params = models.init_model(spec, seed=4)
+        pred = models.forward_graph(spec, params, x, training=True)
+        T.mse(pred, y).backward()
+        return [pred.data] + [t.grad for t in params.trainable()] \
+            + [t.data for _, t, _ in params]
+
+    fused = run()
+    monkeypatch.setattr(T, "batch_norm", _tape_batch_norm)
+    monkeypatch.setattr(T.Tensor, "_accum", _zero_fill_accum)
+    tape = run()
+    assert len(fused) == len(tape)
+    for a, b in zip(fused, tape):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_first_accumulation_of_negative_zero_stores_positive_zero():
+    t = T.Tensor(np.ones(3))
+    t._accum(np.full(3, -0.0))
+    assert not np.signbit(t.grad).any()
+    t._accum(np.full(3, -0.0))
+    assert not np.signbit(t.grad).any()
+
+
+def test_accumulation_broadcasts_to_the_full_shape():
+    t = T.Tensor(np.ones((2, 3)))
+    t._accum(np.array([1.0, 2.0, 3.0]))
+    assert t.grad.shape == (2, 3)
+    assert np.array_equal(t.grad, [[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]])
+    s = T.Tensor(np.ones((2, 3), dtype=np.float32))
+    s._accum(np.float64(0.5))
+    assert s.grad.dtype == np.float32
+    assert np.array_equal(s.grad, np.full((2, 3), 0.5))
+
+
+def test_accumulated_gradient_never_aliases_the_caller_array():
+    g = np.array([1.0, 2.0, 3.0])
+    t = T.Tensor(np.zeros(3))
+    t._accum(g)
+    assert t.grad is not g and not np.shares_memory(t.grad, g)
+    t._accum(np.ones(3))
+    t.grad += 10.0
+    assert np.array_equal(g, [1.0, 2.0, 3.0])
+    assert np.array_equal(t.grad, [12.0, 13.0, 14.0])
 
 
 def test_gradient_linearity():
