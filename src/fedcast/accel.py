@@ -1,6 +1,7 @@
 """Hot numeric kernels, one numpy implementation each: the MPC rollout and
 the 3x3 convolution with its two gradients."""
 
+import math
 import mmap
 
 import numpy as np
@@ -36,6 +37,29 @@ _BIG_DOWNLOAD_TIME = 1e9  # seconds; stands in for "throughput is zero"
 # at horizon 6 a per-depth temporary is 373 KB, above glibc's mmap
 # threshold, so fresh temporaries would be mapped, page-faulted and
 # unmapped on every decision.
+#
+# Work that provably adds +0.0 is skipped; every skip rests on rounding
+# being monotone, so the smallest buffer of any prefix is the scalar
+# recurrence of the expressions at the smallest parent buffer and the
+# longest download, and no reduction over the prefixes is needed:
+# - A depth is stall-free when fl(d_max - buf_min) <= 0: then every
+#   fl(d - buf) <= 0, every stall is +0.0, `lat + 0.0` gives the same exp
+#   argument as `lat`, `term - mu2 * 0.0` adds the same to a score as
+#   `term` (for a finite mu2) and max(buf - d, 0) is buf - d. Until the
+#   first depth that can stall, every prefix's latency is latency0, so the
+#   latency charge is one value per decision and the whole term is an
+#   (L, L) table by (last rate, rate): a stall-free depth is a buffer
+#   subtract, a buffer add and one broadcast score add. The first depth
+#   that can stall and every depth after it run the general expressions.
+# - That one latency charge goes through the same array expressions, on a
+#   1-element array: libm's exp (math.exp) differs from numpy's SIMD
+#   kernel in the last bit on ~5% of arguments, while the array kernel
+#   gives the same bits at every length and stride.
+# - The terminal drain is skipped when fl(buffer0 - buf_min) <= 0, and a
+#   stall-free last depth then writes no buffers at all.
+# - The download times are computed once per distinct predicted
+#   throughput; at horizon <= 5 every chunk reads the same predicted
+#   second.
 # ---------------------------------------------------------------------------
 
 
@@ -48,6 +72,17 @@ def mpc_workspace(n_rates, horizon):
     # raise glibc's dynamic mmap threshold to 2 MB for the rest of the
     # process and change how every later large array is allocated
     return np.frombuffer(mmap.mmap(-1, 8 * n), dtype=np.float64)
+
+
+def _latency_cost(lat, omega, psi_base, mu4, out):
+    """mu4 * psi(lat) into `out`: the rollout's one latency expression."""
+    np.subtract(omega, lat, out=out)
+    np.exp(out, out=out)
+    np.add(1.0, out, out=out)
+    np.divide(1.0, out, out=out)
+    np.subtract(out, psi_base, out=out)
+    np.multiply(mu4, out, out=out)
+    return out
 
 
 def mpc_rollout_scores(pred_kbps, ladder_kbps, q_table, buffer0, latency0,
@@ -91,19 +126,49 @@ def mpc_rollout_scores(pred_kbps, ladder_kbps, q_table, buffer0, latency0,
     buf = np.array([buffer0])
     lat = np.array([float(latency0)])
     score = np.zeros(1)
+    buf_min = buffer0  # the smallest buffer of any prefix, exactly
+    # a zero stall or drain costs mu2 * 0.0, a zero unless mu2 is inf or nan;
+    # its sign is kept by no score, as every score starts from +0.0
+    zero_cost = math.isfinite(mu2)
+    stall_free = zero_cost
+    tp_prev = None
     for j, tp in enumerate(pred_kbps):
-        if tp > 0.0:
-            d = rtt + bits / tp
-        else:
-            d = np.full(n_rates, _BIG_DOWNLOAD_TIME)
-        d = d[:, None]
+        if tp != tp_prev:
+            if tp > 0.0:
+                d = rtt + bits / tp
+            else:
+                d = np.full(n_rates, _BIG_DOWNLOAD_TIME)
+            d = d[:, None]
+            d_max = d.max()
+            tp_prev = tp
         shape = (n_rates, buf.size)
         n_ch = n_rates * buf.size
         state = rows if (horizon - 1 - j) % 2 == 0 else half
         buf_c, lat_c, score_c = (r[:n_ch].reshape(shape) for r in state)
+        stall_free = stall_free and d_max - buf_min <= 0.0
+
+        if stall_free:
+            buf_min = (buf_min - d_max) + chunk_dur
+            if j < horizon - 1 or buffer0 - buf_min > 0.0:
+                np.subtract(buf, d, out=buf_c)
+                np.add(buf_c, chunk_dur, out=buf_c)
+            if j == 0:
+                # stall-free depths are a leading run, so every prefix they
+                # hold has latency0
+                cost = _latency_cost(lat, omega, psi_base, mu4, np.empty(1))
+                term = (gain_first - cost) / chunks_per_seg
+                np.add(score, term[:, None], out=score_c)
+                term_next = (gain.T - cost) / chunks_per_seg
+            else:
+                # the parent's own last rate is its most significant digit
+                np.add(score.reshape(1, n_rates, -1), term_next[:, :, None],
+                       out=score_c.reshape(n_rates, n_rates, -1))
+            buf, score = buf_c.ravel(), score_c.ravel()
+            continue
+
+        buf_min = max(buf_min - d_max, 0.0) + chunk_dur
         stall = stall_row[:n_ch].reshape(shape)
         term = term_row[:n_ch].reshape(shape)
-
         np.subtract(d, buf, out=stall)
         np.maximum(stall, 0.0, out=stall)
         np.subtract(buf, d, out=buf_c)
@@ -111,12 +176,7 @@ def mpc_rollout_scores(pred_kbps, ladder_kbps, q_table, buffer0, latency0,
         np.add(buf_c, chunk_dur, out=buf_c)
         np.add(lat, stall, out=lat_c)
         # term = (gain - mu4 * psi(lat)) / chunks_per_seg - mu2 * stall
-        np.subtract(omega, lat_c, out=term)
-        np.exp(term, out=term)
-        np.add(1.0, term, out=term)
-        np.divide(1.0, term, out=term)
-        np.subtract(term, psi_base, out=term)
-        np.multiply(mu4, term, out=term)
+        _latency_cost(lat_c, omega, psi_base, mu4, out=term)
         if j == 0:
             np.subtract(gain_first[:, None], term, out=term)
         else:
@@ -129,11 +189,12 @@ def mpc_rollout_scores(pred_kbps, ladder_kbps, q_table, buffer0, latency0,
         np.add(score, term, out=score_c)
         buf, lat, score = buf_c.ravel(), lat_c.ravel(), score_c.ravel()
 
-    drain = stall_row[:n_seq]
-    np.subtract(buffer0, buf, out=drain)
-    np.maximum(drain, 0.0, out=drain)
-    np.multiply(mu2, drain, out=drain)
-    np.subtract(score, drain, out=score)
+    if not zero_cost or buffer0 - buf_min > 0.0:
+        drain = stall_row[:n_seq]
+        np.subtract(buffer0, buf, out=drain)
+        np.maximum(drain, 0.0, out=drain)
+        np.multiply(mu2, drain, out=drain)
+        np.subtract(score, drain, out=score)
     # rate-major (last chunk most significant) -> first chunk most significant
     scores = np.empty(n_seq)
     digits = (n_rates,) * horizon

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fedcast import accel, models
+from fedcast import accel, models, stream
 from fedcast import tensor as T
 
 
@@ -130,6 +130,151 @@ def test_prefix_tree_scores_equal_flat_rollout():
             if earlier is not None:
                 assert earlier[0].tobytes() == earlier[1]
             earlier = (got, got.tobytes())
+
+
+def _poisoned_run(case):
+    """Score `case` in a NaN-filled workspace of its exact size and hold it
+    to the flat rollout byte for byte. Returns whether the stall row and the
+    term row, the last two L**h rows of the workspace, were left unwritten:
+    only a depth that can stall and the terminal drain write the stall row,
+    and only a depth that can stall writes the term row."""
+    n_rates, horizon = len(case["ladder_kbps"]), len(case["pred_kbps"])
+    n_seq = n_rates ** horizon
+    work = accel.mpc_workspace(n_rates, horizon)
+    work[:] = np.nan
+    got = accel.mpc_rollout_scores(**case, work=work)
+    assert got.tobytes() == _flat_scores(**case).tobytes(), case
+    return (bool(np.isnan(work[-2 * n_seq:-n_seq]).all()),
+            bool(np.isnan(work[-n_seq:]).all()))
+
+
+def _stall_free_case(rng, horizon, n_rates=6):
+    """Every download fits in every buffer: each takes under 0.23 s (a round
+    trip of up to 0.2 s), and the buffer starts at 1 s or more and loses
+    under 0.03 s per chunk."""
+    case = _random_case(rng, horizon, n_rates)
+    case["pred_kbps"] = rng.uniform(60000, 100000, horizon)
+    case["buffer0"] = float(rng.uniform(1.0, 4.0))
+    case["prev_idx"] = int(rng.integers(-1, n_rates))
+    return case
+
+
+def test_stall_free_rollout_equals_flat_at_many_latencies():
+    # one latency charge per decision, on a 1-element array: libm's exp
+    # (math.exp) differs from numpy's array kernel in the last bit on ~5% of
+    # arguments, so a few hundred latencies catch a scalar charge
+    rng = np.random.default_rng(3)
+    for i in range(240):
+        case = _stall_free_case(rng, horizon=1 + i % 6)
+        case["latency0"] = float(rng.uniform(0.0, 10.0))
+        _, term_unwritten = _poisoned_run(case)
+        assert term_unwritten
+
+
+def test_stall_free_depths_then_stalling_ones():
+    rng = np.random.default_rng(4)
+    for horizon in range(2, 7):
+        for n_free in range(1, horizon):
+            case = _stall_free_case(rng, horizon)
+            # ~300 kbps from then on: the top rate outlasts the buffer
+            case["pred_kbps"][n_free:] = rng.uniform(250, 350,
+                                                     horizon - n_free)
+            _, term_unwritten = _poisoned_run(case)
+            assert not term_unwritten
+
+
+def test_outage_first_then_plenty():
+    # the first chunk stalls (for "ever"), and every later download fits:
+    # the later depths still need each prefix's own latency
+    rng = np.random.default_rng(5)
+    for horizon in range(2, 7):
+        case = _stall_free_case(rng, horizon)
+        case["pred_kbps"][0] = 0.0
+        _poisoned_run(case)
+        case["buffer0"] = 0.0
+        _poisoned_run(case)
+
+
+def test_different_throughput_every_depth():
+    rng = np.random.default_rng(6)
+    for horizon in range(2, 7):
+        for _ in range(4):
+            case = _stall_free_case(rng, horizon)
+            case["pred_kbps"] = rng.uniform(2000, 100000, horizon)
+            case["buffer0"] = float(rng.uniform(0.0, 2.0))
+            _poisoned_run(case)
+            # a repeated throughput after a different one
+            case["pred_kbps"][-1] = case["pred_kbps"][0]
+            _poisoned_run(case)
+
+
+def test_zero_latency():
+    rng = np.random.default_rng(7)
+    for horizon in range(1, 7):
+        case = _stall_free_case(rng, horizon)
+        case["latency0"] = 0.0
+        _poisoned_run(case)
+        case["pred_kbps"][-1] = 300.0
+        case["buffer0"] = 0.5
+        _poisoned_run(case)
+
+
+def test_infinite_stall_cost():
+    # inf * 0.0 is nan, so a zero stall is not free: the flat rollout's
+    # scores are nan, and no depth may be skipped
+    rng = np.random.default_rng(9)
+    for horizon in range(1, 5):
+        case = _stall_free_case(rng, horizon)
+        case["mu2"] = np.inf
+        with np.errstate(invalid="ignore"):
+            _poisoned_run(case)
+
+
+def test_download_equal_to_chunk_at_the_drain_boundary():
+    # with no round trip the top rate downloads in exactly one chunk
+    # duration, which is exactly the buffer: every depth is on the edge of
+    # a stall and the last buffer on the edge of a drain; neither stalls or
+    # drains, so the stall and term rows stay unwritten
+    ladder = np.array([250.0, 500.0, 1000.0])
+    for horizon in range(1, 7):
+        for prev_idx in (-1, 2):
+            case = dict(
+                pred_kbps=np.full(horizon, 1000.0), ladder_kbps=ladder,
+                q_table=np.log(ladder / ladder[0]), buffer0=0.25,
+                latency0=2.5, prev_idx=prev_idx, rtt=0.0, chunk_dur=0.25,
+                chunks_per_seg=4, mu1=0.2, mu2=6.0, mu3=1.0, mu4=0.8,
+                omega=4.0)
+            assert _poisoned_run(case) == (True, True)
+            # a hair less buffer: the top rate stalls at the first chunk
+            case["buffer0"] = np.nextafter(0.25, 0.0)
+            assert _poisoned_run(case) == (False, False)
+
+
+def test_sessions_equal_with_flat_rollout(monkeypatch):
+    # a 10-100 Mbps trace (no stalls) and a 0.8-8 Mbps one with outages
+    rng = np.random.default_rng(8)
+    plenty = rng.uniform(10.0, 100.0, 40)
+    outage = rng.uniform(0.8, 8.0, 40)
+    outage[[9, 10, 11, 22, 23, 30]] = 0.0
+    co = stream.QoECoefficients()
+
+    def session(trace, horizon):
+        cfg = stream.StreamConfig(session_len=30, mpc_horizon=horizon)
+        return stream.simulate_session(trace, stream.HarmonicMeanPredictor(),
+                                       cfg, co)
+
+    def flat(pred_kbps, ladder_kbps, *args, work=None):
+        return _flat_scores(pred_kbps, np.asarray(ladder_kbps), *args)
+
+    for trace, horizon in ((plenty, 5), (outage, 6)):
+        got = session(trace, horizon)
+        with monkeypatch.context() as m:
+            m.setattr(accel, "mpc_rollout_scores", flat)
+            want = session(trace, horizon)
+        assert repr(got.events) == repr(want.events)
+        assert got == want
+        assert sum(ev[1] == "rate_select" for ev in got.events) > 20
+        assert (got.stall_time > 0.0) == (trace is outage)
 
 
 def test_rollout_allocates_only_its_scores():
