@@ -19,7 +19,8 @@ import numpy as np
 
 from . import analysis, fl, models, stream
 from .models import _atomic_write
-from .preprocess import PreprocessConfig, PreprocessError, WindowConfig
+from .preprocess import PreprocessConfig, PreprocessError, WindowConfig, \
+    apply_scaler, filter_trace, fit_scaler, model_inputs
 from .trace import ClientTrace, ColumnMapping, TraceError, clean_and_resample, \
     load_trace
 
@@ -372,7 +373,6 @@ def build_client_set(traces, pre_cfg, window_cfg, train_ratio=0.8):
     """ClientHandles for a cohort; per_dataset scope shares one scaler per
     dataset tag (fitted on whole traces, as the scaling is dataset-global)."""
     if pre_cfg.scaling_scope == "per_dataset":
-        from .preprocess import fit_scaler, filter_trace
         by_tag = {}
         for tr in traces:
             by_tag.setdefault(tr.dataset_tag, []).append(tr)
@@ -392,7 +392,7 @@ def _build_clients(cfg, traces):
 
 
 def _model_spec(cfg, traces):
-    in_features = len(traces[0].feature_names()) + 1
+    in_features = model_inputs(traces[0]).shape[0]
     return models.ModelSpec(in_features=in_features, history=cfg.window.history,
                             horizon=cfg.window.horizon, **cfg.model_kwargs)
 
@@ -484,23 +484,20 @@ def cmd_analyze(cfg):
     return 0
 
 
-def _stream_predictor(cfg, kind, client_trace, session_tput, spec, params):
+def _stream_predictor(cfg, kind, client_trace, session_tput, model):
     if kind == "constant":
         return stream.ConstantPredictor(cfg.constant_mbps)
     if kind == "harmonic":
         return stream.HarmonicMeanPredictor()
     if kind == "oracle":
         return stream.OraclePredictor(session_tput)
-    # model predictor over the scaled feature history of the session window
-    from .preprocess import filter_trace, fit_scaler, apply_scaler
+    # model predictor over the scaled model inputs of the session window
     filtered = filter_trace(client_trace, cfg.preprocess)
     scaler = fit_scaler(filtered, cfg.preprocess)
-    scaled = apply_scaler(filtered, scaler)
-    feats = scaled.feature_matrix()
-    tput_scaled = scaled.throughput()
+    inputs = model_inputs(apply_scaler(filtered, scaler))
     start = len(client_trace) - len(session_tput)
-    return stream.ModelPredictor(spec, params, feats[:, start:],
-                                 tput_scaled[start:], scaler)
+    spec, params = model
+    return stream.ModelPredictor(spec, params, inputs[:, start:], scaler)
 
 
 def cmd_stream(cfg):
@@ -509,20 +506,24 @@ def cmd_stream(cfg):
     _echo_config(cfg, out)
     scfg, coeffs = cfg.stream_config, cfg.qoe
 
-    spec = params_by_client = None
+    model_of = {}   # client id -> (spec, params) of its checkpoint
     if cfg.predictor == "model":
         ckpt_dir = Path(cfg.out_dir) / "checkpoints"
         if not ckpt_dir.exists():
             raise ConfigError(
                 "stream with the model predictor needs checkpoints; "
                 "run `federate` into the same out_dir first")
-        params_by_client = {}
         for tr in traces:
             path = ckpt_dir / f"client_{tr.client_id}.ckpt"
             if not path.exists():
                 path = ckpt_dir / "global.ckpt"
             spec, params = models.load_checkpoint(path)
-            params_by_client[tr.client_id] = params
+            rows = model_inputs(tr).shape[0]
+            if spec.in_features != rows:
+                raise models.CheckpointError(
+                    f"{path}: the model takes {spec.in_features} input rows, "
+                    f"the trace of client {tr.client_id} gives {rows}")
+            model_of[tr.client_id] = spec, params
 
     qoe_rows = ["client_id,qoe,quality,stall,switch,latency,skip,truncated"]
     breakdowns = {}
@@ -532,9 +533,8 @@ def cmd_stream(cfg):
             raise ConfigError(
                 f"client {tr.client_id}: trace shorter than session_len")
         session_tput = tput[-scfg.session_len:]
-        params = params_by_client[tr.client_id] if params_by_client else None
         predictor = _stream_predictor(cfg, cfg.predictor, tr, session_tput,
-                                      spec, params)
+                                      model_of.get(tr.client_id))
         result = stream.simulate_session(session_tput, predictor, scfg, coeffs)
         b = result.breakdown
         qoe_rows.append(

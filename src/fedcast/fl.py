@@ -14,8 +14,8 @@ import numpy as np
 from .analysis import EvalPair, r2_score, mse
 from .models import ParamSet, TrainingDiverged, init_model, local_train, \
     predict_trace
-from .preprocess import build_windows, filter_trace, fit_scaler, apply_scaler, \
-    split_train_test, window_anchors
+from .preprocess import Windows, build_windows, filter_trace, fit_scaler, \
+    apply_scaler, split_train_test, window_anchors
 
 FEDAVG = "FEDAVG"
 FEDPROX = "FEDPROX"
@@ -58,11 +58,10 @@ class RoundConfig:
 @dataclass(eq=False)
 class ClientHandle:
     client_id: str
-    train: list
-    test: list                  # eval windows, stride = eval_stride
+    train: Windows
+    test: Windows               # eval windows, stride = eval_stride
     params: ParamSet = None
     scaler: object = None       # maps scaled throughput back to Mbps
-    dataset_tag: str = ""
 
     @property
     def n_samples(self):
@@ -102,14 +101,13 @@ def build_client(trace, pre_cfg, wc, train_ratio=0.8, scaler=None):
     windows = build_windows(scaled, wc, stride=wc.train_stride)
     train, test = split_train_test(windows, train_ratio)
     if wc.eval_stride != wc.train_stride:
-        test = [s for s in build_windows(scaled, wc, stride=wc.eval_stride)
-                if s.anchor >= test[0].anchor] or test
+        evals = build_windows(scaled, wc, stride=wc.eval_stride)
+        test = evals[evals.anchor >= test.anchor[0]] or test
     if len(test) < 2:
         raise FLError(f"client {trace.client_id}: {len(test)} evaluation "
                       f"window(s), R^2 needs at least 2")
     return ClientHandle(client_id=trace.client_id, train=train,
-                        test=test, scaler=scaler,
-                        dataset_tag=trace.dataset_tag)
+                        test=test, scaler=scaler)
 
 
 def sample_clients(clients, fraction, rng):

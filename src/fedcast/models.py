@@ -1,9 +1,12 @@
 """The four forecasting architectures and client-side local training.
 
-Every model consumes a (|F|+1) x (H+1) input (continuous features plus the
-throughput history as an extra row) and emits an F-step throughput
-forecast. Batch-norm parameters, including running statistics, are tagged
-so the aggregation layer can treat them as client-local state.
+Every model consumes a (|F|+1) x (H+1) input, one window of the
+`preprocess.model_inputs` matrix (continuous feature rows, then the
+throughput row), and emits an F-step throughput forecast. Training and
+evaluation read the stacked windows of a `preprocess.Windows`; the stream
+predictor slices the same matrix. Batch-norm parameters, including running
+statistics, are tagged so the aggregation layer can treat them as
+client-local state.
 """
 
 import json
@@ -16,7 +19,6 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .preprocess import stack_samples
 
 ARCHS = ("CNN", "LSTM", "LSTM_CNN", "TRANSFORMER")
 
@@ -360,23 +362,12 @@ def forward_graph(spec, params, x_raw, training=False):
     return T.add(T.matmul(pooled, params.get("head.w")), params.get("head.b"))
 
 
-def batch_to_arrays(samples):
-    """Stack WindowSamples into the (B, |F|+1, H+1) model input layout."""
-    feats, hist, target = stack_samples(samples)
-    x = np.concatenate([feats, hist[:, None, :]], axis=1)
-    return x, target
-
-
-def forward(spec, params, batch, training=False):
-    """Predictions (B, F) for a batch of WindowSamples or a raw array.
+def forward(spec, params, x, training=False):
+    """Predictions (B, F) for a (B, |F|+1, H+1) input array.
 
     The parameters enter as constants sharing their arrays, so no autodiff
     graph is built; with training=True the batch-norm running statistics in
     `params` are still updated."""
-    if isinstance(batch, np.ndarray):
-        x = batch
-    else:
-        x, _ = batch_to_arrays(batch)
     constants = ParamSet([(name, T.Tensor(t.data), is_bn)
                           for name, t, is_bn in params])
     out = forward_graph(spec, constants, x, training=training).data
@@ -439,7 +430,7 @@ def _prox_penalty(params, anchor, include_bn):
     return total
 
 
-def local_train(spec, params, samples, cfg, global_anchor=None, rng=None):
+def local_train(spec, params, windows, cfg, global_anchor=None, rng=None):
     """Run cfg.local_epochs of mini-batch training; returns (params, loss).
 
     The optimized objective is the MSE forecasting loss plus, when
@@ -450,9 +441,11 @@ def local_train(spec, params, samples, cfg, global_anchor=None, rng=None):
         raise ModelError("prox_mu > 0 requires a global anchor")
     if global_anchor is not None and not params.same_structure(global_anchor):
         raise ModelError("anchor structure mismatch")
+    if not windows:
+        raise ModelError("no training windows")
     if rng is None:
         rng = np.random.default_rng(0)
-    x_all, y_all = batch_to_arrays(samples)
+    x_all, y_all = windows.x, windows.y
     n = x_all.shape[0]
     trainable = params.trainable()
     if cfg.optimizer == "adam":
@@ -485,11 +478,11 @@ def local_train(spec, params, samples, cfg, global_anchor=None, rng=None):
     return params, float(np.mean(last_epoch_losses)) if last_epoch_losses else 0.0
 
 
-def predict_trace(spec, params, samples):
+def predict_trace(spec, params, windows):
     """Stitched eval-mode forecasts and aligned ground truth."""
-    if not samples:
+    if not windows:
         raise ModelError("no evaluation windows")
-    x, y = batch_to_arrays(samples)
+    x, y = windows.x, windows.y
     preds = []
     for start in range(0, x.shape[0], 256):
         preds.append(forward(spec, params, x[start:start + 256], training=False))

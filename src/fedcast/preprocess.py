@@ -44,13 +44,19 @@ class WindowConfig:
 
 
 @dataclass(eq=False)
-class WindowSample:
-    """One training sample: feature matrix and throughput history over the
-    window [n-H, n], plus the F future throughput targets."""
-    features: np.ndarray      # (|F|, H+1), column j is time n-H+j
-    thpt_history: np.ndarray  # (H+1,)
-    target: np.ndarray        # (F,), throughput at n+1 .. n+F
-    anchor: int
+class Windows:
+    """Sliding windows as aligned arrays: x[i] is the model input over
+    [n-H, n] for the anchor n = anchor[i] (column j is time n-H+j), y[i]
+    the throughput at n+1 .. n+F. Slicing or masking gives a Windows."""
+    x: np.ndarray       # (N, |F|+1, H+1), rows as in model_inputs
+    y: np.ndarray       # (N, F)
+    anchor: np.ndarray  # (N,)
+
+    def __len__(self):
+        return len(self.anchor)
+
+    def __getitem__(self, index):
+        return Windows(self.x[index], self.y[index], self.anchor[index])
 
 
 @dataclass
@@ -138,6 +144,13 @@ def apply_scaler(trace, state):
     return replace(trace, columns={**trace.columns, **scaled})
 
 
+def model_inputs(trace):
+    """The (|F|+1, T) model-input matrix of a trace: one row per continuous
+    feature, then the throughput row."""
+    return np.array([trace.columns[name]
+                     for name in trace.feature_names() + ["throughput"]])
+
+
 def window_anchors(trace, wc, stride):
     """Anchors n = H, H+s, ... of the windows whose F-step target still
     fits in the trace."""
@@ -145,29 +158,21 @@ def window_anchors(trace, wc, stride):
     if len(trace) < h + f + 1:
         raise PreprocessError(f"client {trace.client_id}: trace of length "
                               f"{len(trace)} too short for H={h}, F={f}")
-    return range(h, len(trace) - f, stride)
+    return np.arange(h, len(trace) - f, stride)
 
 
 def build_windows(trace, wc, stride=None):
-    """Slide the (H+1)-step window over the trace.
+    """Slide the (H+1)-step window over the trace's model inputs.
 
-    Anchors run n = H, H+s, ... while the F-step target still fits; every
-    sample's feature column j corresponds to time n-H+j.
+    Anchors run n = H, H+s, ... while the F-step target still fits.
     """
     if stride is None:
         stride = wc.train_stride
     anchors = window_anchors(trace, wc, stride)
-    h, f = wc.history, wc.horizon
-    feats = trace.feature_matrix()
-    tput = trace.throughput()
-    samples = []
-    for n in anchors:
-        samples.append(WindowSample(
-            features=feats[:, n - h:n + 1].copy(),
-            thpt_history=tput[n - h:n + 1].copy(),
-            target=tput[n + 1:n + 1 + f].copy(),
-            anchor=n))
-    return samples
+    inputs = model_inputs(trace)
+    x = inputs[:, anchors[:, None] + np.arange(-wc.history, 1)]
+    y = inputs[-1, anchors[:, None] + np.arange(1, wc.horizon + 1)]
+    return Windows(x.transpose(1, 0, 2).copy(), y, anchors)
 
 
 def split_train_test(samples, ratio):
@@ -178,13 +183,3 @@ def split_train_test(samples, ratio):
         raise PreprocessError("need at least 2 samples to split")
     n_train = int(len(samples) * ratio)
     return samples[:n_train], samples[n_train:]
-
-
-def stack_samples(samples):
-    """(B, |F|, H+1) features, (B, H+1) histories, (B, F) targets."""
-    if not samples:
-        raise PreprocessError("empty sample batch")
-    x = np.stack([s.features for s in samples])
-    hist = np.stack([s.thpt_history for s in samples])
-    y = np.stack([s.target for s in samples])
-    return x, hist, y

@@ -223,17 +223,17 @@ class OraclePredictor:
 
 
 class ModelPredictor:
-    """Federated forecaster over the client's scaled feature history.
+    """Federated forecaster over the client's scaled model inputs, the
+    (|F|+1, T) matrix of `preprocess.model_inputs`.
 
     The history is known in full up front, so the forecast depends on `now`
     alone: it is computed once per `now` and kept.
     """
 
-    def __init__(self, spec, params, features_scaled, tput_scaled, scaler):
+    def __init__(self, spec, params, inputs_scaled, scaler):
         self.spec = spec
         self.params = params
-        self.features = np.asarray(features_scaled, dtype=float)
-        self.tput_scaled = np.asarray(tput_scaled, dtype=float)
+        self.inputs = np.asarray(inputs_scaled, dtype=float)
         self.scaler = scaler
         self.fallback = HarmonicMeanPredictor()
         self._forecasts = {}  # now -> unpadded forecast in Mbps
@@ -241,13 +241,11 @@ class ModelPredictor:
     def __call__(self, observed, horizon):
         now = len(observed) - 1
         h = self.spec.history
-        if now < h or now >= self.tput_scaled.size:
+        if now < h or now >= self.inputs.shape[1]:
             return self.fallback(observed, horizon)
         if now not in self._forecasts:
-            x = np.concatenate([
-                self.features[:, now - h:now + 1],
-                self.tput_scaled[None, now - h:now + 1]], axis=0)
-            pred_scaled = models.forward(self.spec, self.params, x[None],
+            x = self.inputs[None, :, now - h:now + 1]
+            pred_scaled = models.forward(self.spec, self.params, x,
                                          training=False)[0]
             pred = self.scaler.inverse_throughput(pred_scaled)
             self._forecasts[now] = np.maximum(pred, 0.0)

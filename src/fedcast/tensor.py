@@ -261,12 +261,13 @@ def relu(a):
 
 def leaky_relu(a, alpha=0.01):
     a = as_tensor(a)
+    positive = a.data > 0
 
     def back(g):
         if a.requires_grad:
-            a._accum(g * np.where(a.data > 0, 1.0, alpha))
+            a._accum(g * np.where(positive, 1.0, alpha))
 
-    return _make(np.where(a.data > 0, a.data, alpha * a.data), (a,), back)
+    return _make(np.where(positive, a.data, alpha * a.data), (a,), back)
 
 
 def softmax(a, axis=-1):

@@ -14,7 +14,8 @@ import numpy as np
 
 MANDATORY_FIELDS = ("timestamp", "latitude", "longitude", "speed",
                     "rsrp", "sinr", "throughput", "radio_type")
-# feature rows of the input matrix; throughput is handled separately
+# the first rows of the model-input matrix (preprocess.model_inputs), whose
+# last row is throughput
 CONTINUOUS_FEATURES = ("latitude", "longitude", "speed", "rsrp", "sinr")
 
 DEFAULT_SENTINELS = ("", "-", "NA", "NaN", "nan", "null")
@@ -46,10 +47,6 @@ class ClientTrace:
 
     def feature_names(self):
         return list(CONTINUOUS_FEATURES) + self.extra_names()
-
-    def feature_matrix(self):
-        """All continuous features (rows) over time (columns)."""
-        return np.array([self.columns[name] for name in self.feature_names()])
 
     def throughput(self):
         return self.columns["throughput"]

@@ -124,7 +124,8 @@ def test_criterion_03_fedprox_contract():
     # exactness at the anchor: penalty gradient contributes nothing
     params = models.init_model(spec, seed=3)
     anchor = params.copy()
-    x, y = models.batch_to_arrays(client.train[:8])
+    first = client.train[:8]
+    x, y = first.x, first.y
 
     def grads(mu):
         work = params.copy()
@@ -202,18 +203,17 @@ def test_criterion_05_window_pipeline_oracles():
                    "rsrp": -100 + tput * 0.1, "sinr": np.full(n, 5.0),
                    "throughput": tput, "radio_type": np.full(n, "NR")}
         tr = ClientTrace(client_id="c", dataset_tag="d", columns=columns)
-        feats = tr.feature_matrix()
+        feats = np.array([tr.columns[name] for name in tr.feature_names()])
         samples = build_windows(tr, WindowConfig(history=h, horizon=f),
                                 stride=stride)
         expected_anchors = list(range(h, n - f, stride))
-        if [s.anchor for s in samples] != expected_anchors:
+        if samples.anchor.tolist() != expected_anchors:
             ok = False
             break
-        for s in samples:
-            a = s.anchor
-            if not (np.array_equal(s.features, feats[:, a - h:a + 1])
-                    and np.array_equal(s.thpt_history, tput[a - h:a + 1])
-                    and np.array_equal(s.target, tput[a + 1:a + 1 + f])):
+        for x, y, a in zip(samples.x, samples.y, expected_anchors):
+            if not (np.array_equal(x[:-1], feats[:, a - h:a + 1])
+                    and np.array_equal(x[-1], tput[a - h:a + 1])
+                    and np.array_equal(y, tput[a + 1:a + 1 + f])):
                 ok = False
         checked += 1
 

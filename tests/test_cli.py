@@ -1,11 +1,13 @@
 """Config parsing, synthetic generation and the subcommand pipeline."""
 
+import math
+
 import numpy as np
 import pytest
 
 from fedcast import cli, fl, models, stream
 from fedcast.analysis import gaussian_kde
-from fedcast.preprocess import PreprocessConfig, WindowConfig
+from fedcast.preprocess import PreprocessConfig, WindowConfig, model_inputs
 
 
 BASE_CONFIG = """\
@@ -78,7 +80,7 @@ def test_synthetic_deterministic():
     b = cli.generate_synthetic(spec, seed=5)
     for ta, tb in zip(a, b):
         assert np.array_equal(ta.throughput(), tb.throughput())
-        assert np.array_equal(ta.feature_matrix(), tb.feature_matrix())
+        assert np.array_equal(model_inputs(ta), model_inputs(tb))
 
 
 def test_synthetic_offsets_separate_kde_modes():
@@ -296,6 +298,26 @@ def test_truncated_checkpoint_exits_1_naming_the_file(tmp_path, capsys):
     ckpt.write_bytes(ckpt.read_bytes()[:-50])
     assert cli.run(cfg, "stream") == 1
     _assert_one_line_error(capsys, str(ckpt), "truncated")
+
+
+def test_checkpoint_of_other_input_rows_exits_1_naming_both(tmp_path, capsys):
+    # federate on the canonical columns, then stream with a mapping that
+    # reads sinr a second time as the extra `cqi`: one more input row
+    from fedcast.trace import MANDATORY_FIELDS
+    rows = [(t, 0, 0, 0, -90 + t % 7, 10 + t % 5, 20.0 + 5 * math.sin(t / 4),
+             "LTE") for t in range(80)]
+    cfg, out = _files_config(tmp_path, rows,
+                             predictor=("harmonic", "model"))
+    assert cli.run(cfg, "federate") == 0
+    mapping = tmp_path / "map.ini"
+    mapping.write_text("[columns]\n"
+                       + "".join(f"{n} = {n}\n" for n in MANDATORY_FIELDS)
+                       + "[extras]\ncqi = sinr\n")
+    cfg.write_text(cfg.read_text().replace(
+        "source = files", f"source = files\nmapping = {mapping}"))
+    assert cli.run(cfg, "stream") == 1
+    _assert_one_line_error(capsys, str(out / "checkpoints" / "client_cell.ckpt"),
+                           "takes 6 input rows", "gives 7")
 
 
 # --- subcommands -----------------------------------------------------------

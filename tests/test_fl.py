@@ -44,13 +44,11 @@ def test_eval_windows_are_the_eval_stride_windows_of_the_test_span(
     client = fl.build_client(tr, pre, wc)
     scaled = apply_scaler(filter_trace(tr, pre), client.scaler)
     _, test = split_train_test(build_windows(scaled, wc, train_stride), 0.8)
-    want = [s for s in build_windows(scaled, wc, eval_stride)
-            if s.anchor >= test[0].anchor]
-    assert [s.anchor for s in client.test] == [s.anchor for s in want]
-    for a, b in zip(client.test, want):
-        assert a.features.tobytes() == b.features.tobytes()
-        assert a.thpt_history.tobytes() == b.thpt_history.tobytes()
-        assert a.target.tobytes() == b.target.tobytes()
+    evals = build_windows(scaled, wc, eval_stride)
+    want = evals[evals.anchor >= test.anchor[0]]
+    assert client.test.anchor.tolist() == want.anchor.tolist()
+    assert client.test.x.tobytes() == want.x.tobytes()
+    assert client.test.y.tobytes() == want.y.tobytes()
 
 
 # --- strategy / config invariants -------------------------------------------

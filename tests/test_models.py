@@ -335,6 +335,17 @@ def test_local_train_requires_anchor_for_prox():
         models.local_train(spec, params, samples, cfg)
 
 
+def test_local_train_and_predict_reject_empty_windows():
+    spec = _toy_spec("LSTM", in_features=6)
+    params = models.init_model(spec, seed=0)
+    none = _samples_from_series(np.arange(20, dtype=float))[:0]
+    cfg = models.TrainConfig(learning_rate=0.01, local_epochs=0)
+    with pytest.raises(models.ModelError, match="no training windows"):
+        models.local_train(spec, params, none, cfg)
+    with pytest.raises(models.ModelError, match="no evaluation windows"):
+        models.predict_trace(spec, params, none)
+
+
 def test_local_train_detects_divergence():
     spec = _toy_spec("LSTM", in_features=6)
     params = models.init_model(spec, seed=0)
@@ -353,7 +364,7 @@ def test_predict_trace_alignment():
     samples = _samples_from_series(series)[:20]
     yhat, y = models.predict_trace(spec, params, samples)
     assert yhat.shape == y.shape == (20,)
-    expected = np.concatenate([s.target for s in samples])
+    expected = np.concatenate(list(samples.y))
     assert np.array_equal(y, expected)
 
 
@@ -361,7 +372,7 @@ def test_predict_trace_tiles_multi_step():
     series = np.cos(np.arange(60) / 4.0) * 3 + 5
     samples = _samples_from_series(series, h=5, f=3)
     stride3 = samples[::3]
-    anchors = [s.anchor for s in stride3]
+    anchors = stride3.anchor.tolist()
     assert all(b - a == 3 for a, b in zip(anchors, anchors[1:]))
     spec = _toy_spec("LSTM_CNN", in_features=6, horizon=3)
     params = models.init_model(spec, seed=0)

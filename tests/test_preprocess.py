@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from fedcast.preprocess import (PreprocessConfig, PreprocessError, WindowConfig,
-                                apply_scaler, build_windows, fit_scaler,
-                                moving_average, split_train_test, stack_samples)
+                                Windows, apply_scaler, build_windows,
+                                fit_scaler, model_inputs, moving_average,
+                                split_train_test)
 from fedcast.trace import ClientTrace
 
 
@@ -109,11 +110,11 @@ def test_inverse_throughput_roundtrip():
 def test_build_windows_hand_enumeration():
     tr = _trace([10.0, 11.0, 12.0, 13.0, 14.0])
     samples = build_windows(tr, WindowConfig(history=2, horizon=1))
-    assert [s.anchor for s in samples] == [2, 3]
-    assert np.array_equal(samples[0].thpt_history, [10.0, 11.0, 12.0])
-    assert np.array_equal(samples[0].target, [13.0])
-    assert np.array_equal(samples[1].thpt_history, [11.0, 12.0, 13.0])
-    assert np.array_equal(samples[1].target, [14.0])
+    assert samples.anchor.tolist() == [2, 3]
+    assert np.array_equal(samples.x[0, -1], [10.0, 11.0, 12.0])
+    assert np.array_equal(samples.y[0], [13.0])
+    assert np.array_equal(samples.x[1, -1], [11.0, 12.0, 13.0])
+    assert np.array_equal(samples.y[1], [14.0])
 
 
 def test_build_windows_boundary_single_sample():
@@ -148,16 +149,15 @@ def test_window_cells_match_index_arithmetic():
             continue
         tput = rng.uniform(0, 50, n)
         tr = _trace(tput)
-        feats = tr.feature_matrix()
+        feats = np.array([tr.columns[name] for name in tr.feature_names()])
         samples = build_windows(tr, WindowConfig(history=h, horizon=f),
                                 stride=stride)
         expected_anchors = list(range(h, n - f, stride))
-        assert [s.anchor for s in samples] == expected_anchors
-        for s in samples:
-            nn = s.anchor
-            assert np.array_equal(s.features, feats[:, nn - h:nn + 1])
-            assert np.array_equal(s.thpt_history, tput[nn - h:nn + 1])
-            assert np.array_equal(s.target, tput[nn + 1:nn + 1 + f])
+        assert samples.anchor.tolist() == expected_anchors
+        for x, y, nn in zip(samples.x, samples.y, expected_anchors):
+            assert np.array_equal(x[:-1], feats[:, nn - h:nn + 1])
+            assert np.array_equal(x[-1], tput[nn - h:nn + 1])
+            assert np.array_equal(y, tput[nn + 1:nn + 1 + f])
 
 
 def test_split_80_20():
@@ -180,10 +180,10 @@ def test_split_partition_and_chronology():
     tr = _trace(np.arange(120, dtype=float))
     samples = build_windows(tr, WindowConfig(history=10, horizon=2))
     train, test = split_train_test(samples, 0.8)
-    train_anchors = {s.anchor for s in train}
-    test_anchors = {s.anchor for s in test}
+    train_anchors = set(train.anchor.tolist())
+    test_anchors = set(test.anchor.tolist())
     assert train_anchors.isdisjoint(test_anchors)
-    assert train_anchors | test_anchors == {s.anchor for s in samples}
+    assert train_anchors | test_anchors == set(samples.anchor.tolist())
     assert max(train_anchors) < min(test_anchors)
 
 
@@ -196,10 +196,35 @@ def test_split_rejects_bad_inputs():
         split_train_test(samples[:1], 0.8)
 
 
-def test_stack_samples_shapes():
+def test_window_array_shapes():
     tr = _trace(np.arange(30, dtype=float))
     samples = build_windows(tr, WindowConfig(history=5, horizon=2))
-    x, hist, y = stack_samples(samples)
-    assert x.shape == (len(samples), 5, 6)
-    assert hist.shape == (len(samples), 6)
-    assert y.shape == (len(samples), 2)
+    assert samples.x.shape == (len(samples), 6, 6)
+    assert samples.x[:, :-1].shape == (len(samples), 5, 6)
+    assert samples.x[:, -1].shape == (len(samples), 6)
+    assert samples.y.shape == (len(samples), 2)
+    assert samples.anchor.shape == (len(samples),)
+
+
+def test_model_inputs_rows_are_features_then_throughput():
+    tr = _trace(np.arange(12, dtype=float) * 2.0)
+    tr.columns["cqi"] = np.arange(12, dtype=float) + 0.5
+    inputs = model_inputs(tr)
+    names = ["latitude", "longitude", "speed", "rsrp", "sinr", "cqi",
+             "throughput"]
+    assert inputs.shape == (7, 12)
+    for row, name in zip(inputs, names):
+        assert row.tobytes() == tr.columns[name].tobytes()
+
+
+def test_windows_slice_and_mask_stay_aligned():
+    tr = _trace(np.arange(40, dtype=float))
+    samples = build_windows(tr, WindowConfig(history=3, horizon=2))
+    for part in (samples[5:9], samples[samples.anchor % 4 == 0],
+                 samples[::3]):
+        assert isinstance(part, Windows)
+        assert len(part) == len(part.x) == len(part.y) == len(part.anchor)
+        for x, y, n in zip(part.x, part.y, part.anchor):
+            assert np.array_equal(x[-1], tr.throughput()[n - 3:n + 1])
+            assert np.array_equal(y, tr.throughput()[n + 1:n + 3])
+    assert not samples[samples.anchor < 0]

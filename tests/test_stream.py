@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 
 from fedcast import models
-from fedcast.preprocess import ScalerState
+from fedcast.cli import SyntheticSpec, generate_synthetic
+from fedcast.preprocess import (PreprocessConfig, ScalerState, WindowConfig,
+                                apply_scaler, build_windows, filter_trace,
+                                fit_scaler, model_inputs)
 from fedcast.stream import (ConstantPredictor, HarmonicMeanPredictor,
                             ModelPredictor, OraclePredictor, QoECoefficients, SegmentRecord,
                             StreamConfig, StreamError,
@@ -353,8 +356,9 @@ def test_model_predictor_forecasts_once_per_now(monkeypatch):
     params = models.init_model(spec, seed=0)
     rng = np.random.default_rng(0)
     scaler = ScalerState(kind="minmax", params={"throughput": (1.0, 20.0)})
-    pred = ModelPredictor(spec, params, rng.uniform(size=(2, 30)),
-                          rng.uniform(size=30), scaler)
+    pred = ModelPredictor(spec, params,
+                          np.vstack([rng.uniform(size=(2, 30)),
+                                     rng.uniform(size=30)]), scaler)
     calls = []
     real_forward = models.forward
 
@@ -375,3 +379,30 @@ def test_model_predictor_forecasts_once_per_now(monkeypatch):
         assert first_copy[2] == first_copy[1]  # padded past the model horizon
     assert len(calls) == len(nows)
 
+
+@pytest.mark.parametrize("start", [0, 40])
+def test_model_predictor_input_is_the_training_window(monkeypatch, start):
+    pre = PreprocessConfig(filter_window=3)
+    filtered = filter_trace(generate_synthetic(
+        SyntheticSpec(n_clients=1, length=90), seed=4)[0], pre)
+    scaler = fit_scaler(filtered, pre)
+    scaled = apply_scaler(filtered, scaler)
+    windows = build_windows(scaled, WindowConfig(history=6, horizon=1), 1)
+    spec = models.ModelSpec(arch="LSTM", in_features=6, history=6, horizon=1,
+                            hidden=4)
+    pred = ModelPredictor(spec, models.init_model(spec, seed=0),
+                          model_inputs(scaled)[:, start:], scaler)
+    seen = []
+    real_forward = models.forward
+
+    def capture(spec_, params, x, training=False):
+        seen.append(x.tobytes())
+        return real_forward(spec_, params, x, training=training)
+
+    monkeypatch.setattr(models, "forward", capture)
+    session = scaled.throughput()[start:]
+    nows = range(6, session.size - 1)   # the last `now` has no target
+    for now in nows:
+        pred(session[:now + 1], 1)
+    want = [windows.x[windows.anchor == start + now].tobytes() for now in nows]
+    assert seen == want
