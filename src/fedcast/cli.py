@@ -314,9 +314,13 @@ def _parse_config(path, overrides):
 
 
 def load_mapping(path):
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)
     cp.optionxform = str
-    if not cp.read(path):
+    try:
+        read = cp.read(path)
+    except configparser.Error as exc:
+        raise ConfigError(f"cannot parse mapping file {path}: {exc}") from None
+    if not read:
         raise ConfigError(f"cannot read mapping file {path}")
 
     def number(section, key, raw):
@@ -386,11 +390,6 @@ def build_client_set(traces, pre_cfg, window_cfg, train_ratio=0.8):
             for tr in traces]
 
 
-def _build_clients(cfg, traces):
-    return build_client_set(traces, cfg.preprocess, cfg.window,
-                            cfg.train_ratio)
-
-
 def _model_spec(cfg, traces):
     in_features = model_inputs(traces[0]).shape[0]
     return models.ModelSpec(in_features=in_features, history=cfg.window.history,
@@ -405,17 +404,15 @@ def _echo_config(cfg, out):
 def cmd_federate(cfg):
     out = Path(cfg.out_dir)
     traces = _load_traces(cfg)
-    clients = _build_clients(cfg, traces)
+    clients = build_client_set(traces, cfg.preprocess, cfg.window,
+                               cfg.train_ratio)
     spec = _model_spec(cfg, traces)
-
+    reports, global_params = fl.run_experiment(clients, cfg.rounds, cfg.train,
+                                               spec)
     rows = ["round,client_id,r2,mse,participated"]
-
-    def sink(report):
+    for report in reports:
         for rnd, cid, r2, m, part in report.rows():
             rows.append(f"{rnd},{cid},{_fmt(r2)},{_fmt(m)},{part}")
-
-    reports, global_params = fl.run_experiment(clients, cfg.rounds, cfg.train,
-                                               spec, report_sink=sink)
     _echo_config(cfg, out)
     _atomic_write(out / "rounds.csv", "\n".join(rows) + "\n")
 

@@ -1,9 +1,18 @@
 """Federated orchestration: sampling, local training dispatch, aggregation.
 
-FedAvg averages everything (batch-norm state included) weighted by client
-sample counts; FedProx is FedAvg plus the client-side proximal objective;
-FedBN averages everything except parameters tagged is_batchnorm, which
-never leave their client.
+Every client owns a full model. In a round, each sampled client trains a
+copy of its own model; the entries that are shared are then averaged over
+the updates, weighted by sample count, and written into every client's
+model and into the global one. The other entries stay local: each model
+keeps its own.
+
+    strategy         aggregate_running_stats  entries that stay local
+    FedAvg, FedProx  true (the default)       none
+    FedAvg, FedProx  false                    batch-norm running statistics
+    FedBN            either                   every batch-norm entry
+
+FedProx is FedAvg plus a proximal term that ties the local training to the
+model the client started the round with.
 """
 
 import math
@@ -60,8 +69,8 @@ class ClientHandle:
     client_id: str
     train: Windows
     test: Windows               # eval windows, stride = eval_stride
+    scaler: object              # maps scaled throughput back to Mbps
     params: ParamSet = None
-    scaler: object = None       # maps scaled throughput back to Mbps
 
     @property
     def n_samples(self):
@@ -111,15 +120,15 @@ def build_client(trace, pre_cfg, wc, train_ratio=0.8, scaler=None):
 
 
 def sample_clients(clients, fraction, rng):
-    """ceil(fraction * K) distinct clients, uniform without replacement."""
+    """The sorted indices of ceil(fraction * K) distinct clients, uniform
+    without replacement."""
     if not clients:
         raise FLError("no clients to sample from")
     if not 0 < fraction <= 1:
         raise FLError("fraction must be in (0, 1]")
     k = math.ceil(fraction * len(clients) - 1e-9)
     k = min(max(k, 1), len(clients))
-    idx = rng.choice(len(clients), size=k, replace=False)
-    return [clients[i] for i in sorted(idx)]
+    return sorted(rng.choice(len(clients), size=k, replace=False).tolist())
 
 
 def _check_structures(paramsets):
@@ -130,7 +139,8 @@ def _check_structures(paramsets):
 
 
 def aggregate_fedavg(updates):
-    """Sample-count-weighted mean of every parameter, BN state included."""
+    """Sample-count-weighted mean of every parameter, BN state included. An
+    update of weight 0 takes no part in the sum."""
     if not updates:
         raise FLError("no updates to aggregate")
     paramsets = [p for p, _ in updates]
@@ -142,27 +152,25 @@ def aggregate_fedavg(updates):
     for i, (name, t, _) in enumerate(out.entries):
         acc = np.zeros_like(t.data)
         for ps, n in updates:
-            acc += (n / total) * ps.entries[i][1].data
+            if n:
+                acc += (n / total) * ps.entries[i][1].data
         t.data = acc
     return out
 
 
-def _is_bn(t, is_bn):
-    return is_bn
-
-
-def aggregate_fedbn(updates, others=(), keep_local=_is_bn):
+def aggregate_fedbn(updates, others=(), local=None):
     """FedAvg over the shared entries; client-local entries stay with their
     owner.
 
-    `keep_local(tensor, is_bn)` marks the client-local entries, by default
-    every batch-norm entry. Returns (per_client, per_other): for each update
-    and for each ParamSet in `others`, the FedAvg average with that ParamSet's
+    `local` lists the indices of the client-local entries, by default every
+    batch-norm entry. Returns (per_client, per_other): for each update and
+    for each ParamSet in `others`, the FedAvg average with that ParamSet's
     own local entries put back.
     """
     averaged = aggregate_fedavg(updates)
-    local = [i for i, (_, t, is_bn) in enumerate(averaged.entries)
-             if keep_local(t, is_bn)]
+    if local is None:
+        local = [i for i, (_, _, is_bn) in enumerate(averaged.entries)
+                 if is_bn]
 
     def merged(own):
         out = averaged.copy()
@@ -173,78 +181,60 @@ def aggregate_fedbn(updates, others=(), keep_local=_is_bn):
     return [merged(ps) for ps, _ in updates], [merged(ps) for ps in others]
 
 
-def _keep_local(rc):
-    """The entries that stay with their client: every batch-norm entry under
-    FedBN, the batch-norm running statistics when they are not aggregated,
-    otherwise none."""
+def _local_entries(rc, params):
+    """Indices of the entries of `params` that stay with their client: every
+    batch-norm entry under FedBN, the batch-norm running statistics when
+    they are not aggregated, otherwise none."""
     if rc.strategy.kind == FEDBN:
-        return _is_bn
+        return [i for i, (_, _, is_bn) in enumerate(params.entries) if is_bn]
     if rc.aggregate_running_stats:
-        return lambda t, is_bn: False
-    return lambda t, is_bn: is_bn and not t.requires_grad
-
-
-def _broadcast_for(client, global_params, keep_local):
-    """The global model with the client's own local entries put back."""
-    out = global_params.copy()
-    if client.params is not None:
-        for i, (name, t, is_bn) in enumerate(out.entries):
-            if keep_local(t, is_bn):
-                t.data = client.params.entries[i][1].data.copy()
-    return out
+        return []
+    return [i for i, (_, t, is_bn) in enumerate(params.entries)
+            if is_bn and not t.requires_grad]
 
 
 def evaluate_client(spec, client):
     yhat, y = predict_trace(spec, client.params, client.test)
-    if client.scaler is not None:
-        yhat = client.scaler.inverse_throughput(yhat)
-        y = client.scaler.inverse_throughput(y)
-    pair = EvalPair(y_true=y, y_pred=yhat)
+    pair = EvalPair(y_true=client.scaler.inverse_throughput(y),
+                    y_pred=client.scaler.inverse_throughput(yhat))
     return r2_score(pair), mse(pair)
 
 
 def run_round(clients, global_params, rc, tc, spec, round_index=0):
-    """One federated round: broadcast, local training, aggregate, evaluate."""
-    strategy = rc.strategy
-    keep_local = _keep_local(rc)
+    """One federated round: local training, aggregation, evaluation.
+
+    Each sampled client trains a copy of its own model (under FedProx,
+    anchored to that model). Every client, and the global model, then takes
+    the average of the shared entries over the clients that trained; a
+    client that was not sampled or diverged weighs 0 in that average.
+    """
+    prox = rc.strategy.kind == FEDPROX
+    if prox:
+        tc = replace(tc, prox_mu=rc.strategy.mu)
     rng = np.random.default_rng((rc.seed, 7701, round_index))
     participants = sample_clients(clients, rc.participation_fraction, rng)
-    part_ids = [c.client_id for c in participants]
 
-    index_of = {id(c): i for i, c in enumerate(clients)}
-    updates = []
-    trained = []
+    # every client's own model, of weight 0 until it trains
+    updates = [(client.params, 0) for client in clients]
     diverged = []
-    for client in participants:
-        broadcast = _broadcast_for(client, global_params, keep_local)
-        anchor = broadcast.copy() if strategy.kind == FEDPROX else None
-        cfg = tc
-        if strategy.kind == FEDPROX:
-            cfg = replace(tc, prox_mu=strategy.mu)
-        train_rng = np.random.default_rng((rc.seed, 7702, round_index,
-                                           index_of[id(client)]))
+    for k in participants:
+        client = clients[k]
+        train_rng = np.random.default_rng((rc.seed, 7702, round_index, k))
         try:
-            new_params, _ = local_train(spec, broadcast, client.train, cfg,
-                                        global_anchor=anchor, rng=train_rng)
+            trained, _ = local_train(
+                spec, client.params.copy(), client.train, tc,
+                global_anchor=client.params if prox else None, rng=train_rng)
         except TrainingDiverged:
             diverged.append(client.client_id)
             continue
-        updates.append((new_params, client.n_samples))
-        trained.append(client)
+        updates[k] = (trained, client.n_samples)
 
-    if not updates:
+    if len(diverged) == len(participants):
         raise FLError(f"round {round_index}: every participant diverged")
 
-    # clients that did not train keep their own local entries; the global
-    # model keeps the previous global's
-    idle = [c for c in clients if c not in trained]
-    per_client, per_other = aggregate_fedbn(
-        updates, [global_params] + [c.params if c.params is not None
-                                    else global_params for c in idle],
-        keep_local)
-    new_global = per_other[0]
-    for client, params in zip(trained + idle,
-                              per_client + per_other[1:]):
+    per_client, (new_global,) = aggregate_fedbn(
+        updates, [global_params], _local_entries(rc, global_params))
+    for client, params in zip(clients, per_client):
         client.params = params
 
     metrics = {}
@@ -253,14 +243,16 @@ def run_round(clients, global_params, rc, tc, spec, round_index=0):
         r2, m = evaluate_client(spec, client)
         metrics[client.client_id] = (r2, m)
         r2s.append(r2)
-    report = RoundReport(round_index=round_index, participants=part_ids,
+    report = RoundReport(round_index=round_index,
+                         participants=[clients[k].client_id
+                                       for k in participants],
                          diverged=diverged, metrics=metrics,
                          mean_r2=float(np.mean(r2s)),
                          var_r2=float(np.var(r2s)))
     return new_global, report
 
 
-def run_experiment(clients, rc, tc, spec, report_sink=None):
+def run_experiment(clients, rc, tc, spec):
     """rc.total_rounds sequential rounds from a fresh seeded global model."""
     if not clients:
         raise FLError("need at least one client")
@@ -272,6 +264,4 @@ def run_experiment(clients, rc, tc, spec, report_sink=None):
         global_params, report = run_round(clients, global_params, rc, tc,
                                           spec, round_index=r)
         reports.append(report)
-        if report_sink is not None:
-            report_sink(report)
     return reports, global_params

@@ -127,9 +127,6 @@ class ParamSet:
     def get(self, name):
         return self._index[name]
 
-    def names(self):
-        return [name for name, _, _ in self.entries]
-
     def trainable(self):
         return [t for _, t, _ in self.entries if t.requires_grad]
 

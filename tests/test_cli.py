@@ -236,6 +236,36 @@ def test_unparsable_mapping_value_is_a_config_error(tmp_path, capsys):
         assert "map.ini" in err and f"[{section}] {key}" in err, err
 
 
+@pytest.mark.parametrize("text", [
+    "throughput = tput\n",
+    "[columns]\nthroughput = tput\nthroughput = rate\n",
+], ids=["no_section_header", "duplicate_key"])
+def test_malformed_mapping_file_is_a_config_error(tmp_path, capsys, text):
+    from fedcast.trace import export_trace
+    tr = cli.generate_synthetic(cli.SyntheticSpec(n_clients=1, length=60),
+                                seed=0)[0]
+    export_trace(tr, tmp_path / "c0.csv")
+    cfg, _ = _config(tmp_path)
+    cfg.write_text(cfg.read_text().replace(
+        "source = synthetic",
+        f"source = files\nfiles = {tmp_path / 'c0.csv'}\n"
+        f"mapping = {tmp_path / 'map.ini'}"))
+    (tmp_path / "map.ini").write_text(text)
+    assert cli.run(cfg, "analyze") == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "map.ini" in err, err
+
+
+def test_mapping_value_is_taken_literally(tmp_path):
+    mpath = tmp_path / "map.ini"
+    mpath.write_text("[columns]\ntimestamp = ts\nthroughput = dl_%\n"
+                     "rsrp = %(x)s\n")
+    mapping = cli.load_mapping(mpath)
+    assert mapping.columns == {"timestamp": "ts", "throughput": "dl_%",
+                               "rsrp": "%(x)s"}
+
+
 def _files_config(tmp_path, rows, **edits):
     """The base config reading one CSV of `rows` (canonical columns) as its
     only client, with `old=new` text edits applied."""

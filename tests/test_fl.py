@@ -1,9 +1,12 @@
 """Aggregation strategies and federated round orchestration."""
 
+import hashlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from fedcast import fl, models
+from fedcast import cli, fl, models
 from fedcast.cli import SyntheticSpec, generate_synthetic
 from fedcast.preprocess import PreprocessConfig, WindowConfig, \
     apply_scaler, build_windows, filter_trace, split_train_test
@@ -168,6 +171,18 @@ def test_fedavg_weight_zero_neutrality():
         assert np.array_equal(a.data, b.data)
 
 
+def test_fedavg_zero_weight_update_takes_no_part():
+    spec = _toy_spec()
+    updates = [(_random_paramset(spec, s), 3 + s) for s in range(3)]
+    ghost = _random_paramset(spec, 99)
+    for _, t, _ in ghost.entries:
+        t.data = np.full_like(t.data, np.inf)
+    ghost.entries[0][1].data[...] = np.nan
+    base = fl.aggregate_fedavg(updates)
+    with_ghost = fl.aggregate_fedavg([updates[0], (ghost, 0)] + updates[1:])
+    assert with_ghost.to_bytes() == base.to_bytes()
+
+
 def test_fedavg_structural_mismatch():
     a = _random_paramset(_toy_spec(), 0)
     b = _random_paramset(_toy_spec(hidden=4), 0)
@@ -295,27 +310,48 @@ def test_diverged_client_is_excluded(monkeypatch):
     clients = _clients(n=3)
     spec = _toy_spec()
     tc = models.TrainConfig(learning_rate=0.01, batch_size=16, local_epochs=1)
+    bad = clients[1]
+    real_local_train = fl.local_train
+
+    updates = []
+
+    def flaky(spec_, params_, windows, cfg, global_anchor=None, rng=None):
+        if windows is bad.train:
+            raise models.TrainingDiverged("boom")
+        out = real_local_train(spec_, params_, windows, cfg,
+                               global_anchor=global_anchor, rng=rng)
+        updates.append((out[0].copy(), len(windows)))
+        return out
+
     rc = fl.RoundConfig(strategy=fl.StrategyKind("FEDAVG"), total_rounds=1,
                         participation_fraction=1.0, seed=4)
     global_params = models.init_model(spec, seed=(rc.seed, 7700))
     for c in clients:
         c.params = global_params.copy()
-    bad_id = clients[1].client_id
-
-    real_local_train = fl.local_train
-    calls = []
-
-    def flaky(spec_, params_, samples, cfg, global_anchor=None, rng=None):
-        calls.append(len(samples))
-        if len(calls) == 2:  # second participant diverges
-            raise models.TrainingDiverged("boom")
-        return real_local_train(spec_, params_, samples, cfg,
-                                global_anchor=global_anchor, rng=rng)
-
     monkeypatch.setattr(fl, "local_train", flaky)
     _, report = fl.run_round(clients, global_params, rc, tc, spec)
-    assert report.diverged == [bad_id]
+    assert report.diverged == [bad.client_id]
     assert set(report.metrics) == {c.client_id for c in clients}
+
+    # under FedBN the diverged client keeps its own pre-round batch-norm
+    # entries and takes the average of the others everywhere else
+    rc = replace(rc, strategy=fl.StrategyKind("FEDBN"))
+    for c in clients:
+        c.params = global_params.copy()
+    monkeypatch.setattr(fl, "local_train", real_local_train)
+    global_params, _ = fl.run_round(clients, global_params, rc, tc, spec)
+    before = bad.params.copy()
+    updates.clear()
+    monkeypatch.setattr(fl, "local_train", flaky)
+    new_global, report = fl.run_round(clients, global_params, rc, tc, spec,
+                                      round_index=1)
+    assert report.diverged == [bad.client_id] and len(updates) == 2
+    average = fl.aggregate_fedavg(updates)
+    for i, (name, t, is_bn) in enumerate(bad.params.entries):
+        want = before if is_bn else average
+        assert t.data.tobytes() == want.entries[i][1].data.tobytes(), name
+    gamma = bad.params.get("bn.gamma").data
+    assert not np.array_equal(gamma, clients[0].params.get("bn.gamma").data)
 
 
 def test_report_rows_format():
@@ -385,3 +421,84 @@ def test_running_stats_stay_local_when_not_aggregated(monkeypatch):
                 carried_own |= not np.array_equal(
                     t.data, new_global.entries[i][1].data)
     assert carried_own
+
+
+# --- artifacts of every strategy path ----------------------------------------
+
+_MATRIX_CONFIG = """\
+[experiment]
+seed = 17
+out_dir = unused
+
+[data]
+source = synthetic
+
+[synthetic]
+n_clients = 5
+length = 90
+offset_min = 10
+offset_max = 60
+period_min = 20
+period_max = 50
+
+[preprocess]
+filter_window = 3
+
+[window]
+history = 5
+horizon = 1
+
+[model]
+arch = {arch}
+hidden = 8
+conv_channels = 4,4
+
+[train]
+learning_rate = 0.01
+batch_size = 16
+local_epochs = 1
+
+[rounds]
+{rounds}
+total_rounds = 3
+participation = 0.5
+"""
+
+_MATRIX_ROUNDS = {
+    "FEDAVG": "strategy = FEDAVG",
+    "FEDAVG_LOCAL_STATS": "strategy = FEDAVG\naggregate_running_stats = false",
+    "FEDPROX": "strategy = FEDPROX\nmu = 0.05",
+    "FEDBN": "strategy = FEDBN",
+}
+
+# SHA-256 over every artifact `federate` writes for _MATRIX_CONFIG (path,
+# NUL, bytes, in path order). Three of five clients train in each round, so
+# the idle clients, the FedProx anchor and the client-local running
+# statistics all reach the checkpoints. A change that alters any output
+# must update this table and say why.
+_MATRIX_HASHES = {
+    ("LSTM", "FEDAVG"): "e45906b603458ea5982e2de72d56a5b0993684943de141cb09cfc8696d73760d",
+    ("LSTM", "FEDAVG_LOCAL_STATS"): "f0d66848aabfddd78b5d62ade7c8f89f817d3d0fe8d4a30954ce1283cf4dc548",
+    ("LSTM", "FEDPROX"): "5f2753d8e685ff47fcbcf7865db7addf2a0d34a145a08febfd3e19b4606b6562",
+    ("LSTM", "FEDBN"): "ae0be39ccaedff39bf94907fbad274fba66ecc61b84ff10d18ee81de97fa1a80",
+    ("CNN", "FEDAVG"): "84382a7546193a7d3754228c97a384a2a6402f3bd75b7f2066a27c73897c9d99",
+    ("CNN", "FEDAVG_LOCAL_STATS"): "37650a3f113efe861b0cad01ac15852b0103a675997d4f74d61f399c40132af8",
+    ("CNN", "FEDPROX"): "a05b5c7c82d7af63b9364f7afad6e55dada9a5543aa21f1caa65c879c75f61b5",
+    ("CNN", "FEDBN"): "eef6898e51b3266583a03c9ddec836014f393bd4d0fe5473a7cf16c0cf6ae213",
+}
+
+
+@pytest.mark.parametrize("arch, strategy", sorted(_MATRIX_HASHES))
+def test_strategy_artifacts_match_golden_hashes(tmp_path, arch, strategy):
+    cfg_path = tmp_path / "matrix.ini"
+    cfg_path.write_text(_MATRIX_CONFIG.format(
+        arch=arch, rounds=_MATRIX_ROUNDS[strategy]))
+    out = tmp_path / "run"
+    assert cli.run(cfg_path, "federate", out=str(out)) == 0
+    digest = hashlib.sha256()
+    files = sorted(p for p in out.rglob("*") if p.is_file())
+    for p in files:
+        digest.update(p.relative_to(out).as_posix().encode() + b"\0"
+                      + p.read_bytes())
+    assert len(files) == 9      # 5 client + 1 global checkpoint, 3 files
+    assert digest.hexdigest() == _MATRIX_HASHES[arch, strategy]

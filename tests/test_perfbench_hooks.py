@@ -3,6 +3,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 from fedcast import accel, cli, fl, models, stream, tensor
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -16,11 +18,15 @@ def _load(name):
     return module
 
 
-def test_demo_all_spans_record_calls(tmp_path):
-    tracing, workloads = _load("tracing"), _load("workloads")
-    wl = workloads.WORKLOADS["demo_all"]
+WORKLOADS = _load("workloads").WORKLOADS
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_workload_spans_record_calls(tmp_path, name):
+    tracing = _load("tracing")
+    wl = WORKLOADS[name]
     cfg_path = wl.write_inputs(cli, 5, tmp_path)
-    # one round is the workload's own; shorter sessions keep it quick
+    # the workloads' own rounds; shorter demo sessions keep it quick
     cfg_path.write_text(cfg_path.read_text().replace("session_len = 32",
                                                      "session_len = 20"))
     tracer = tracing.Tracer()
@@ -28,13 +34,17 @@ def test_demo_all_spans_record_calls(tmp_path):
         tracer.install(patches, dict(accel=accel, cli=cli, fl=fl,
                                      models=models, stream=stream,
                                      tensor=tensor))
-        assert cli.run(str(cfg_path), "all", out=str(tmp_path / "run")) == 0
-    silent = [name for name in wl.required_spans if not tracer.calls[name]]
+        for stage in wl.stages:
+            assert cli.run(str(cfg_path), stage,
+                           out=str(tmp_path / "run")) == 0, stage
+    silent = [span for span in wl.required_spans if not tracer.calls[span]]
     assert not silent, silent
 
-    cfg = cli._parse_config(str(cfg_path), {})
-    h, f = cfg.window.history, cfg.window.horizon
-    # train and eval stride are both 1: every anchor H .. T-1-F is a window
-    assert cfg.window.train_stride == cfg.window.eval_stride == 1
-    windows = sum(len(tr) - h - f for tr in cli._load_traces(cfg))
-    assert tracer.counts["preprocess.windows"] == windows == 2272
+    if name == "demo_all":
+        cfg = cli._parse_config(str(cfg_path), {})
+        h, f = cfg.window.history, cfg.window.horizon
+        # train and eval stride are both 1: every anchor H .. T-1-F is a
+        # window
+        assert cfg.window.train_stride == cfg.window.eval_stride == 1
+        windows = sum(len(tr) - h - f for tr in cli._load_traces(cfg))
+        assert tracer.counts["preprocess.windows"] == windows == 2272
