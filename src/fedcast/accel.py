@@ -3,6 +3,7 @@ the 3x3 convolution with its two gradients."""
 
 import math
 import mmap
+from collections import namedtuple
 
 import numpy as np
 
@@ -33,10 +34,15 @@ _BIG_DOWNLOAD_TIME = 1e9  # seconds; stands in for "throughput is zero"
 # per-rate column against a long contiguous row of parents; the scores are
 # put back in first-chunk-first order once, at the end.
 #
-# Every depth computes in place, with out=, into a caller-owned workspace:
-# at horizon 6 a per-depth temporary is 373 KB, above glibc's mmap
-# threshold, so fresh temporaries would be mapped, page-faulted and
-# unmapped on every decision.
+# Every depth computes in place, with out=, into a workspace: at horizon 6 a
+# per-depth temporary is 373 KB, above glibc's mmap threshold, so fresh
+# temporaries would be mapped, page-faulted and unmapped on every decision.
+#
+# What does not change between a session's decisions is an `MpcPlan`, built
+# once per session: the ladder's Kbit per chunk, the (L, L) gain table and
+# each first chunk's gain row, psi's base, the workspace and every depth's
+# views of it. A decision brings only its predicted throughputs, buffer,
+# latency and previous rate.
 #
 # Work that provably adds +0.0 is skipped; every skip rests on rounding
 # being monotone, so the smallest buffer of any prefix is the scalar
@@ -64,7 +70,7 @@ _BIG_DOWNLOAD_TIME = 1e9  # seconds; stands in for "throughput is zero"
 
 
 def mpc_workspace(n_rates, horizon):
-    """Scratch for `mpc_rollout_scores` over up to L**h = n_rates**horizon
+    """Scratch for `mpc_rollout_scores` over L**h = n_rates**horizon
     sequences: five rows of L**h and three of L**(h-1)."""
     n = 5 * n_rates ** horizon + 3 * n_rates ** (horizon - 1)
     # an anonymous mapping of its own, unmapped when the array is freed:
@@ -72,6 +78,76 @@ def mpc_workspace(n_rates, horizon):
     # raise glibc's dynamic mmap threshold to 2 MB for the rest of the
     # process and change how every later large array is allocated
     return np.frombuffer(mmap.mmap(-1, 8 * n), dtype=np.float64)
+
+
+# One depth's views of the workspace: buffer, latency and score of its
+# prefixes by (rate, parent), the same rows flat, its stall and term rows,
+# and by (rate, parent's rate, rest of the parent) its scores, its terms and
+# its parents' scores
+_Depth = namedtuple("_Depth", "buf lat score buf_flat lat_flat score_flat "
+                              "stall term score_by_prev term_by_prev "
+                              "parent_score")
+
+
+class MpcPlan:
+    """What `mpc_rollout_scores` needs besides a decision's own state,
+    built once per session: the ladder's Kbit per chunk, the (L, L) gain
+    table and the first chunk's gain row after each previous rate, psi's
+    base, a workspace and, for every depth, its views of the workspace."""
+
+    def __init__(self, ladder_kbps, q_table, horizon, rtt, chunk_dur,
+                 chunks_per_seg, mu1, mu2, mu3, mu4, omega):
+        ladder = np.asarray(ladder_kbps, dtype=np.float64)
+        q = np.asarray(q_table, dtype=np.float64)
+        n_rates = ladder.size
+        self.ladder_kbps, self.q_table, self.horizon = ladder, q, horizon
+        self.rtt, self.chunk_dur, self.chunks_per_seg = (rtt, chunk_dur,
+                                                         chunks_per_seg)
+        self.mu1, self.mu2, self.mu3, self.mu4 = mu1, mu2, mu3, mu4
+        self.omega = omega
+        self.psi_base = 1.0 / (1.0 + np.exp(omega))
+        self.bits = ladder * chunk_dur  # Kbit per chunk
+        # quality minus switching penalty of each rate after each previous
+        # rate (gain[prev, rate]); the first chunk's row is gain[prev_idx],
+        # or the last row, read as row -1, with no switch when there is none
+        gain = mu1 * q - mu3 * np.abs(q[None, :] - q[:, None])
+        self.gain_t = gain.T
+        self.gain_first = np.vstack([gain, mu1 * q - mu3 * np.zeros(n_rates)])
+        # a zero stall or drain costs mu2 * 0.0, a zero unless mu2 is inf or
+        # nan; its sign is kept by no score, as every score starts from +0.0
+        self.zero_cost = math.isfinite(mu2)
+
+        # buffer, latency and score of every prefix ping-pong between two
+        # row sets by depth parity, so that the last depth lands in the L**h
+        # set; each depth j holds L**(j+1) prefixes, by (rate, parent)
+        n_seq = n_rates ** horizon
+        n_half = n_rates ** (horizon - 1)
+        self.work = work = mpc_workspace(n_rates, horizon)
+        rows = work[:3 * n_seq].reshape(3, n_seq)
+        half = work[3 * n_seq:3 * n_seq + 3 * n_half].reshape(3, n_half)
+        stall_row = work[3 * n_seq + 3 * n_half:4 * n_seq + 3 * n_half]
+        term_row = work[4 * n_seq + 3 * n_half:]
+        self.depths = []
+        for j in range(horizon):
+            shape = (n_rates, n_rates ** j)
+            n_ch = n_rates ** (j + 1)
+            state = rows if (horizon - 1 - j) % 2 == 0 else half
+            flat = [r[:n_ch] for r in (*state, stall_row, term_row)]
+            buf, lat, score, stall, term = (r.reshape(shape) for r in flat)
+            by_prev = (None, None, None)
+            if j:
+                # the parent's own last rate is its most significant digit
+                by_prev = (score.reshape(n_rates, n_rates, -1),
+                           term.reshape(n_rates, n_rates, -1),
+                           self.depths[-1].score_flat.reshape(1, n_rates, -1))
+            self.depths.append(_Depth(buf, lat, score, *flat[:3], stall,
+                                      term, *by_prev))
+        self.drain = stall_row[:n_seq]
+        # the last depth's scores, rate-major (last chunk most significant),
+        # read first chunk most significant
+        self.digits = (n_rates,) * horizon
+        self.scores_by_first = self.depths[-1].score_flat.reshape(
+            self.digits).T
 
 
 def _latency_cost(lat, omega, psi_base, mu4, out):
@@ -85,52 +161,27 @@ def _latency_cost(lat, omega, psi_base, mu4, out):
     return out
 
 
-def mpc_rollout_scores(pred_kbps, ladder_kbps, q_table, buffer0, latency0,
-                       prev_idx, rtt, chunk_dur, chunks_per_seg,
-                       mu1, mu2, mu3, mu4, omega, work=None):
+def mpc_rollout_scores(pred_kbps, buffer0, latency0, prev_idx, plan):
     """Score every rate sequence over the horizon; returns scores (L**h,),
-    a new array. `work` is an `mpc_workspace` at least this large, reused
-    across calls; one is allocated for the call when it is None.
-    See module stream."""
+    a new array. `plan` is the session's `MpcPlan`, whose workspace the
+    call reuses. See module stream."""
     pred_kbps = np.asarray(pred_kbps, dtype=np.float64)
-    ladder_kbps = np.asarray(ladder_kbps, dtype=np.float64)
-    q_table = np.asarray(q_table, dtype=np.float64)
+    if pred_kbps.size != plan.horizon:
+        raise ValueError(f"{pred_kbps.size} predicted chunks for an MPC plan "
+                         f"over {plan.horizon}")
     buffer0 = float(buffer0)
-    n_rates = ladder_kbps.size
-    horizon = pred_kbps.size
-    n_seq = n_rates ** horizon
-    n_half = n_rates ** (horizon - 1)
-    if work is None:
-        work = mpc_workspace(n_rates, horizon)
-    if work.size < 5 * n_seq + 3 * n_half:
-        raise ValueError(f"MPC workspace of {work.size} values is too small "
-                         f"for {n_rates} rates over {horizon} chunks")
-    psi_base = 1.0 / (1.0 + np.exp(omega))
-    bits = ladder_kbps * chunk_dur  # Kbit per chunk
+    horizon = plan.horizon
+    n_rates = plan.ladder_kbps.size
+    rtt, bits, chunk_dur = plan.rtt, plan.bits, plan.chunk_dur
+    chunks_per_seg, mu2, mu4 = plan.chunks_per_seg, plan.mu2, plan.mu4
+    omega, psi_base = plan.omega, plan.psi_base
+    gain_first = plan.gain_first[prev_idx]
 
-    # quality minus switching penalty of each rate after each previous rate
-    # (gain[prev, rate]); the first chunk follows prev_idx, if any
-    if prev_idx >= 0:
-        sw = np.abs(q_table - q_table[prev_idx])
-    else:
-        sw = np.zeros(n_rates)
-    gain_first = mu1 * q_table - mu3 * sw
-    gain = mu1 * q_table - mu3 * np.abs(q_table[None, :] - q_table[:, None])
-
-    # buffer, latency and score of every prefix ping-pong between two row
-    # sets by depth parity, so that the last depth lands in the L**h set
-    rows = work[:3 * n_seq].reshape(3, n_seq)
-    half = work[3 * n_seq:3 * n_seq + 3 * n_half].reshape(3, n_half)
-    stall_row = work[3 * n_seq + 3 * n_half:4 * n_seq + 3 * n_half]
-    term_row = work[4 * n_seq + 3 * n_half:5 * n_seq + 3 * n_half]
     buf = np.array([buffer0])
     lat = np.array([float(latency0)])
     score = np.zeros(1)
     buf_min = buffer0  # the smallest buffer of any prefix, exactly
-    # a zero stall or drain costs mu2 * 0.0, a zero unless mu2 is inf or nan;
-    # its sign is kept by no score, as every score starts from +0.0
-    zero_cost = math.isfinite(mu2)
-    stall_free = zero_cost
+    stall_free = plan.zero_cost
     tp_prev = None
     for j, tp in enumerate(pred_kbps):
         if tp != tp_prev:
@@ -141,10 +192,8 @@ def mpc_rollout_scores(pred_kbps, ladder_kbps, q_table, buffer0, latency0,
             d = d[:, None]
             d_max = d.max()
             tp_prev = tp
-        shape = (n_rates, buf.size)
-        n_ch = n_rates * buf.size
-        state = rows if (horizon - 1 - j) % 2 == 0 else half
-        buf_c, lat_c, score_c = (r[:n_ch].reshape(shape) for r in state)
+        (buf_c, lat_c, score_c, buf_flat, lat_flat, score_flat, stall, term,
+         score_by_prev, term_by_prev, parent_score) = plan.depths[j]
         stall_free = stall_free and d_max - buf_min <= 0.0
 
         if stall_free:
@@ -158,17 +207,13 @@ def mpc_rollout_scores(pred_kbps, ladder_kbps, q_table, buffer0, latency0,
                 cost = _latency_cost(lat, omega, psi_base, mu4, np.empty(1))
                 term = (gain_first - cost) / chunks_per_seg
                 np.add(score, term[:, None], out=score_c)
-                term_next = (gain.T - cost) / chunks_per_seg
+                term_next = (plan.gain_t - cost) / chunks_per_seg
             else:
-                # the parent's own last rate is its most significant digit
-                np.add(score.reshape(1, n_rates, -1), term_next[:, :, None],
-                       out=score_c.reshape(n_rates, n_rates, -1))
-            buf, score = buf_c.ravel(), score_c.ravel()
+                np.add(parent_score, term_next[:, :, None], out=score_by_prev)
+            buf, score = buf_flat, score_flat
             continue
 
         buf_min = max(buf_min - d_max, 0.0) + chunk_dur
-        stall = stall_row[:n_ch].reshape(shape)
-        term = term_row[:n_ch].reshape(shape)
         np.subtract(d, buf, out=stall)
         np.maximum(stall, 0.0, out=stall)
         np.subtract(buf, d, out=buf_c)
@@ -180,31 +225,31 @@ def mpc_rollout_scores(pred_kbps, ladder_kbps, q_table, buffer0, latency0,
         if j == 0:
             np.subtract(gain_first[:, None], term, out=term)
         else:
-            # the parent's own last rate is its most significant digit
-            by_prev = term.reshape(n_rates, n_rates, -1)
-            np.subtract(gain.T[:, :, None], by_prev, out=by_prev)
+            np.subtract(plan.gain_t[:, :, None], term_by_prev,
+                        out=term_by_prev)
         np.divide(term, chunks_per_seg, out=term)
         np.multiply(mu2, stall, out=stall)
         np.subtract(term, stall, out=term)
         np.add(score, term, out=score_c)
-        buf, lat, score = buf_c.ravel(), lat_c.ravel(), score_c.ravel()
+        buf, lat, score = buf_flat, lat_flat, score_flat
 
-    if not zero_cost or buffer0 - buf_min > 0.0:
-        drain = stall_row[:n_seq]
+    if not plan.zero_cost or buffer0 - buf_min > 0.0:
+        drain = plan.drain
         np.subtract(buffer0, buf, out=drain)
         np.maximum(drain, 0.0, out=drain)
         np.multiply(mu2, drain, out=drain)
         np.subtract(score, drain, out=score)
     # rate-major (last chunk most significant) -> first chunk most significant
-    scores = np.empty(n_seq)
-    digits = (n_rates,) * horizon
-    np.copyto(scores.reshape(digits), score.reshape(digits).T)
+    scores = np.empty(score.size)
+    np.copyto(scores.reshape(plan.digits), plan.scores_by_first)
     return scores
 
 
 # ---------------------------------------------------------------------------
 # 3x3 same-padding convolution (stride 1), forward and both gradients.
-# Shapes: x (B, C, H, W), w (F, C, 3, 3), out (B, F, H, W).
+# Shapes: x (B, C, H, W), w (F, C, 3, 3), out (B, F, H, W). The forward also
+# takes a stack of inputs, x (T, B, C, H, W): it runs one GEMM per slice, each
+# with the operands of that slice's own call.
 #
 # Each direction is one GEMM over an im2col matrix laid out (C*9, B*H*W):
 # row c*9 + ky*3 + kx holds channel c shifted by (ky - 1, kx - 1), with zero
@@ -217,14 +262,14 @@ def mpc_rollout_scores(pred_kbps, ladder_kbps, q_table, buffer0, latency0,
 
 
 def _im2col(x):
-    b_n, c_n, h_n, w_n = x.shape
-    xp = np.zeros((c_n, b_n, h_n + 2, w_n + 2))
-    xp[:, :, 1:-1, 1:-1] = x.transpose(1, 0, 2, 3)
-    cols = np.empty((c_n, 3, 3, b_n, h_n, w_n))
+    *lead, b_n, c_n, h_n, w_n = x.shape
+    xp = np.zeros((*lead, c_n, b_n, h_n + 2, w_n + 2))
+    xp[..., 1:-1, 1:-1] = np.swapaxes(x, -4, -3)
+    cols = np.empty((*lead, c_n, 3, 3, b_n, h_n, w_n))
     for ky in range(3):
         for kx in range(3):
-            cols[:, ky, kx] = xp[:, :, ky:ky + h_n, kx:kx + w_n]
-    return cols.reshape(c_n * 9, b_n * h_n * w_n)
+            cols[..., ky, kx, :, :, :] = xp[..., ky:ky + h_n, kx:kx + w_n]
+    return cols.reshape(*lead, c_n * 9, b_n * h_n * w_n)
 
 
 def conv2d_forward(x, w, keep_cols=False):
@@ -232,13 +277,13 @@ def conv2d_forward(x, w, keep_cols=False):
     matrix of x as well, for `conv2d_grad_weight`."""
     x = np.asarray(x, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
-    b_n, _, h_n, w_n = x.shape
+    *lead, b_n, _, h_n, w_n = x.shape
     cols = _im2col(x)
     out = w.reshape(w.shape[0], -1) @ cols
     if not keep_cols:
         cols = None  # freed before the copy below, as it is not returned
-    out = np.ascontiguousarray(
-        out.reshape(w.shape[0], b_n, h_n, w_n).transpose(1, 0, 2, 3))
+    out = np.ascontiguousarray(np.swapaxes(
+        out.reshape(*lead, w.shape[0], b_n, h_n, w_n), -4, -3))
     return out if cols is None else (out, cols)
 
 

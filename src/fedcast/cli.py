@@ -520,6 +520,12 @@ def cmd_stream(cfg):
                 raise models.CheckpointError(
                     f"{path}: the model takes {spec.in_features} input rows, "
                     f"the trace of client {tr.client_id} gives {rows}")
+            for field in ("history", "horizon"):
+                got, want = getattr(spec, field), getattr(cfg.window, field)
+                if got != want:
+                    raise models.CheckpointError(
+                        f"{path}: the model's {field} is {got}, "
+                        f"[window] {field} is {want}")
             model_of[tr.client_id] = spec, params
 
     qoe_rows = ["client_id,qoe,quality,stall,switch,latency,skip,truncated"]
@@ -530,9 +536,14 @@ def cmd_stream(cfg):
             raise ConfigError(
                 f"client {tr.client_id}: trace shorter than session_len")
         session_tput = tput[-scfg.session_len:]
-        predictor = _stream_predictor(cfg, cfg.predictor, tr, session_tput,
-                                      model_of.get(tr.client_id))
-        result = stream.simulate_session(session_tput, predictor, scfg, coeffs)
+        try:
+            predictor = _stream_predictor(cfg, cfg.predictor, tr,
+                                          session_tput,
+                                          model_of.get(tr.client_id))
+            result = stream.simulate_session(session_tput, predictor, scfg,
+                                             coeffs)
+        except stream.StreamError as exc:
+            raise stream.StreamError(f"client {tr.client_id}: {exc}") from None
         b = result.breakdown
         qoe_rows.append(
             f"{tr.client_id},{_fmt(b.qoe)},{_fmt(b.quality)},{_fmt(b.stall)},"
@@ -587,7 +598,7 @@ def run(config_path, subcommand, out=None, seed=None, workers=None):
         print(f"config validation failed:\n{exc}", file=sys.stderr)
         return 1
     except (TraceError, PreprocessError, fl.FLError,
-            models.CheckpointError) as exc:
+            models.CheckpointError, stream.StreamError) as exc:
         print(f"bad input: {exc}", file=sys.stderr)
         return 1
     except Exception:

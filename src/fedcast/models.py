@@ -271,39 +271,54 @@ def _positional_encoding(steps, dim):
     return pe
 
 
+def _swap_last(t, a, b):
+    """t with axes a and b (counted from the end) swapped."""
+    axes = list(range(t.data.ndim))
+    axes[a], axes[b] = axes[b], axes[a]
+    return T.transpose(t, tuple(axes))
+
+
 def _attention_block(params, prefix, x, heads):
-    b_n, steps, d = x.data.shape
+    *lead, steps, d = x.data.shape
     dh = d // heads
-    heads_out = []
     q = T.add(T.matmul(x, params.get(f"{prefix}.wq")), params.get(f"{prefix}.bq"))
     k = T.add(T.matmul(x, params.get(f"{prefix}.wk")), params.get(f"{prefix}.bk"))
     v = T.add(T.matmul(x, params.get(f"{prefix}.wv")), params.get(f"{prefix}.bv"))
 
     def split(t):
-        return T.transpose(T.reshape(t, (b_n, steps, heads, dh)), (0, 2, 1, 3))
+        return _swap_last(T.reshape(t, (*lead, steps, heads, dh)), -3, -2)
 
     qh, kh, vh = split(q), split(k), split(v)
-    scores = T.mul(T.matmul(qh, T.transpose(kh, (0, 1, 3, 2))),
+    scores = T.mul(T.matmul(qh, _swap_last(kh, -2, -1)),
                    T.Tensor(1.0 / math.sqrt(dh)))
     attn = T.softmax(scores, axis=-1)
     ctx = T.matmul(attn, vh)
-    merged = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (b_n, steps, d))
+    merged = T.reshape(_swap_last(ctx, -3, -2), (*lead, steps, d))
     return T.add(T.matmul(merged, params.get(f"{prefix}.wo")),
                  params.get(f"{prefix}.bo"))
 
 
 def forward_graph(spec, params, x_raw, training=False):
-    """Differentiable forward pass; x_raw is (B, |F|+1, H+1)."""
+    """Differentiable forward pass; x_raw is (B, |F|+1, H+1), or in eval
+    mode a stack of such batches, (T, B, |F|+1, H+1), giving (T, B, F).
+
+    Every op counts its axes from the end, so a stack runs each op once
+    over all T slices while each slice computes as its own (B, ...) call:
+    matmul runs one product per slice and keeps its BLAS path, and the
+    other ops are elementwise or reduce within a slice. The graph's
+    gradients are for an unstacked batch."""
     x_raw = np.asarray(x_raw, dtype=np.float64)
-    if x_raw.ndim != 3 or x_raw.shape[1] != spec.in_features \
-            or x_raw.shape[2] != spec.steps:
+    if x_raw.ndim not in (3, 4) or x_raw.shape[-2] != spec.in_features \
+            or x_raw.shape[-1] != spec.steps:
         raise ModelError(f"bad input shape {x_raw.shape} for {spec.arch}")
-    if x_raw.shape[0] == 0:
+    if x_raw.ndim == 4 and training:
+        raise ModelError("a stacked input is for evaluation only")
+    if 0 in x_raw.shape:
         raise ModelError("empty batch")
-    b_n = x_raw.shape[0]
+    lead = x_raw.shape[:-2]  # (B,) or (T, B)
 
     if spec.arch == "CNN":
-        x = T.Tensor(x_raw[:, None, :, :])
+        x = T.Tensor(x_raw[..., None, :, :])
         for i, bname in ((1, "bn1"), (2, "bn2")):
             conv_w = params.get(f"conv{i}.w")
             conv_b = params.get(f"conv{i}.b")
@@ -311,37 +326,38 @@ def forward_graph(spec, params, x_raw, training=False):
             x = T.add(x, T.reshape(conv_b, (1, conv_b.data.shape[0], 1, 1)))
             x = T.leaky_relu(x)
             if spec.use_batchnorm:
-                x = _bn(params, bname, x, channel_axis=1, training=training)
-        flat = T.reshape(x, (b_n, -1))
+                x = _bn(params, bname, x, channel_axis=-3, training=training)
+        flat = T.reshape(x, (*lead, -1))
         return T.add(T.matmul(flat, params.get("head.w")), params.get("head.b"))
 
+    # time-major rows for the recurrent and attention models: (..., H+1, |F|+1)
+    x_seq = np.ascontiguousarray(np.swapaxes(x_raw, -1, -2))
     if spec.arch == "LSTM":
-        x = T.Tensor(np.ascontiguousarray(x_raw.transpose(0, 2, 1)))
+        x = T.Tensor(x_seq)
         for layer in range(spec.num_layers):
             x = _lstm(params, f"lstm{layer}", x)
-        feat = x[:, -1, :]
+        feat = x[..., -1, :]
         if spec.use_batchnorm:
-            feat = _bn(params, "bn", feat, channel_axis=1, training=training)
+            feat = _bn(params, "bn", feat, channel_axis=-1, training=training)
         feat = T.relu(T.add(T.matmul(feat, params.get("fc.w")), params.get("fc.b")))
         return T.add(T.matmul(feat, params.get("head.w")), params.get("head.b"))
 
     if spec.arch == "LSTM_CNN":
-        x = T.Tensor(np.ascontiguousarray(x_raw.transpose(0, 2, 1)))
-        seq = _lstm(params, "lstm0", x)
-        img = T.reshape(seq, (b_n, 1, spec.steps, spec.hidden))
+        seq = _lstm(params, "lstm0", T.Tensor(x_seq))
+        img = T.reshape(seq, (*lead, 1, spec.steps, spec.hidden))
         conv_w = params.get("conv1.w")
         conv_b = params.get("conv1.b")
         y = T.conv2d(img, conv_w)
         y = T.add(y, T.reshape(conv_b, (1, conv_b.data.shape[0], 1, 1)))
         y = T.relu(y)
         if spec.use_batchnorm:
-            y = _bn(params, "bn1", y, channel_axis=1, training=training)
-        flat = T.reshape(y, (b_n, -1))
+            y = _bn(params, "bn1", y, channel_axis=-3, training=training)
+        flat = T.reshape(y, (*lead, -1))
         return T.add(T.matmul(flat, params.get("head.w")), params.get("head.b"))
 
     # TRANSFORMER
-    x = T.Tensor(np.ascontiguousarray(x_raw.transpose(0, 2, 1)))
-    h = T.add(T.matmul(x, params.get("embed.w")), params.get("embed.b"))
+    h = T.add(T.matmul(T.Tensor(x_seq), params.get("embed.w")),
+              params.get("embed.b"))
     if spec.use_positional:
         h = T.add(h, T.Tensor(_positional_encoding(spec.steps, spec.hidden)))
     for k in range(2):
@@ -350,17 +366,19 @@ def forward_graph(spec, params, x_raw, training=False):
         ff = T.add(T.matmul(h, params.get(f"blk{k}.ff.w1")),
                    params.get(f"blk{k}.ff.b1"))
         if spec.use_batchnorm:
-            ff = _bn(params, f"blk{k}.ff.bn", ff, channel_axis=2, training=training)
+            ff = _bn(params, f"blk{k}.ff.bn", ff, channel_axis=-1,
+                     training=training)
         ff = T.relu(ff)
         ff = T.add(T.matmul(ff, params.get(f"blk{k}.ff.w2")),
                    params.get(f"blk{k}.ff.b2"))
         h = T.add(h, ff)
-    pooled = T.reduce_mean(h, axis=1)
+    pooled = T.reduce_mean(h, axis=-2)
     return T.add(T.matmul(pooled, params.get("head.w")), params.get("head.b"))
 
 
 def forward(spec, params, x, training=False):
-    """Predictions (B, F) for a (B, |F|+1, H+1) input array.
+    """Predictions (B, F) for a (B, |F|+1, H+1) input array, or (T, B, F)
+    for an eval-mode stack (T, B, |F|+1, H+1); see `forward_graph`.
 
     The parameters enter as constants sharing their arrays, so no autodiff
     graph is built; with training=True the batch-norm running statistics in
@@ -515,13 +533,23 @@ def save_checkpoint(path, spec, params):
 
 def load_checkpoint(path):
     """(spec, params) of a checkpoint; CheckpointError naming the file when
-    its header or parameter blob is corrupt or cut short."""
+    its header or parameter blob is corrupt or cut short, when the blob's
+    names, batch-norm flags or shapes are not those of the header's model,
+    or when a value is not finite."""
     with open(path, "rb") as fh:
         header = fh.readline()
         blob = fh.read()
     try:
         fields = json.loads(header)
         fields["conv_channels"] = tuple(fields["conv_channels"])
-        return ModelSpec(**fields), ParamSet.from_bytes(blob)
+        spec, params = ModelSpec(**fields), ParamSet.from_bytes(blob)
     except (ValueError, TypeError, KeyError) as exc:
         raise CheckpointError(f"{path}: corrupt checkpoint: {exc}") from None
+    if not init_model(spec, 0).same_structure(params):
+        raise CheckpointError(f"{path}: the parameters are not those of the "
+                              f"{spec.arch} model its header describes")
+    bad = [name for name, t, _ in params if not np.isfinite(t.data).all()]
+    if bad:
+        raise CheckpointError(f"{path}: non-finite values in "
+                              f"{', '.join(bad)}")
+    return spec, params

@@ -153,26 +153,30 @@ def quality_table(cfg, coeffs):
     return np.log(ladder / coeffs.r_min_kbps)
 
 
+def mpc_plan(cfg, coeffs):
+    """The `accel.MpcPlan` of a session: its per-decision constants."""
+    return accel.MpcPlan(
+        cfg.ladder_kbps, quality_table(cfg, coeffs), cfg.mpc_horizon,
+        cfg.rtt_overhead, cfg.chunk_dur, cfg.chunks_per_segment,
+        coeffs.mu1, coeffs.mu2, coeffs.mu3, coeffs.mu4, coeffs.omega)
+
+
 def mpc_select_bitrate(buffer, latency, pred_chunk_kbps, cfg, coeffs,
-                       prev_rate_idx=-1, q_table=None, work=None):
+                       prev_rate_idx=-1, plan=None):
     """Exhaustively score every rate sequence over the horizon.
 
-    `q_table` is `quality_table(cfg, coeffs)`, computed here when None;
-    `work` is an `accel.mpc_workspace` reused across decisions, or None.
+    `plan` is `mpc_plan(cfg, coeffs)`, built here when None; a session
+    builds it once and reuses it, workspace included, for every decision.
     Returns the ladder index of the first rate of the argmax sequence;
     ties break toward the lower rate.
     """
     pred = np.asarray(pred_chunk_kbps, dtype=float)
     if pred.size < cfg.mpc_horizon:
         raise StreamError("predictor output shorter than the MPC horizon")
-    if q_table is None:
-        q_table = quality_table(cfg, coeffs)
-    scores = accel.mpc_rollout_scores(
-        pred[:cfg.mpc_horizon], cfg.ladder_kbps, q_table,
-        buffer, latency, prev_rate_idx,
-        cfg.rtt_overhead, cfg.chunk_dur, cfg.chunks_per_segment,
-        coeffs.mu1, coeffs.mu2, coeffs.mu3, coeffs.mu4, coeffs.omega,
-        work=work)
+    if plan is None:
+        plan = mpc_plan(cfg, coeffs)
+    scores = accel.mpc_rollout_scores(pred[:cfg.mpc_horizon], buffer,
+                                      latency, prev_rate_idx, plan)
     # sequences are encoded most-significant-digit-first, so the integer
     # division recovers the first chunk's rate; ties already broke low
     best_seq = int(np.argmax(scores))
@@ -227,29 +231,42 @@ class ModelPredictor:
     (|F|+1, T) matrix of `preprocess.model_inputs`.
 
     The history is known in full up front, so the forecast depends on `now`
-    alone: it is computed once per `now` and kept.
+    alone. The forecasts of every `now` in [H, T) are made here, in one
+    `models.forward` call over the stack of their (1, |F|+1, H+1) windows,
+    each slice with the bits of its own batch-of-one call; a call is then a
+    row lookup. StreamError when any of them is not finite, whether or not
+    the session reaches its `now`.
     """
 
     def __init__(self, spec, params, inputs_scaled, scaler):
-        self.spec = spec
-        self.params = params
-        self.inputs = np.asarray(inputs_scaled, dtype=float)
-        self.scaler = scaler
+        inputs = np.asarray(inputs_scaled, dtype=float)
+        self.history = h = spec.history
         self.fallback = HarmonicMeanPredictor()
-        self._forecasts = {}  # now -> unpadded forecast in Mbps
+        # row now - H: the unpadded forecast in Mbps
+        self._forecasts = np.empty((0, spec.horizon))
+        if inputs.shape[1] <= h:
+            return
+        # (T - H, 1, |F|+1, H+1): the window ending at each `now`
+        x = np.lib.stride_tricks.sliding_window_view(inputs, h + 1, axis=1)
+        x = x.transpose(1, 0, 2)[:, None]
+        # an overflow is reported below, as a bad forecast, not as a warning
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                pred = models.forward(spec, params, x, training=False)[:, 0]
+                pred = scaler.inverse_throughput(pred)
+            finite = np.isfinite(pred).all()
+        except models.TrainingDiverged:
+            finite = False
+        if not finite:
+            raise StreamError(f"non-finite model forecast for a second in "
+                              f"[{h}, {inputs.shape[1]}) of the session")
+        self._forecasts = np.maximum(pred, 0.0)
 
     def __call__(self, observed, horizon):
-        now = len(observed) - 1
-        h = self.spec.history
-        if now < h or now >= self.inputs.shape[1]:
+        row = len(observed) - 1 - self.history
+        if not 0 <= row < len(self._forecasts):
             return self.fallback(observed, horizon)
-        if now not in self._forecasts:
-            x = self.inputs[None, :, now - h:now + 1]
-            pred_scaled = models.forward(self.spec, self.params, x,
-                                         training=False)[0]
-            pred = self.scaler.inverse_throughput(pred_scaled)
-            self._forecasts[now] = np.maximum(pred, 0.0)
-        pred = self._forecasts[now].copy()
+        pred = self._forecasts[row].copy()
         if pred.size < horizon:
             pred = np.concatenate([pred, np.full(horizon - pred.size, pred[-1])])
         return pred[:horizon]
@@ -313,11 +330,10 @@ class _Session:
         self.seg_stall = np.zeros(self.n_seg)
         self.seg_eta = np.zeros(self.n_seg)
         self.seg_latency = np.full(self.n_seg, np.nan)
-        self.q_table = quality_table(cfg, coeffs)
-        # per-decision constants: the MPC's scratch (freed with the session)
-        # and which predicted second each lookahead chunk falls in
-        self.mpc_work = accel.mpc_workspace(len(cfg.ladder_kbps),
-                                            cfg.mpc_horizon)
+        # per-decision constants: the MPC's plan and scratch (freed with the
+        # session) and which predicted second each lookahead chunk falls in
+        self.mpc_plan = mpc_plan(cfg, coeffs)
+        self.q_table = self.mpc_plan.q_table
         self.horizon_sec = max(1, int(math.ceil(cfg.mpc_horizon * self.cd)))
         self.pred_idx = np.minimum(
             (np.arange(cfg.mpc_horizon) * self.cd).astype(int),
@@ -530,7 +546,7 @@ class _Session:
             pred = self._predict_chunks(t_req)
             rate = mpc_select_bitrate(self.buffer, self.latency, pred,
                                       self.cfg, self.coeffs, self.prev_rate,
-                                      self.q_table, self.mpc_work)
+                                      self.mpc_plan)
             rate_kbps = self.cfg.ladder_kbps[rate]
             self._log("rate_select", chunk=ci, rate=rate_kbps)
             self._log("download_start", chunk=ci, rate=rate_kbps)

@@ -405,25 +405,30 @@ def lstm(x_seq, w_ih, w_hh, bias):
     outputs and gradients are bit-identical to that graph. Projecting all
     steps with one matmul, or summing the weight gradient over steps in
     one, would reorder the floating-point sums.
+
+    The forward also takes a stack of such inputs, x_seq (T,B,S,D), and
+    returns (T,B,S,H): matmul runs one product per (B,·) slice, so each
+    slice gets the bits of its own call. The backward is for (B,S,D) only.
     """
     x_seq, w_ih, w_hh, bias = (as_tensor(t) for t in (x_seq, w_ih, w_hh, bias))
-    b_n, steps, _ = x_seq.data.shape
+    *lead, steps, _ = x_seq.data.shape
+    b_n = lead[-1]
     hid = w_hh.data.shape[0]
     track = any(t.requires_grad for t in (x_seq, w_ih, w_hh, bias))
-    h = np.zeros((b_n, hid))
-    c = np.zeros((b_n, hid))
+    h = np.zeros((*lead, hid))
+    c = np.zeros((*lead, hid))
     hs, cache = [], []
     for t in range(steps):
-        xt = x_seq.data[:, t, :].copy()
+        xt = x_seq.data[..., t, :].copy()
         h_prev, c_prev = h, c
         gates = xt @ w_ih.data + h @ w_hh.data + bias.data
         # each activation reads a contiguous (B,H) array, like the graph's
         # slice copies (`-z` makes one for the sigmoids): a ufunc may take
         # another code path on a strided view
-        i = _sigmoid(gates[:, :hid])
-        f = _sigmoid(gates[:, hid:2 * hid])
-        g = np.tanh(gates[:, 2 * hid:3 * hid].copy())
-        o = _sigmoid(gates[:, 3 * hid:])
+        i = _sigmoid(gates[..., :hid])
+        f = _sigmoid(gates[..., hid:2 * hid])
+        g = np.tanh(gates[..., 2 * hid:3 * hid].copy())
+        o = _sigmoid(gates[..., 3 * hid:])
         c = f * c + i * g
         tc = np.tanh(c)
         h = o * tc
@@ -460,7 +465,7 @@ def lstm(x_seq, w_ih, w_hh, bias):
         if dx is not None:
             x_seq._accum(dx)
 
-    return _make(np.stack(hs, axis=1), (x_seq, w_ih, w_hh, bias), back)
+    return _make(np.stack(hs, axis=-2), (x_seq, w_ih, w_hh, bias), back)
 
 
 def batch_norm(x, gamma, beta, running_mean, running_var, channel_axis,

@@ -28,6 +28,21 @@ def _random_case(rng, horizon=4, n_rates=5):
         omega=4.0)
 
 
+def _plan(case):
+    """The session constants of a case, as the rollout takes them."""
+    return accel.MpcPlan(
+        case["ladder_kbps"], case["q_table"], len(case["pred_kbps"]),
+        case["rtt"], case["chunk_dur"], case["chunks_per_seg"], case["mu1"],
+        case["mu2"], case["mu3"], case["mu4"], case["omega"])
+
+
+def _rollout(case, plan=None):
+    """The planned rollout's scores of a case; its plan is built when None."""
+    return accel.mpc_rollout_scores(
+        case["pred_kbps"], case["buffer0"], case["latency0"], case["prev_idx"],
+        _plan(case) if plan is None else plan)
+
+
 def _naive_scores(pred_kbps, ladder_kbps, q_table, buffer0, latency0, prev_idx,
                   rtt, chunk_dur, chunks_per_seg, mu1, mu2, mu3, mu4, omega):
     """Straight-line reimplementation used as the oracle."""
@@ -57,7 +72,7 @@ def test_numpy_path_matches_naive_oracle():
     rng = np.random.default_rng(0)
     for _ in range(10):
         case = _random_case(rng)
-        got = accel.mpc_rollout_scores(**case)
+        got = _rollout(case)
         want = _naive_scores(**case)
         assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
 
@@ -108,18 +123,19 @@ def _flat_scores(pred_kbps, ladder_kbps, q_table, buffer0, latency0,
 
 def test_prefix_tree_scores_equal_flat_rollout():
     rng = np.random.default_rng(1)
-    # every case runs through one workspace, sized for the largest: the
-    # session bound of 6 rates over 7 chunks
-    work = accel.mpc_workspace(6, 7)
+    # up to the session bound of 6 rates over 7 chunks; one plan per shape,
+    # reused for decisions from different states, as a session does
     shapes = [(h, n) for h in range(1, 7) for n in range(2, 7)] + [(7, 6)]
-    earlier = None
     for horizon, n_rates in shapes:
+        plan = _plan(_random_case(rng, horizon, n_rates))
+        earlier = None
         for prev_idx in (-1, int(rng.integers(0, n_rates))):
             case = _random_case(rng, horizon, n_rates)
-            case["prev_idx"] = prev_idx
+            case.update(ladder_kbps=plan.ladder_kbps, q_table=plan.q_table,
+                        rtt=plan.rtt, prev_idx=prev_idx)
             # an outage on some steps: every download takes "forever"
             case["pred_kbps"][rng.random(horizon) < 0.3] = 0.0
-            got = accel.mpc_rollout_scores(**case, work=work)
+            got = _rollout(case, plan)
             want = _flat_scores(**case)
             assert got.shape == (n_rates ** horizon,)
             # bytes, so that a flipped sign of zero fails too
@@ -140,9 +156,10 @@ def _poisoned_run(case):
     and only a depth that can stall writes the term row."""
     n_rates, horizon = len(case["ladder_kbps"]), len(case["pred_kbps"])
     n_seq = n_rates ** horizon
-    work = accel.mpc_workspace(n_rates, horizon)
+    plan = _plan(case)
+    work = plan.work
     work[:] = np.nan
-    got = accel.mpc_rollout_scores(**case, work=work)
+    got = _rollout(case, plan)
     assert got.tobytes() == _flat_scores(**case).tobytes(), case
     return (bool(np.isnan(work[-2 * n_seq:-n_seq]).all()),
             bool(np.isnan(work[-n_seq:]).all()))
@@ -263,8 +280,11 @@ def test_sessions_equal_with_flat_rollout(monkeypatch):
         return stream.simulate_session(trace, stream.HarmonicMeanPredictor(),
                                        cfg, co)
 
-    def flat(pred_kbps, ladder_kbps, *args, work=None):
-        return _flat_scores(pred_kbps, np.asarray(ladder_kbps), *args)
+    def flat(pred_kbps, buffer0, latency0, prev_idx, plan):
+        return _flat_scores(pred_kbps, plan.ladder_kbps, plan.q_table,
+                            buffer0, latency0, prev_idx, plan.rtt,
+                            plan.chunk_dur, plan.chunks_per_seg, plan.mu1,
+                            plan.mu2, plan.mu3, plan.mu4, plan.omega)
 
     for trace, horizon in ((plenty, 5), (outage, 6)):
         got = session(trace, horizon)
@@ -282,11 +302,11 @@ def test_rollout_allocates_only_its_scores():
     # horizon-6 call allocates the scores it returns and next to nothing else
     rng = np.random.default_rng(2)
     case = _random_case(rng, horizon=6, n_rates=6)
-    work = accel.mpc_workspace(6, 6)
-    accel.mpc_rollout_scores(**case, work=work)
+    plan = _plan(case)
+    _rollout(case, plan)
     tracemalloc.start()
     try:
-        scores = accel.mpc_rollout_scores(**case, work=work)
+        scores = _rollout(case, plan)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -300,7 +320,7 @@ def test_sequence_digit_order_breaks_ties_low():
                 q_table=np.zeros(2), buffer0=0.0, latency0=0.0, prev_idx=-1,
                 rtt=0.0, chunk_dur=0.2, chunks_per_seg=5,
                 mu1=0.0, mu2=0.0, mu3=0.0, mu4=0.0, omega=4.0)
-    scores = accel.mpc_rollout_scores(**case)
+    scores = _rollout(case)
     assert np.allclose(scores, scores[0])
     assert int(np.argmax(scores)) == 0
 

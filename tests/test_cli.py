@@ -350,6 +350,63 @@ def test_checkpoint_of_other_input_rows_exits_1_naming_both(tmp_path, capsys):
                            "takes 6 input rows", "gives 7")
 
 
+def _federated_checkpoint(tmp_path):
+    """Config and syn00's checkpoint path after one round, with the stream
+    set to the model predictor."""
+    cfg, out = _config(tmp_path, rounds=1)
+    cfg.write_text(cfg.read_text().replace("predictor = harmonic",
+                                           "predictor = model"))
+    assert cli.run(cfg, "federate") == 0
+    return cfg, out / "checkpoints" / "client_syn00.ckpt"
+
+
+def test_checkpoint_header_of_another_model_exits_1_naming_the_file(
+        tmp_path, capsys):
+    cfg, ckpt = _federated_checkpoint(tmp_path)
+    header, blob = ckpt.read_bytes().split(b"\n", 1)
+    ckpt.write_bytes(header.replace(b'"arch": "LSTM"', b'"arch": "CNN"')
+                     + b"\n" + blob)
+    assert cli.run(cfg, "stream") == 1
+    _assert_one_line_error(capsys, str(ckpt), "CNN model")
+
+
+def test_non_finite_checkpoint_value_exits_1_naming_the_file(tmp_path,
+                                                            capsys):
+    cfg, ckpt = _federated_checkpoint(tmp_path)
+    spec, params = models.load_checkpoint(ckpt)
+    params.get("head.w").data[0, 0] = np.nan
+    models.save_checkpoint(ckpt, spec, params)
+    assert cli.run(cfg, "stream") == 1
+    _assert_one_line_error(capsys, str(ckpt), "non-finite", "head.w")
+
+
+@pytest.mark.parametrize("field, value, want", [("history", 10, 5),
+                                                ("horizon", 3, 1)])
+def test_checkpoint_of_other_window_exits_1_naming_both(tmp_path, capsys,
+                                                        field, value, want):
+    from dataclasses import replace
+    cfg, ckpt = _federated_checkpoint(tmp_path)
+    spec = replace(models.load_checkpoint(ckpt)[0], **{field: value})
+    models.save_checkpoint(ckpt, spec, models.init_model(spec, 0))
+    assert cli.run(cfg, "stream") == 1
+    _assert_one_line_error(capsys, str(ckpt), f"{field} is {value}",
+                           f"[window] {field} is {want}")
+
+
+@pytest.mark.parametrize("entries", [("head.b",), ("fc.b", "head.w")])
+def test_non_finite_forecast_exits_1_naming_the_client(tmp_path, capsys,
+                                                       entries):
+    # finite weights whose forecasts overflow: head.b alone in the inverse
+    # scaling, fc.b and head.w in the model's own output
+    cfg, ckpt = _federated_checkpoint(tmp_path)
+    spec, params = models.load_checkpoint(ckpt)
+    for entry in entries:
+        params.get(entry).data[:] = 1e308
+    models.save_checkpoint(ckpt, spec, params)
+    assert cli.run(cfg, "stream") == 1
+    _assert_one_line_error(capsys, "client syn00", "non-finite model forecast")
+
+
 # --- subcommands -----------------------------------------------------------
 
 

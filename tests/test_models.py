@@ -81,6 +81,39 @@ def test_forward_rejects_bad_shapes():
         models.forward(spec, params, np.zeros((2, 3, spec.steps)))
     with pytest.raises(models.ModelError):
         models.forward(spec, params, np.zeros((0, 4, spec.steps)))
+    with pytest.raises(models.ModelError):
+        models.forward(spec, params, np.zeros((3, 0, 4, spec.steps)))
+    with pytest.raises(models.ModelError):
+        models.forward(spec, params, np.zeros((1, 1, 1, 4, spec.steps)))
+    # batch statistics would mix the slices of a stack
+    with pytest.raises(models.ModelError):
+        models.forward(spec, params, np.zeros((2, 1, 4, spec.steps)),
+                       training=True)
+
+
+@pytest.mark.parametrize("arch", models.ARCHS)
+@pytest.mark.parametrize("use_batchnorm", [False, True])
+def test_stacked_forward_equals_per_call_forward(arch, use_batchnorm):
+    """A (T, 1, |F|+1, H+1) stack gives, slice for slice, the bits of T
+    batch-of-one calls. The widths are the demo's, so that one GEMM over
+    the stack, which sums in another order than T vector-matrix products,
+    fails this test."""
+    spec = _toy_spec(arch, history=15, horizon=3, hidden=24, ff_dim=0,
+                     conv_channels=(8, 8), use_batchnorm=use_batchnorm)
+    params = models.init_model(spec, seed=4)
+    rng = np.random.default_rng(6)
+    for name, t, _ in params:
+        if name.endswith("running_mean"):
+            t.data[:] = rng.normal(0.0, 0.5, t.data.shape)
+        elif name.endswith("running_var"):
+            t.data[:] = rng.uniform(0.5, 2.0, t.data.shape)
+    for n_stack in (1, 2, 110):
+        x = rng.normal(size=(n_stack, 1, spec.in_features, spec.steps))
+        got = models.forward(spec, params, x)
+        assert got.shape == (n_stack, 1, spec.horizon)
+        for k in range(n_stack):
+            want = models.forward(spec, params, x[k])
+            assert got[k].tobytes() == want.tobytes(), (n_stack, k)
 
 
 @pytest.mark.parametrize("bad", [dict(hidden=0), dict(num_layers=0),

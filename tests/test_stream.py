@@ -356,17 +356,17 @@ def test_model_predictor_forecasts_once_per_now(monkeypatch):
     params = models.init_model(spec, seed=0)
     rng = np.random.default_rng(0)
     scaler = ScalerState(kind="minmax", params={"throughput": (1.0, 20.0)})
-    pred = ModelPredictor(spec, params,
-                          np.vstack([rng.uniform(size=(2, 30)),
-                                     rng.uniform(size=30)]), scaler)
     calls = []
     real_forward = models.forward
 
     def counting(*args, **kwargs):
-        calls.append(args)
+        calls.append(args[2].shape)
         return real_forward(*args, **kwargs)
 
     monkeypatch.setattr(models, "forward", counting)
+    pred = ModelPredictor(spec, params,
+                          np.vstack([rng.uniform(size=(2, 30)),
+                                     rng.uniform(size=30)]), scaler)
     trace = rng.uniform(1.0, 20.0, size=30)
     nows = (4, 9, 29)
     for now in nows:
@@ -377,7 +377,8 @@ def test_model_predictor_forecasts_once_per_now(monkeypatch):
         assert first_copy.shape == (3,)
         assert np.array_equal(second, first_copy)
         assert first_copy[2] == first_copy[1]  # padded past the model horizon
-    assert len(calls) == len(nows)
+    # one stacked call for every `now` in [H, T), made by the constructor
+    assert calls == [(30 - 4, 1, 3, 5)]
 
 
 @pytest.mark.parametrize("start", [0, 40])
@@ -390,19 +391,84 @@ def test_model_predictor_input_is_the_training_window(monkeypatch, start):
     windows = build_windows(scaled, WindowConfig(history=6, horizon=1), 1)
     spec = models.ModelSpec(arch="LSTM", in_features=6, history=6, horizon=1,
                             hidden=4)
-    pred = ModelPredictor(spec, models.init_model(spec, seed=0),
-                          model_inputs(scaled)[:, start:], scaler)
     seen = []
     real_forward = models.forward
 
     def capture(spec_, params, x, training=False):
-        seen.append(x.tobytes())
+        seen.append(x.copy())
         return real_forward(spec_, params, x, training=training)
 
     monkeypatch.setattr(models, "forward", capture)
+    ModelPredictor(spec, models.init_model(spec, seed=0),
+                   model_inputs(scaled)[:, start:], scaler)
     session = scaled.throughput()[start:]
+    (x,) = seen
+    assert x.shape == (session.size - 6, 1, 6, 7)
     nows = range(6, session.size - 1)   # the last `now` has no target
     for now in nows:
-        pred(session[:now + 1], 1)
-    want = [windows.x[windows.anchor == start + now].tobytes() for now in nows]
-    assert seen == want
+        want = windows.x[windows.anchor == start + now]
+        assert x[now - 6].tobytes() == want.tobytes(), now
+
+
+class _PerNowPredictor:
+    """The model predictor as one batch-of-one forward per `now`, made when
+    the session asks for it: the oracle of the stacked forecast table."""
+
+    def __init__(self, spec, params, inputs_scaled, scaler):
+        self.spec, self.params, self.scaler = spec, params, scaler
+        self.inputs = inputs_scaled
+
+    def __call__(self, observed, horizon):
+        now = len(observed) - 1
+        h = self.spec.history
+        if now < h or now >= self.inputs.shape[1]:
+            return HarmonicMeanPredictor()(observed, horizon)
+        x = self.inputs[None, :, now - h:now + 1]
+        pred = np.maximum(self.scaler.inverse_throughput(
+            models.forward(self.spec, self.params, x)[0]), 0.0)
+        if pred.size < horizon:
+            pred = np.concatenate([pred, np.full(horizon - pred.size, pred[-1])])
+        return pred[:horizon]
+
+
+@pytest.mark.parametrize("arch", models.ARCHS)
+def test_session_with_stacked_forecasts_equals_per_now_forecasts(arch):
+    # 1-8 Mbps, within the ladder, so the forecasts steer the rates
+    pre = PreprocessConfig(filter_window=3)
+    filtered = filter_trace(generate_synthetic(
+        SyntheticSpec(n_clients=1, length=80, offset_min=1.0, offset_max=8.0),
+        seed=5)[0], pre)
+    scaler = fit_scaler(filtered, pre)
+    inputs = model_inputs(apply_scaler(filtered, scaler))[:, -60:]
+    spec = models.ModelSpec(arch=arch, in_features=inputs.shape[0],
+                            history=15, horizon=3, hidden=8)
+    params = models.init_model(spec, seed=1)
+    # running statistics other than the initial (0, 1)
+    rng = np.random.default_rng(2)
+    for name, t, _ in params:
+        if name.endswith("running_mean"):
+            t.data[:] = rng.normal(0.0, 0.5, t.data.shape)
+        elif name.endswith("running_var"):
+            t.data[:] = rng.uniform(0.5, 2.0, t.data.shape)
+    cfg = StreamConfig(session_len=60)
+    co = QoECoefficients()
+    session = filtered.throughput()[-60:]
+
+    def logged(predictor):
+        log = []
+
+        def call(observed, horizon):
+            out = predictor(observed, horizon)
+            log.append(out.tobytes())
+            return out
+        return call, log
+
+    got_pred, got_log = logged(ModelPredictor(spec, params, inputs, scaler))
+    want_pred, want_log = logged(_PerNowPredictor(spec, params, inputs,
+                                                  scaler))
+    got = simulate_session(session, got_pred, cfg, co)
+    want = simulate_session(session, want_pred, cfg, co)
+    assert got_log == want_log
+    assert repr(got.events) == repr(want.events)
+    assert got == want
+    assert len({ev[3] for ev in got.events if ev[1] == "rate_select"}) > 1
