@@ -21,8 +21,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .analysis import EvalPair, r2_score, mse
-from .models import ParamSet, TrainingDiverged, init_model, local_train, \
-    predict_trace
+from .models import LOCKSTEP_ARCHS, ParamSet, TrainingDiverged, init_model, \
+    local_train, predict_trace
 from .preprocess import Windows, build_windows, filter_trace, fit_scaler, \
     apply_scaler, split_train_test, window_anchors
 
@@ -193,6 +193,18 @@ def _local_entries(rc, params):
             if is_bn and not t.requires_grad]
 
 
+def _cohorts(spec, clients, participants):
+    """The participants in the cohorts that each train in one `local_train`
+    call: under a lockstep architecture, those whose train sets have one
+    length together, in participant order; otherwise one by one."""
+    if spec.arch not in LOCKSTEP_ARCHS:
+        return [[k] for k in participants]
+    by_length = {}
+    for k in participants:
+        by_length.setdefault(clients[k].n_samples, []).append(k)
+    return list(by_length.values())
+
+
 def evaluate_client(spec, client):
     yhat, y = predict_trace(spec, client.params, client.test)
     pair = EvalPair(y_true=client.scaler.inverse_throughput(y),
@@ -204,7 +216,8 @@ def run_round(clients, global_params, rc, tc, spec, round_index=0):
     """One federated round: local training, aggregation, evaluation.
 
     Each sampled client trains a copy of its own model (under FedProx,
-    anchored to that model). Every client, and the global model, then takes
+    anchored to that model) with its own rng, in one `local_train` call
+    per cohort (`_cohorts`). Every client, and the global model, then takes
     the average of the shared entries over the clients that trained; a
     client that was not sampled or diverged weighs 0 in that average.
     """
@@ -214,20 +227,28 @@ def run_round(clients, global_params, rc, tc, spec, round_index=0):
     rng = np.random.default_rng((rc.seed, 7701, round_index))
     participants = sample_clients(clients, rc.participation_fraction, rng)
 
+    trained = {}
+    for cohort in _cohorts(spec, clients, participants):
+        members = [clients[k] for k in cohort]
+        try:
+            trained_params, _ = local_train(
+                spec, [c.params.copy() for c in members],
+                [c.train for c in members], tc,
+                global_anchor=[c.params for c in members] if prox else None,
+                rng=[np.random.default_rng((rc.seed, 7702, round_index, k))
+                     for k in cohort])
+        except TrainingDiverged:
+            trained_params = [None] * len(cohort)
+        trained.update(zip(cohort, trained_params))
+
     # every client's own model, of weight 0 until it trains
     updates = [(client.params, 0) for client in clients]
     diverged = []
     for k in participants:
-        client = clients[k]
-        train_rng = np.random.default_rng((rc.seed, 7702, round_index, k))
-        try:
-            trained, _ = local_train(
-                spec, client.params.copy(), client.train, tc,
-                global_anchor=client.params if prox else None, rng=train_rng)
-        except TrainingDiverged:
-            diverged.append(client.client_id)
-            continue
-        updates[k] = (trained, client.n_samples)
+        if trained[k] is None:
+            diverged.append(clients[k].client_id)
+        else:
+            updates[k] = (trained[k], clients[k].n_samples)
 
     if len(diverged) == len(participants):
         raise FLError(f"round {round_index}: every participant diverged")

@@ -21,6 +21,12 @@ import numpy as np
 from . import tensor as T
 
 ARCHS = ("CNN", "LSTM", "LSTM_CNN", "TRANSFORMER")
+# architectures whose cohorts train in lockstep on a leading client axis,
+# at most LOCKSTEP_MAX members to a stack: a step's tape grows with the
+# stack (~0.6 MB a member at the demo's shape), and on the demo a stack of
+# 4 was as fast as one of 7 but not as small as the per-client path
+LOCKSTEP_ARCHS = ("LSTM",)
+LOCKSTEP_MAX = 3
 
 _TABLE_LR = {"CNN": 1e-3, "LSTM": 3e-4, "LSTM_CNN": 3e-3, "TRANSFORMER": 1e-3}
 _DEFAULT_EPOCHS = {"CNN": 2, "LSTM": 3, "LSTM_CNN": 2, "TRANSFORMER": 3}
@@ -170,20 +176,20 @@ def _uniform(rng, shape, fan_in):
     return rng.uniform(-bound, bound, size=shape)
 
 
-def _bn_entries(name, channels, entries):
-    entries.append((f"{name}.gamma", T.Tensor(np.ones(channels), requires_grad=True), True))
-    entries.append((f"{name}.beta", T.Tensor(np.zeros(channels), requires_grad=True), True))
-    entries.append((f"{name}.running_mean", T.Tensor(np.zeros(channels)), True))
-    entries.append((f"{name}.running_var", T.Tensor(np.ones(channels)), True))
-
-
-def init_model(spec, seed):
-    """Fresh ParamSet for the spec; deterministic in (spec, seed)."""
-    rng = np.random.default_rng(seed)
-    e = []
+def _layout(spec):
+    """(name, shape, fan_in, is_batchnorm, trainable) of every entry of the
+    spec's model, in ParamSet order; fan_in is None for batch norm. Shapes
+    only: nothing is allocated."""
+    out = []
 
     def w(name, shape, fan_in):
-        e.append((name, T.Tensor(_uniform(rng, shape, fan_in), requires_grad=True), False))
+        out.append((name, shape, fan_in, False, True))
+
+    def bn(name, channels):
+        for field, trainable in (("gamma", True), ("beta", True),
+                                 ("running_mean", False),
+                                 ("running_var", False)):
+            out.append((f"{name}.{field}", (channels,), None, True, trainable))
 
     d_in = spec.in_features
     steps = spec.steps
@@ -192,11 +198,11 @@ def init_model(spec, seed):
         w("conv1.w", (c1, 1, 3, 3), 9)
         w("conv1.b", (c1,), 9)
         if spec.use_batchnorm:
-            _bn_entries("bn1", c1, e)
+            bn("bn1", c1)
         w("conv2.w", (c2, c1, 3, 3), c1 * 9)
         w("conv2.b", (c2,), c1 * 9)
         if spec.use_batchnorm:
-            _bn_entries("bn2", c2, e)
+            bn("bn2", c2)
         flat = c2 * d_in * steps
         w("head.w", (flat, spec.horizon), flat)
         w("head.b", (spec.horizon,), flat)
@@ -210,7 +216,7 @@ def init_model(spec, seed):
             size_in = spec.hidden
         if spec.arch == "LSTM":
             if spec.use_batchnorm:
-                _bn_entries("bn", spec.hidden, e)
+                bn("bn", spec.hidden)
             w("fc.w", (spec.hidden, spec.hidden), spec.hidden)
             w("fc.b", (spec.hidden,), spec.hidden)
             w("head.w", (spec.hidden, spec.horizon), spec.hidden)
@@ -220,7 +226,7 @@ def init_model(spec, seed):
             w("conv1.w", (c1, 1, 3, 3), 9)
             w("conv1.b", (c1,), 9)
             if spec.use_batchnorm:
-                _bn_entries("bn1", c1, e)
+                bn("bn1", c1)
             flat = c1 * steps * spec.hidden
             w("head.w", (flat, spec.horizon), flat)
             w("head.b", (spec.horizon,), flat)
@@ -236,12 +242,28 @@ def init_model(spec, seed):
             w(f"blk{k}.ff.w1", (d, spec.ff_dim), d)
             w(f"blk{k}.ff.b1", (spec.ff_dim,), d)
             if spec.use_batchnorm:
-                _bn_entries(f"blk{k}.ff.bn", spec.ff_dim, e)
+                bn(f"blk{k}.ff.bn", spec.ff_dim)
             w(f"blk{k}.ff.w2", (spec.ff_dim, d), spec.ff_dim)
             w(f"blk{k}.ff.b2", (d,), spec.ff_dim)
         w("head.w", (d, spec.horizon), d)
         w("head.b", (spec.horizon,), d)
-    return ParamSet(e)
+    return out
+
+
+def init_model(spec, seed):
+    """Fresh ParamSet for the spec; deterministic in (spec, seed). Weights
+    are uniform in +-1/sqrt(fan_in), drawn in `_layout` order; batch-norm
+    scales and variances start at 1, shifts and means at 0."""
+    rng = np.random.default_rng(seed)
+    entries = []
+    for name, shape, fan_in, is_bn, trainable in _layout(spec):
+        if is_bn:
+            fill = 1.0 if name.endswith((".gamma", ".running_var")) else 0.0
+            data = np.full(shape, fill)
+        else:
+            data = _uniform(rng, shape, fan_in)
+        entries.append((name, T.Tensor(data, requires_grad=trainable), is_bn))
+    return ParamSet(entries)
 
 
 # ---------------------------------------------------------------------------
@@ -299,20 +321,28 @@ def _attention_block(params, prefix, x, heads):
 
 
 def forward_graph(spec, params, x_raw, training=False):
-    """Differentiable forward pass; x_raw is (B, |F|+1, H+1), or in eval
-    mode a stack of such batches, (T, B, |F|+1, H+1), giving (T, B, F).
+    """Differentiable forward pass; x_raw is (B, |F|+1, H+1), or a stack of
+    such batches, (K, B, |F|+1, H+1), giving (K, B, F).
 
     Every op counts its axes from the end, so a stack runs each op once
-    over all T slices while each slice computes as its own (B, ...) call:
+    over all K slices while each slice computes as its own (B, ...) call:
     matmul runs one product per slice and keeps its BLAS path, and the
-    other ops are elementwise or reduce within a slice. The graph's
-    gradients are for an unstacked batch."""
+    other ops are elementwise or reduce within a slice. In eval mode one
+    model forecasts every slice. In training mode a stack is a cohort of
+    LSTMs (`stack_params`), slice k trained by model k, and each slice's
+    outputs, batch statistics and gradients are the bits of its own call;
+    an unstacked model's graph takes an unstacked batch."""
     x_raw = np.asarray(x_raw, dtype=np.float64)
     if x_raw.ndim not in (3, 4) or x_raw.shape[-2] != spec.in_features \
             or x_raw.shape[-1] != spec.steps:
         raise ModelError(f"bad input shape {x_raw.shape} for {spec.arch}")
-    if x_raw.ndim == 4 and training:
-        raise ModelError("a stacked input is for evaluation only")
+    if x_raw.ndim == 4 and training and (
+            spec.arch not in LOCKSTEP_ARCHS
+            or params.get("head.b").data.shape
+            != (x_raw.shape[0], 1, spec.horizon)):
+        raise ModelError("a stacked training input needs a stack of "
+                         f"{x_raw.shape[0]} models of a lockstep "
+                         f"architecture ({', '.join(LOCKSTEP_ARCHS)})")
     if 0 in x_raw.shape:
         raise ModelError("empty batch")
     lead = x_raw.shape[:-2]  # (B,) or (T, B)
@@ -406,8 +436,14 @@ class SGD:
             if p.grad is not None:
                 p.data -= self.lr * p.grad
 
+    def keep(self, rows):
+        """Stacked parameters keep only slices `rows`; SGD has no state."""
+
 
 class Adam:
+    """Elementwise, so each slice of stacked parameters takes the steps of
+    its own optimizer."""
+
     def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         self.params = params
         self.lr = lr
@@ -430,8 +466,38 @@ class Adam:
             vhat = v / (1 - b2 ** self.t)
             p.data -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
 
+    def keep(self, rows):
+        """Stacked parameters keep only slices `rows`: so do the moments."""
+        self.m = [m[rows] for m in self.m]
+        self.v = [v[rows] for v in self.v]
 
-def _prox_penalty(params, anchor, include_bn):
+
+def _optimizer(params, cfg):
+    trainable = params.trainable()
+    if cfg.optimizer == "adam":
+        return Adam(trainable, cfg.learning_rate)
+    return SGD(trainable, cfg.learning_rate)
+
+
+def stack_params(paramsets):
+    """K models as one ParamSet on a leading client axis: an entry of shape
+    (C,) becomes (K, 1, C), so it broadcasts over a batch like its own
+    (C,) does, and any other shape s becomes (K, *s)."""
+    first = paramsets[0]
+    if not all(first.same_structure(ps) for ps in paramsets[1:]):
+        raise ModelError("structural mismatch in a cohort")
+    out = []
+    for i, (name, t, is_bn) in enumerate(first.entries):
+        data = np.stack([ps.entries[i][1].data for ps in paramsets])
+        if t.data.ndim == 1:
+            data = data[:, None, :]
+        out.append((name, T.Tensor(data, requires_grad=t.requires_grad),
+                    is_bn))
+    return ParamSet(out)
+
+
+def _prox_penalty(params, anchor, include_bn, stacked=False):
+    """sum ||w - w_anchor||^2; with stacked, one sum per slice, (K,)."""
     total = None
     for name, t, is_bn in params.entries:
         if not t.requires_grad:
@@ -440,9 +506,35 @@ def _prox_penalty(params, anchor, include_bn):
             continue
         # local_train never writes the anchor, so it is wrapped, not copied
         diff = T.sub(t, T.Tensor(anchor.get(name).data))
-        term = T.reduce_sum(T.mul(diff, diff))
+        axes = tuple(range(1, t.data.ndim)) if stacked else None
+        term = T.reduce_sum(T.mul(diff, diff), axis=axes)
         total = term if total is None else T.add(total, term)
     return total
+
+
+def _objective(spec, params, x, y, cfg, anchor, stacked=False):
+    """The training loss of one batch; with stacked, one loss per slice."""
+    loss = T.mse(forward_graph(spec, params, x, training=True), y,
+                 per_slice=stacked)
+    if cfg.prox_mu > 0:
+        penalty = _prox_penalty(params, anchor, cfg.include_bn_in_prox,
+                                stacked)
+        if penalty is not None:
+            loss = T.add(loss, T.mul(T.Tensor(cfg.prox_mu / 2.0), penalty))
+    return loss
+
+
+def _check_member(params, windows, cfg, anchor):
+    if cfg.prox_mu > 0 and anchor is None:
+        raise ModelError("prox_mu > 0 requires a global anchor")
+    if anchor is not None and not params.same_structure(anchor):
+        raise ModelError("anchor structure mismatch")
+    if not windows:
+        raise ModelError("no training windows")
+
+
+def _mean_loss(losses):
+    return float(np.mean(losses)) if losses else 0.0
 
 
 def local_train(spec, params, windows, cfg, global_anchor=None, rng=None):
@@ -450,23 +542,42 @@ def local_train(spec, params, windows, cfg, global_anchor=None, rng=None):
 
     The optimized objective is the MSE forecasting loss plus, when
     cfg.prox_mu > 0, the proximal term (mu/2) * ||w - w_anchor||^2 over
-    the non-batch-norm trainable parameters.
+    the non-batch-norm trainable parameters. `params` is trained in place.
+
+    A cohort trains in one call: `params`, `windows` and, when given,
+    `global_anchor` and `rng` are then lists with one entry per member, and
+    the call returns the list of trained ParamSets and the mean of the
+    members' losses. A member whose loss goes non-finite gets None in that
+    list; TrainingDiverged is raised only when every member diverges. A
+    cohort of one is the single call. A larger cohort must be of a
+    LOCKSTEP_ARCHS architecture, with train sets of one length: it trains
+    in lockstep on a leading client axis (`stack_params`), in stacks of at
+    most LOCKSTEP_MAX members, each member drawing its batch order from its
+    own rng, and each member's parameters, running statistics and loss are
+    the bits of its own single call.
     """
-    if cfg.prox_mu > 0 and global_anchor is None:
-        raise ModelError("prox_mu > 0 requires a global anchor")
-    if global_anchor is not None and not params.same_structure(global_anchor):
-        raise ModelError("anchor structure mismatch")
-    if not windows:
-        raise ModelError("no training windows")
+    if isinstance(params, ParamSet):
+        return _train_one(spec, params, windows, cfg, global_anchor, rng)
+    k = len(params)
+    anchors = [None] * k if global_anchor is None else list(global_anchor)
+    rngs = [None] * k if rng is None else list(rng)
+    if k == 0 or not len(windows) == len(anchors) == len(rngs) == k:
+        raise ModelError("a cohort takes one params, windows, anchor and "
+                         "rng per member")
+    if k == 1:
+        trained, loss = _train_one(spec, params[0], windows[0], cfg,
+                                   anchors[0], rngs[0])
+        return [trained], loss
+    return _train_lockstep(spec, params, windows, cfg, anchors, rngs)
+
+
+def _train_one(spec, params, windows, cfg, anchor, rng):
+    _check_member(params, windows, cfg, anchor)
     if rng is None:
         rng = np.random.default_rng(0)
     x_all, y_all = windows.x, windows.y
     n = x_all.shape[0]
-    trainable = params.trainable()
-    if cfg.optimizer == "adam":
-        opt = Adam(trainable, cfg.learning_rate)
-    else:
-        opt = SGD(trainable, cfg.learning_rate)
+    opt = _optimizer(params, cfg)
 
     last_epoch_losses = []
     for epoch in range(cfg.local_epochs):
@@ -474,13 +585,8 @@ def local_train(spec, params, windows, cfg, global_anchor=None, rng=None):
         losses = []
         for start in range(0, n, cfg.batch_size):
             idx = perm[start:start + cfg.batch_size]
-            pred = forward_graph(spec, params, x_all[idx], training=True)
-            loss = T.mse(pred, y_all[idx])
-            if cfg.prox_mu > 0:
-                penalty = _prox_penalty(params, global_anchor,
-                                        cfg.include_bn_in_prox)
-                if penalty is not None:
-                    loss = T.add(loss, T.mul(T.Tensor(cfg.prox_mu / 2.0), penalty))
+            loss = _objective(spec, params, x_all[idx], y_all[idx], cfg,
+                              anchor)
             value = float(loss.data)
             if not math.isfinite(value):
                 raise TrainingDiverged(
@@ -488,9 +594,86 @@ def local_train(spec, params, windows, cfg, global_anchor=None, rng=None):
             params.zero_grad()
             loss.backward()
             opt.step()
+            del loss    # the step's graph, before the next one is built
             losses.append(value)
         last_epoch_losses = losses
-    return params, float(np.mean(last_epoch_losses)) if last_epoch_losses else 0.0
+    return params, _mean_loss(last_epoch_losses)
+
+
+def _train_lockstep(spec, members, windows, cfg, anchors, rngs):
+    if spec.arch not in LOCKSTEP_ARCHS:
+        raise ModelError(f"a {spec.arch} cohort trains one member per call")
+    for params, w, anchor in zip(members, windows, anchors):
+        _check_member(params, w, cfg, anchor)
+    n = len(windows[0])
+    if any(len(w) != n for w in windows):
+        raise ModelError("a cohort's train sets differ in length")
+    # stacks of near-equal sizes, none above LOCKSTEP_MAX
+    n_stacks = -(-len(members) // LOCKSTEP_MAX)
+    bounds = [len(members) * i // n_stacks for i in range(n_stacks + 1)]
+    trained, losses = [], []
+    for lo, hi in zip(bounds, bounds[1:]):
+        t, l = _train_stack(spec, members[lo:hi], windows[lo:hi], cfg,
+                            anchors[lo:hi], rngs[lo:hi])
+        trained += t
+        losses += l
+    kept = [loss for params, loss in zip(trained, losses) if params is not None]
+    if not kept:
+        raise TrainingDiverged(f"non-finite loss ({spec.arch}) for every "
+                               f"member of a cohort")
+    return trained, float(np.mean(kept))
+
+
+def _train_stack(spec, members, windows, cfg, anchors, rngs):
+    """Train `members` as one stack; ([trained or None], [loss or None])."""
+    n = len(windows[0])
+    rngs = [np.random.default_rng(0) if r is None else r for r in rngs]
+    stack = stack_params(members)
+    anchor = stack_params(anchors) if cfg.prox_mu > 0 else None
+    opt = _optimizer(stack, cfg)
+    alive = list(range(len(members)))   # the member of each slice
+    losses = {m: [] for m in alive}     # member -> last epoch's losses
+
+    for epoch in range(cfg.local_epochs):
+        perms = [rngs[m].permutation(n) for m in alive]
+        losses = {m: [] for m in alive}
+        for start in range(0, n, cfg.batch_size):
+            idx = [perm[start:start + cfg.batch_size] for perm in perms]
+            x = np.stack([windows[m].x[i] for m, i in zip(alive, idx)])
+            y = np.stack([windows[m].y[i] for m, i in zip(alive, idx)])
+            loss = _objective(spec, stack, x, y, cfg, anchor, stacked=True)
+            values = loss.data.tolist()
+            rows = [j for j, v in enumerate(values) if math.isfinite(v)]
+            if not rows:
+                return [None] * len(members), [None] * len(members)
+            diverged = len(rows) < len(alive)
+            stack.zero_grad()
+            # a diverged slice's gradient and step are garbage, but only
+            # its own: no op mixes slices
+            with np.errstate(all="ignore" if diverged else None):
+                T.reduce_sum(loss).backward()
+                opt.step()
+            del loss    # the step's graph, before the next one is built
+            if diverged:
+                for _, t, _ in stack:
+                    t.data = t.data[rows]
+                if anchor is not None:
+                    for _, t, _ in anchor:
+                        t.data = t.data[rows]
+                opt.keep(rows)
+                alive = [alive[j] for j in rows]
+                perms = [perms[j] for j in rows]
+            for m, j in zip(alive, rows):
+                losses[m].append(values[j])
+
+    trained = [None] * len(members)
+    member_losses = [None] * len(members)
+    for j, m in enumerate(alive):
+        for (_, s, _), (_, t, _) in zip(stack, members[m]):
+            t.data = s.data[j].reshape(t.data.shape).copy()
+        trained[m] = members[m]
+        member_losses[m] = _mean_loss(losses[m])
+    return trained, member_losses
 
 
 def predict_trace(spec, params, windows):
@@ -534,8 +717,9 @@ def save_checkpoint(path, spec, params):
 def load_checkpoint(path):
     """(spec, params) of a checkpoint; CheckpointError naming the file when
     its header or parameter blob is corrupt or cut short, when the blob's
-    names, batch-norm flags or shapes are not those of the header's model,
-    or when a value is not finite."""
+    names, shapes, batch-norm or trainable flags are not those of the
+    header's model (`_layout`, so no model is built), or when a value is
+    not finite."""
     with open(path, "rb") as fh:
         header = fh.readline()
         blob = fh.read()
@@ -545,7 +729,11 @@ def load_checkpoint(path):
         spec, params = ModelSpec(**fields), ParamSet.from_bytes(blob)
     except (ValueError, TypeError, KeyError) as exc:
         raise CheckpointError(f"{path}: corrupt checkpoint: {exc}") from None
-    if not init_model(spec, 0).same_structure(params):
+    expected = [(name, shape, is_bn, trainable)
+                for name, shape, _, is_bn, trainable in _layout(spec)]
+    found = [(name, t.data.shape, is_bn, t.requires_grad)
+             for name, t, is_bn in params]
+    if found != expected:
         raise CheckpointError(f"{path}: the parameters are not those of the "
                               f"{spec.arch} model its header describes")
     bad = [name for name, t, _ in params if not np.isfinite(t.data).all()]

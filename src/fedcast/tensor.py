@@ -98,7 +98,11 @@ def as_tensor(x):
 
 
 def _unbroadcast(grad, shape):
-    """Sum gradient over axes that numpy broadcasting expanded."""
+    """Sum gradient over axes that numpy broadcasting expanded.
+
+    Shapes align from the end, as in broadcasting, so a stacked (K, 1, C)
+    bias takes one sum over each slice's batch. The leading axes are summed
+    first, then each size-1 axis from the front: that order sets the bits."""
     while grad.ndim > len(shape):
         grad = grad.sum(axis=0)
     for i, s in enumerate(shape):
@@ -354,20 +358,31 @@ def reduce_mean(a, axis=None, keepdims=False):
     return _make(a.data.mean(axis=axes, keepdims=keepdims), (a,), back)
 
 
-def mse(pred, target):
-    """Mean squared error over all elements; target is a constant."""
+def mse(pred, target, per_slice=False):
+    """Mean squared error over all elements; target is a constant.
+
+    With per_slice, one mean over each slice of the leading axis, shape
+    (K,): slice k has the bits of the mse of pred[k] alone, and so does its
+    gradient when the root sums the K losses."""
     pred = as_tensor(pred)
     t = target.data if isinstance(target, Tensor) else np.asarray(target)
     if pred.data.shape != t.shape:
         raise ValueError(f"mse shape mismatch {pred.data.shape} vs {t.shape}")
     diff = pred.data - t
-    n = diff.size
+    if per_slice:
+        axes = tuple(range(1, diff.ndim))
+        n = diff[0].size
+        value = np.mean(diff * diff, axis=axes)
+    else:
+        axes = ()
+        n = diff.size
+        value = np.array(np.mean(diff * diff))
 
     def back(g):
         if pred.requires_grad:
-            pred._accum(g * 2.0 * diff / n)
+            pred._accum(np.expand_dims(g, axes) * 2.0 * diff / n)
 
-    return _make(np.array(np.mean(diff * diff)), (pred,), back)
+    return _make(value, (pred,), back)
 
 
 def conv2d(x, w):
@@ -406,21 +421,23 @@ def lstm(x_seq, w_ih, w_hh, bias):
     steps with one matmul, or summing the weight gradient over steps in
     one, would reorder the floating-point sums.
 
-    The forward also takes a stack of such inputs, x_seq (T,B,S,D), and
-    returns (T,B,S,H): matmul runs one product per (B,·) slice, so each
-    slice gets the bits of its own call. The backward is for (B,S,D) only.
+    The forward also takes a stack of such inputs, x_seq (K,B,S,D), and
+    returns (K,B,S,H): matmul runs one product per (B,·) slice, so each
+    slice gets the bits of its own call. The backward takes the stack too
+    when the weights are stacked with it, w_ih (K,D,4H), w_hh (K,H,4H) and
+    bias (K,1,4H): every step counts its axes from the end, so slice k's
+    gradients are the bits of its own (B,S,D) call.
     """
     x_seq, w_ih, w_hh, bias = (as_tensor(t) for t in (x_seq, w_ih, w_hh, bias))
     *lead, steps, _ = x_seq.data.shape
-    b_n = lead[-1]
-    hid = w_hh.data.shape[0]
+    hid = w_hh.data.shape[-2]
     track = any(t.requires_grad for t in (x_seq, w_ih, w_hh, bias))
     h = np.zeros((*lead, hid))
-    c = np.zeros((*lead, hid))
+    c = c0 = np.zeros((*lead, hid))
     hs, cache = [], []
     for t in range(steps):
         xt = x_seq.data[..., t, :].copy()
-        h_prev, c_prev = h, c
+        h_prev = h
         gates = xt @ w_ih.data + h @ w_hh.data + bias.data
         # each activation reads a contiguous (B,H) array, like the graph's
         # slice copies (`-z` makes one for the sigmoids): a ufunc may take
@@ -434,32 +451,39 @@ def lstm(x_seq, w_ih, w_hh, bias):
         h = o * tc
         hs.append(h)
         if track:
-            cache.append((xt, h_prev, c_prev, i, f, g, o, tc))
+            # the tape keeps what the backward cannot remake: xt is copied
+            # again and tanh(c) recomputed, from the same arrays, so with
+            # the same bits
+            cache.append((h_prev, c, i, f, g, o))
 
     def back(grad):
         dx = np.zeros_like(x_seq.data) if x_seq.requires_grad else None
-        w_ih_t, w_hh_t = w_ih.data.T, w_hh.data.T
+        w_ih_t = np.swapaxes(w_ih.data, -1, -2)
+        w_hh_t = np.swapaxes(w_hh.data, -1, -2)
         dh_next = dc_next = None
         for t in reversed(range(steps)):
-            xt, h_prev, c_prev, i, f, g, o, tc = cache[t]
-            dh = grad[:, t, :] if dh_next is None else grad[:, t, :] + dh_next
+            h_prev, c, i, f, g, o = cache[t]
+            c_prev = cache[t - 1][1] if t else c0
+            tc = np.tanh(c)
+            dh = grad[..., t, :] if dh_next is None else grad[..., t, :] + dh_next
             do = dh * tc
             dc = (dh * o) * (1.0 - tc * tc)
             if dc_next is not None:
                 dc = dc + dc_next
-            dgates = np.empty((b_n, 4 * hid))
-            dgates[:, :hid] = ((dc * g) * i) * (1.0 - i)
-            dgates[:, hid:2 * hid] = ((dc * c_prev) * f) * (1.0 - f)
-            dgates[:, 2 * hid:3 * hid] = (dc * i) * (1.0 - g * g)
-            dgates[:, 3 * hid:] = (do * o) * (1.0 - o)
+            dgates = np.empty((*lead, 4 * hid))
+            dgates[..., :hid] = ((dc * g) * i) * (1.0 - i)
+            dgates[..., hid:2 * hid] = ((dc * c_prev) * f) * (1.0 - f)
+            dgates[..., 2 * hid:3 * hid] = (dc * i) * (1.0 - g * g)
+            dgates[..., 3 * hid:] = (do * o) * (1.0 - o)
             if bias.requires_grad:
-                bias._accum(dgates.sum(axis=0))
+                bias._accum(dgates.sum(axis=-2).reshape(bias.data.shape))
             if dx is not None:
-                dx[:, t, :] = dgates @ w_ih_t
+                dx[..., t, :] = dgates @ w_ih_t
             if w_ih.requires_grad:
-                w_ih._accum(xt.T @ dgates)
+                xt = x_seq.data[..., t, :].copy()
+                w_ih._accum(np.swapaxes(xt, -1, -2) @ dgates)
             if w_hh.requires_grad:
-                w_hh._accum(h_prev.T @ dgates)
+                w_hh._accum(np.swapaxes(h_prev, -1, -2) @ dgates)
             dh_next = dgates @ w_hh_t
             dc_next = dc * f
         if dx is not None:
@@ -473,7 +497,10 @@ def batch_norm(x, gamma, beta, running_mean, running_var, channel_axis,
     """Batch normalization over all axes except channel_axis.
 
     gamma/beta are flat (C,) Tensors; running_mean/var are flat (C,)
-    Tensors updated in place (no gradient) while training.
+    Tensors updated in place (no gradient) while training. For a stack of
+    models on the leading axis of x, all four are stacked and shaped to
+    broadcast against x, e.g. (K,1,C) for x (K,B,C): each slice then takes
+    its moments over its own batch and keeps its own running statistics.
 
     In training mode this is one node whose backward repeats, bit for bit,
     the arithmetic of the graph of elementary ops it replaces
@@ -489,9 +516,13 @@ def batch_norm(x, gamma, beta, running_mean, running_var, channel_axis,
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     ndim = x.data.ndim
     channel_axis = channel_axis % ndim
-    axes = tuple(ax for ax in range(ndim) if ax != channel_axis)
-    bshape = [1] * ndim
-    bshape[channel_axis] = x.data.shape[channel_axis]
+    stacked = gamma.data.ndim > 1
+    axes = tuple(ax for ax in range(int(stacked), ndim) if ax != channel_axis)
+    if stacked:
+        bshape = list(gamma.data.shape)
+    else:
+        bshape = [1] * ndim
+        bshape[channel_axis] = x.data.shape[channel_axis]
     gamma_r = gamma.data.reshape(bshape)
     beta_r = beta.data.reshape(bshape)
 
@@ -509,8 +540,10 @@ def batch_norm(x, gamma, beta, running_mean, running_var, channel_axis,
     xhat = centered * inv_std
     n = math.prod(x.data.shape[ax] for ax in axes)
     # running statistics track detached batch moments (unbiased variance)
-    bm = mean.reshape(-1)
-    bv = var.reshape(-1) * (n / (n - 1)) if n > 1 else var.reshape(-1)
+    bm = mean.reshape(running_mean.data.shape)
+    bv = var.reshape(running_var.data.shape)
+    if n > 1:
+        bv = bv * (n / (n - 1))
     running_mean.data *= (1.0 - momentum)
     running_mean.data += momentum * bm
     running_var.data *= (1.0 - momentum)

@@ -1,0 +1,56 @@
+"""The pair summary of tools/bench_pairs.py."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+
+def _pair(seed, parent, change, same_hash=True, failed=0):
+    def side(value, digest):
+        return {"values": {"pipeline_s": value}, "correct": not failed,
+                "failed": failed, "attempted": 10,
+                "artifact_sha256": {"rounds.csv": digest}}
+    return {"seed": seed, "first": "parent" if seed % 2 == 0 else "change",
+            "parent": side(parent, "a"),
+            "change": side(change, "a" if same_hash else "b")}
+
+
+def test_summary_of_pairs():
+    parent = [1.0, 2.0, 3.0, 4.0, 5.0]
+    change = [0.5, 2.5, 1.0, 3.0, 4.0]
+    pairs = [_pair(10 + i, p, c) for i, (p, c) in enumerate(zip(parent,
+                                                                 change))]
+    got = bench_pairs.summarise(pairs)
+    m = got["metrics"]["pipeline_s"]
+    assert m["parent"] == parent and m["change"] == change
+    assert m["parent_median"] == 3.0 and m["change_median"] == 2.5
+    # inclusive quartiles: the 25th and 75th percentiles of the sorted
+    # values, interpolated between order statistics
+    assert m["parent_quartiles"] == [2.0, 4.0]
+    assert m["change_quartiles"] == [1.0, 3.0]
+    assert m["median_ratio"] == pytest.approx(2.5 / 3.0)
+    assert m["change_lower"] == "4/5"
+    assert got["seeds"] == [10, 11, 12, 13, 14]
+    assert got["first"] == ["parent", "change", "parent", "change", "parent"]
+    assert got["artifact_sha256_equal_all_pairs"]
+    assert got["correct_all_runs"]
+    assert got["failed_ops"] == {"parent": 0, "change": 0}
+
+
+def test_summary_flags_unequal_artifacts_and_failures():
+    pairs = [_pair(0, 1.0, 1.0), _pair(1, 1.0, 2.0, same_hash=False,
+                                       failed=1)]
+    got = bench_pairs.summarise(pairs)
+    assert got["artifact_sha256_equal"] == [True, False]
+    assert not got["artifact_sha256_equal_all_pairs"]
+    assert not got["correct_all_runs"]
+    assert got["failed_ops"] == {"parent": 1, "change": 1}
+    m = got["metrics"]["pipeline_s"]
+    assert m["change_lower"] == "0/2"   # a tie is not lower
+    assert m["parent_quartiles"] == [1.0, 1.0]

@@ -370,6 +370,29 @@ def test_checkpoint_header_of_another_model_exits_1_naming_the_file(
     _assert_one_line_error(capsys, str(ckpt), "CNN model")
 
 
+def test_checkpoint_header_of_a_huge_model_exits_1_without_building_it(
+        tmp_path, capsys):
+    # the blob is checked against the header's layout, shapes only: a model
+    # of hidden 10**7 would need ~3 PB
+    import re
+    import tracemalloc
+    cfg, ckpt = _federated_checkpoint(tmp_path)
+    header, blob = ckpt.read_bytes().split(b"\n", 1)
+    huge = re.sub(rb'"hidden": \d+', b'"hidden": 10000000', header)
+    assert huge != header
+    ckpt.write_bytes(huge + b"\n" + blob)
+    tracemalloc.start()
+    try:
+        code = cli.run(cfg, "stream")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and peak < 5e6, peak
+    _assert_one_line_error(capsys, str(ckpt), "LSTM model")
+    with pytest.raises(models.CheckpointError, match="LSTM model"):
+        models.load_checkpoint(ckpt)
+
+
 def test_non_finite_checkpoint_value_exits_1_naming_the_file(tmp_path,
                                                             capsys):
     cfg, ckpt = _federated_checkpoint(tmp_path)

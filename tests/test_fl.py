@@ -314,14 +314,24 @@ def test_diverged_client_is_excluded(monkeypatch):
     real_local_train = fl.local_train
 
     updates = []
+    cohorts = []
 
     def flaky(spec_, params_, windows, cfg, global_anchor=None, rng=None):
-        if windows is bad.train:
-            raise models.TrainingDiverged("boom")
-        out = real_local_train(spec_, params_, windows, cfg,
-                               global_anchor=global_anchor, rng=rng)
-        updates.append((out[0].copy(), len(windows)))
-        return out
+        # the three clients train as one cohort; the bad client's copy
+        # forecasts 1e300, so its loss is not finite at the first step and
+        # it is dropped from the cohort while the others train on
+        cohorts.append(len(windows))
+        for params, w in zip(params_, windows):
+            if w is bad.train:
+                params.get("head.b").data[:] = 1e300
+        with np.errstate(over="ignore", invalid="ignore"):
+            trained, loss = real_local_train(
+                spec_, params_, windows, cfg, global_anchor=global_anchor,
+                rng=rng)
+        updates.extend((params.copy(), len(w))
+                       for params, w in zip(trained, windows)
+                       if params is not None)
+        return trained, loss
 
     rc = fl.RoundConfig(strategy=fl.StrategyKind("FEDAVG"), total_rounds=1,
                         participation_fraction=1.0, seed=4)
@@ -330,7 +340,7 @@ def test_diverged_client_is_excluded(monkeypatch):
         c.params = global_params.copy()
     monkeypatch.setattr(fl, "local_train", flaky)
     _, report = fl.run_round(clients, global_params, rc, tc, spec)
-    assert report.diverged == [bad.client_id]
+    assert report.diverged == [bad.client_id] and cohorts == [3]
     assert set(report.metrics) == {c.client_id for c in clients}
 
     # under FedBN the diverged client keeps its own pre-round batch-norm
@@ -404,7 +414,9 @@ def test_running_stats_stay_local_when_not_aggregated(monkeypatch):
     real_train = fl.local_train
 
     def recording(spec, params, train, *args, **kwargs):
-        broadcasts[id(train)] = params.copy()
+        # one call per cohort: a list of params and one of train sets
+        for member, windows in zip(params, train):
+            broadcasts[id(windows)] = member.copy()
         return real_train(spec, params, train, *args, **kwargs)
 
     monkeypatch.setattr(fl, "local_train", recording)
@@ -421,6 +433,81 @@ def test_running_stats_stay_local_when_not_aggregated(monkeypatch):
                 carried_own |= not np.array_equal(
                     t.data, new_global.entries[i][1].data)
     assert carried_own
+
+
+_COHORT_CONFIG = """\
+[experiment]
+seed = 8
+out_dir = unused
+
+[data]
+source = files
+files = {files}
+
+[preprocess]
+filter_window = 3
+
+[window]
+history = 5
+horizon = 1
+
+[model]
+arch = LSTM
+hidden = 8
+
+[train]
+learning_rate = 0.01
+batch_size = 16
+local_epochs = 2
+
+[rounds]
+{rounds}
+total_rounds = 3
+participation = 0.8
+"""
+
+
+@pytest.mark.parametrize("strategy", ["FEDAVG", "FEDBN", "FEDPROX"])
+def test_cohort_rounds_write_the_bytes_of_per_client_rounds(
+        tmp_path, monkeypatch, strategy):
+    """Trace files of three lengths: LSTM participants train in cohorts of
+    one train length, in several calls per round, and every artifact is
+    byte-equal to that of rounds that train one client per call."""
+    from fedcast.trace import ClientTrace, export_trace
+    traces = generate_synthetic(
+        SyntheticSpec(n_clients=5, length=130, offset_min=10, offset_max=60,
+                      period_min=20, period_max=50), seed=12)
+    paths = []
+    for tr, length in zip(traces, (90, 110, 90, 130, 110)):
+        path = tmp_path / f"{tr.client_id}.csv"
+        export_trace(ClientTrace(tr.client_id, tr.dataset_tag,
+                                 {k: v[:length] for k, v in tr.columns.items()}),
+                     path)
+        paths.append(str(path))
+    cfg = tmp_path / "cohorts.ini"
+    cfg.write_text(_COHORT_CONFIG.format(files=", ".join(paths),
+                                         rounds=_MATRIX_ROUNDS[strategy]))
+    real_local_train = fl.local_train
+    sizes = []
+
+    def recording(spec, params, *args, **kwargs):
+        sizes.append(len(params))
+        return real_local_train(spec, params, *args, **kwargs)
+
+    def artifacts(out):
+        assert cli.run(cfg, "federate", out=str(out)) == 0
+        return {p.relative_to(out).as_posix(): p.read_bytes()
+                for p in out.rglob("*") if p.is_file()}
+
+    monkeypatch.setattr(fl, "local_train", recording)
+    cohorts = artifacts(tmp_path / "cohorts")
+    assert max(sizes) >= 2 and len(sizes) > 3   # several calls of 3 rounds
+    monkeypatch.setattr(fl, "_cohorts", lambda spec, clients, participants:
+                        [[k] for k in participants])
+    sizes.clear()
+    each = artifacts(tmp_path / "each")
+    assert sizes == [1] * 12    # 4 of 5 clients in each of 3 rounds
+    assert len(cohorts) == 9 and cohorts == each   # 6 checkpoints, 3 files
 
 
 # --- artifacts of every strategy path ----------------------------------------

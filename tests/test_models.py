@@ -5,7 +5,7 @@ import pytest
 
 from fedcast import models
 from fedcast import tensor as T
-from fedcast.preprocess import WindowConfig, build_windows
+from fedcast.preprocess import Windows, WindowConfig, build_windows
 from fedcast.trace import ClientTrace
 
 
@@ -447,6 +447,162 @@ def test_training_loss_monotone_in_median(arch):
             losses[seed, epoch] = loss
     med = np.median(losses, axis=0)
     assert all(b <= a + 1e-12 for a, b in zip(med, med[1:]))
+
+
+# --- a cohort in one local_train call ---------------------------------------
+
+
+def _lockstep_spec(**kw):
+    # the demo's widths: hidden 24, H 15, six input rows
+    return _toy_spec("LSTM", in_features=6, history=15, hidden=24, **kw)
+
+
+def _cohort(spec, k, n=75, seed=0):
+    """k members with train sets of n windows: own models, own data."""
+    rng = np.random.default_rng(seed)
+    windows = [Windows(rng.normal(size=(n, spec.in_features, spec.steps)),
+                       rng.normal(size=(n, spec.horizon)), np.arange(n))
+               for _ in range(k)]
+    return [models.init_model(spec, seed=(seed, j)) for j in range(k)], windows
+
+
+def _member_rng(j):
+    return np.random.default_rng((9, j))
+
+
+def _train_each(spec, params, windows, cfg):
+    """The oracle: one local_train call per member; None if it diverges."""
+    prox = cfg.prox_mu > 0
+    out = []
+    for j, (p, w) in enumerate(zip(params, windows)):
+        try:
+            out.append(models.local_train(spec, p.copy(), w, cfg,
+                                          global_anchor=p if prox else None,
+                                          rng=_member_rng(j)))
+        except models.TrainingDiverged:
+            out.append(None)
+    return out
+
+
+def _train_cohort(spec, params, windows, cfg):
+    return models.local_train(
+        spec, [p.copy() for p in params], windows, cfg,
+        global_anchor=params if cfg.prox_mu > 0 else None,
+        rng=[_member_rng(j) for j in range(len(params))])
+
+
+def _assert_cohort_is_each(cohort, each):
+    trained, loss = cohort
+    assert len(trained) == len(each)
+    for j, (got, want) in enumerate(zip(trained, each)):
+        if want is None:
+            assert got is None, j
+        else:   # every entry, running statistics included
+            for (name, t, _), (_, w, _) in zip(got, want[0]):
+                assert t.data.shape == w.data.shape, (j, name)
+                assert t.data.tobytes() == w.data.tobytes(), (j, name)
+    want_loss = np.mean([w[1] for w in each if w is not None])
+    assert isinstance(loss, float)
+    assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+
+
+@pytest.mark.parametrize("k", [1, 2, 7])
+@pytest.mark.parametrize("use_batchnorm", [True, False])
+@pytest.mark.parametrize("prox_mu", [0.0, 0.05])
+def test_cohort_call_is_bitwise_the_per_member_calls(k, use_batchnorm,
+                                                     prox_mu):
+    """Trained in lockstep, each member gets the bits of its own call:
+    parameters, batch-norm running statistics and loss (FedAvg and FedBN
+    train with prox_mu 0, FedProx with prox_mu > 0). 75 windows in
+    batches of 32 make a short last batch."""
+    spec = _lockstep_spec(use_batchnorm=use_batchnorm)
+    params, windows = _cohort(spec, k)
+    cfg = models.TrainConfig(learning_rate=3e-3, batch_size=32,
+                             local_epochs=2, prox_mu=prox_mu)
+    _assert_cohort_is_each(_train_cohort(spec, params, windows, cfg),
+                           _train_each(spec, params, windows, cfg))
+    if use_batchnorm and k > 1:     # each member keeps its own statistics
+        stats = [p.get("bn.running_mean").data
+                 for p in _train_cohort(spec, params, windows, cfg)[0]]
+        assert not np.array_equal(stats[0], stats[1])
+
+
+def test_cohort_of_seven_in_one_stack_is_bitwise_the_per_member_calls(
+        monkeypatch):
+    # the stack holds any number of members, not only LOCKSTEP_MAX
+    monkeypatch.setattr(models, "LOCKSTEP_MAX", 7)
+    spec = _lockstep_spec()
+    params, windows = _cohort(spec, 7)
+    cfg = models.TrainConfig(learning_rate=3e-3, batch_size=32,
+                             local_epochs=2, prox_mu=0.05)
+    _assert_cohort_is_each(_train_cohort(spec, params, windows, cfg),
+                           _train_each(spec, params, windows, cfg))
+
+
+def test_cohort_of_two_layers_under_sgd_is_bitwise_the_per_member_calls():
+    # the second layer's input gradient runs through the stacked BPTT, and
+    # the proximal term covers the batch-norm entries
+    spec = _lockstep_spec(num_layers=2)
+    params, windows = _cohort(spec, 3, n=40, seed=1)
+    cfg = models.TrainConfig(learning_rate=0.05, batch_size=16,
+                             local_epochs=2, optimizer="sgd", prox_mu=0.1,
+                             include_bn_in_prox=True)
+    _assert_cohort_is_each(_train_cohort(spec, params, windows, cfg),
+                           _train_each(spec, params, windows, cfg))
+
+
+@pytest.mark.parametrize("bad", [(1, 3), (0, 1), (0, 1, 2, 3)])
+def test_cohort_member_diverging_mid_epoch_is_dropped(monkeypatch, bad):
+    """Members `bad` meet a target of 1e300 in the third batch of their
+    first epoch: their entries are None, and the others train on to the
+    bits of their own calls. Four members train as two stacks of two: bad
+    members in both stacks, a whole stack of them, or all of them, when
+    the call raises."""
+    monkeypatch.setattr(models, "LOCKSTEP_MAX", 3)
+    spec = _lockstep_spec()
+    params, windows = _cohort(spec, 4)
+    cfg = models.TrainConfig(learning_rate=3e-3, batch_size=32,
+                             local_epochs=2)
+    for j in bad:
+        first_epoch = _member_rng(j).permutation(len(windows[j]))
+        windows[j].y[first_epoch[2 * cfg.batch_size]] = 1e300
+    with np.errstate(over="ignore", invalid="ignore"):
+        each = _train_each(spec, params, windows, cfg)
+        assert [j for j, w in enumerate(each) if w is None] == list(bad)
+        if len(bad) == len(params):
+            with pytest.raises(models.TrainingDiverged):
+                _train_cohort(spec, params, windows, cfg)
+        else:
+            _assert_cohort_is_each(_train_cohort(spec, params, windows, cfg),
+                                   each)
+
+
+def test_cohort_without_epochs_returns_its_models_untrained():
+    spec = _lockstep_spec()
+    params, windows = _cohort(spec, 2)
+    cfg = models.TrainConfig(learning_rate=3e-3, local_epochs=0)
+    trained, loss = _train_cohort(spec, params, windows, cfg)
+    assert loss == 0.0
+    assert [t.to_bytes() for t in trained] == [p.to_bytes() for p in params]
+    _assert_cohort_is_each((trained, loss),
+                           _train_each(spec, params, windows, cfg))
+
+
+def test_cohort_needs_one_train_length_and_a_lockstep_architecture():
+    cfg = models.TrainConfig(learning_rate=3e-3)
+    spec = _lockstep_spec()
+    params, windows = _cohort(spec, 2)
+    with pytest.raises(models.ModelError, match="length"):
+        _train_cohort(spec, params, [windows[0], windows[1][:-1]], cfg)
+    with pytest.raises(models.ModelError, match="one params"):
+        models.local_train(spec, params, windows[:1], cfg)
+    cnn = _toy_spec("CNN", in_features=6, history=15)
+    params, windows = _cohort(cnn, 2)
+    with pytest.raises(models.ModelError, match="CNN"):
+        _train_cohort(cnn, params, windows, cfg)
+    # a CNN cohort of one is the single call
+    _assert_cohort_is_each(_train_cohort(cnn, params[:1], windows[:1], cfg),
+                           _train_each(cnn, params[:1], windows[:1], cfg))
 
 
 def test_paramset_copy_is_deep():

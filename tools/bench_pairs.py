@@ -1,0 +1,191 @@
+#!/usr/bin/env python3
+"""Compare two fedcast source trees with the benchmark, in alternating pairs.
+
+    python3 tools/bench_pairs.py --parent OLD/src --change NEW/src \\
+        --workloads demo_all,cnn_prox_files,stream_outage_h6 \\
+        --pairs 10 --seconds 40 --seed 1301 --out BENCH_N.json
+
+Each side gets its own checkout in a work directory: a copy of its `src/`
+next to a copy of this repository's `perfbench/`, so both sides run the
+same benchmark script. Pair p of workload w runs both sides at seed
+`--seed + 100 * w + p`, the parent first in even pairs and the change
+first in odd ones, so that a drift of the host's speed does not favour
+one side. With `--traced-seed S`, each workload then runs once per side
+with `--trace 1` at seed S + 100 * w.
+
+The JSON written to --out holds, per workload, each side's value of every
+end-to-end metric and stage time in pair order, their medians and
+inclusive quartiles, the median ratio change / parent, the number of
+pairs in which the change is lower, and whether the two sides wrote
+byte-identical artifacts in every pair.
+"""
+
+import argparse
+import json
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SIDES = ("parent", "change")
+
+
+def parse_args(argv):
+    p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    p.add_argument("--parent", required=True, type=Path,
+                   help="the parent's src/ directory")
+    p.add_argument("--change", required=True, type=Path,
+                   help="the change's src/ directory")
+    p.add_argument("--workloads", required=True,
+                   help="comma-separated perfbench workload names")
+    p.add_argument("--pairs", type=int, default=10)
+    p.add_argument("--seconds", type=float, default=40.0)
+    p.add_argument("--seed", type=int, required=True,
+                   help="seed of the first pair of the first workload")
+    p.add_argument("--traced-seed", type=int, default=None)
+    p.add_argument("--out", required=True, type=Path)
+    args = p.parse_args(argv)
+    for side in SIDES:
+        src = getattr(args, side)
+        if not (src / "fedcast" / "__init__.py").is_file():
+            p.error(f"--{side} {src}: no fedcast package there")
+    if args.pairs < 1:
+        p.error("--pairs must be >= 1")
+    return args
+
+
+def make_checkout(src, dest):
+    """dest/src as a copy of `src` and dest/perfbench as this repo's."""
+    ignore = shutil.ignore_patterns("__pycache__", "*.pyc")
+    shutil.copytree(src, dest / "src", ignore=ignore)
+    shutil.copytree(ROOT / "perfbench", dest / "perfbench", ignore=ignore)
+    return dest
+
+
+def run_bench(checkout, workload, seed, seconds, trace):
+    """(result, report) of one perfbench run in `checkout`."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds),
+           "--trace", str(trace)]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or len(lines) < 2 \
+            or not lines[-2].startswith("report "):
+        raise RuntimeError(f"{' '.join(cmd)} in {checkout} exited "
+                           f"{proc.returncode}:\n{proc.stderr[-2000:]}")
+    return json.loads(lines[-1]), json.loads(lines[-2][len("report "):])
+
+
+def pair_record(seed, first, runs):
+    """What one pair keeps: `runs` maps side -> (result, report)."""
+    rec = {"seed": seed, "first": first}
+    for side, (result, report) in runs.items():
+        values = {name: m["value"] for name, m in result["metrics"].items()}
+        values.update({f"stage.{name}": m["value"]
+                       for name, m in report["stages"].items()})
+        values["wall.pipeline_s"] = report["wall"]["pipeline_s"]
+        values["wall.reference_s"] = report["wall"]["reference_s"]
+        rec[side] = {"values": values, "correct": result["correct"],
+                     "failed": result["failed"],
+                     "attempted": result["attempted"],
+                     "artifact_sha256": report["artifact_sha256"]}
+    return rec
+
+
+def _quartiles(values):
+    if len(values) == 1:
+        return [values[0], values[0]]
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return [q1, q3]
+
+
+def summarise(pairs):
+    """Per metric, each side's values in pair order, their medians and
+    inclusive quartiles, the median ratio change / parent and how many
+    pairs the change is lower in; plus the pairs' correctness, failed
+    operations and artifact-hash equality."""
+    names = [n for n in pairs[0]["parent"]["values"]
+             if all(n in p[s]["values"] for p in pairs for s in SIDES)]
+    metrics = {}
+    for name in names:
+        vals = {s: [p[s]["values"][name] for p in pairs] for s in SIDES}
+        med = {s: statistics.median(vals[s]) for s in SIDES}
+        lower = sum(c < p for p, c in zip(vals["parent"], vals["change"]))
+        metrics[name] = {
+            "parent": vals["parent"], "change": vals["change"],
+            "parent_median": med["parent"], "change_median": med["change"],
+            "parent_quartiles": _quartiles(vals["parent"]),
+            "change_quartiles": _quartiles(vals["change"]),
+            "median_ratio": (med["change"] / med["parent"]
+                             if med["parent"] else None),
+            "change_lower": f"{lower}/{len(pairs)}",
+        }
+    equal = [p["parent"]["artifact_sha256"] == p["change"]["artifact_sha256"]
+             for p in pairs]
+    return {
+        "seeds": [p["seed"] for p in pairs],
+        "first": [p["first"] for p in pairs],
+        "metrics": metrics,
+        "failed_ops": {s: sum(p[s]["failed"] for p in pairs) for s in SIDES},
+        "ops_attempted": {s: [p[s]["attempted"] for p in pairs]
+                          for s in SIDES},
+        "correct_all_runs": all(p[s]["correct"] for p in pairs
+                                for s in SIDES),
+        "artifact_sha256_equal": equal,
+        "artifact_sha256_equal_all_pairs": all(equal),
+    }
+
+
+def traced_record(seed, runs):
+    """Per-layer metrics of one --trace 1 run per side: name -> [parent,
+    change]."""
+    results = {side: result for side, (result, _) in runs.items()}
+    names = sorted(set(results["parent"]["metrics"])
+                   | set(results["change"]["metrics"]))
+    return {
+        "seed": seed,
+        "correct": [results[s]["correct"] for s in SIDES],
+        "artifact_sha256_equal": runs["parent"][1]["artifact_sha256"]
+        == runs["change"][1]["artifact_sha256"],
+        "metrics": {n: [results[s]["metrics"].get(n, {}).get("value")
+                        for s in SIDES] for n in names},
+    }
+
+
+def main(argv=None):
+    args = parse_args(argv)
+    workloads = [w for w in args.workloads.split(",") if w]
+    out = {"command": "python3 perfbench/run.py --workload W --seed N "
+                      f"--seconds {args.seconds:g} --trace {{0,1}}",
+           "pairs": args.pairs, "end_to_end": {}, "traced": {}}
+    with tempfile.TemporaryDirectory(prefix="bench_pairs_") as work:
+        checkouts = {side: make_checkout(getattr(args, side),
+                                         Path(work) / side)
+                     for side in SIDES}
+        for w, workload in enumerate(workloads):
+            pairs = []
+            for p in range(args.pairs):
+                seed = args.seed + 100 * w + p
+                order = SIDES if p % 2 == 0 else SIDES[::-1]
+                runs = {side: run_bench(checkouts[side], workload, seed,
+                                        args.seconds, 0) for side in order}
+                pairs.append(pair_record(seed, order[0], runs))
+                print(f"{workload} pair {p + 1}/{args.pairs} seed {seed}: "
+                      + ", ".join(f"{s} {pairs[-1][s]['values']['pipeline_s']:.4f}"
+                                  for s in SIDES), file=sys.stderr)
+            out["end_to_end"][workload] = summarise(pairs)
+            if args.traced_seed is not None:
+                seed = args.traced_seed + 100 * w
+                runs = {side: run_bench(checkouts[side], workload, seed,
+                                        args.seconds, 1) for side in SIDES}
+                out["traced"][workload] = traced_record(seed, runs)
+            out["machine"] = runs["change"][1]["machine"]
+            args.out.write_text(json.dumps(out, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
