@@ -61,11 +61,28 @@ _BIG_DOWNLOAD_TIME = 1e9  # seconds; stands in for "throughput is zero"
 #   1-element array: libm's exp (math.exp) differs from numpy's SIMD
 #   kernel in the last bit on ~5% of arguments, while the array kernel
 #   gives the same bits at every length and stride.
-# - The terminal drain is skipped when fl(buffer0 - buf_min) <= 0, and a
-#   stall-free last depth then writes no buffers at all.
+# - The terminal drain is skipped when fl(buffer0 - buf_min) <= 0. When it
+#   is skipped and every depth is stall-free, the buffers reach no score
+#   and no depth writes them.
 # - The download times are computed once per distinct predicted
 #   throughput; at horizon <= 5 every chunk reads the same predicted
-#   second.
+#   second. The longest is rtt + bits_max / tp, which rounds to the
+#   largest of rtt + bits / tp, so `_buffer_walk` runs the smallest-buffer
+#   recurrence on scalars, before any array is touched.
+#
+# A decision that cannot stall at any depth and skips the drain therefore
+# has scores that depend on nothing but the plan, the previous rate and
+# latency0: the first depth adds (gain_first[prev] - cost(latency0)) /
+# chunks_per_seg to +0.0, and every later depth adds the (L, L) table
+# term_next[rate, last rate], built from the same cost. Its argmax is then
+# the same for every such decision with that previous rate and latency0,
+# whatever its buffer and predicted throughputs. `mpc_first_rate` keeps
+# the first rate of each in the plan's `first_rates` dict, one per
+# session: a repeat is a dict lookup, and a first sight, a decision that
+# can stall or drain, a nan latency0 (never equal to itself) or an
+# infinite or nan mu2 (a zero stall is not free) runs the full rollout.
+# On perfbench's demo_all (seed 7), 1,013 of 1,240 decisions per pass are
+# lookups, 90 are first sights and 137 can stall or drain.
 # ---------------------------------------------------------------------------
 
 
@@ -107,6 +124,7 @@ class MpcPlan:
         self.omega = omega
         self.psi_base = 1.0 / (1.0 + np.exp(omega))
         self.bits = ladder * chunk_dur  # Kbit per chunk
+        self.bits_max = float(self.bits.max())
         # quality minus switching penalty of each rate after each previous
         # rate (gain[prev, rate]); the first chunk's row is gain[prev_idx],
         # or the last row, read as row -1, with no switch when there is none
@@ -148,6 +166,10 @@ class MpcPlan:
         self.digits = (n_rates,) * horizon
         self.scores_by_first = self.depths[-1].score_flat.reshape(
             self.digits).T
+        self.n_rest = n_half  # sequences per first rate
+        # the first rate of every stall- and drain-free decision scored so
+        # far, by (previous rate, latency): all its scores depend on these
+        self.first_rates = {}
 
 
 def _latency_cost(lat, omega, psi_base, mu4, out):
@@ -161,14 +183,40 @@ def _latency_cost(lat, omega, psi_base, mu4, out):
     return out
 
 
-def mpc_rollout_scores(pred_kbps, buffer0, latency0, prev_idx, plan):
-    """Score every rate sequence over the horizon; returns scores (L**h,),
-    a new array. `plan` is the session's `MpcPlan`, whose workspace the
-    call reuses. See module stream."""
+def _prediction(pred_kbps, plan):
+    """The predicted kbps of a decision as float64, one per depth."""
     pred_kbps = np.asarray(pred_kbps, dtype=np.float64)
     if pred_kbps.size != plan.horizon:
         raise ValueError(f"{pred_kbps.size} predicted chunks for an MPC plan "
                          f"over {plan.horizon}")
+    return pred_kbps
+
+
+def _buffer_walk(pred_kbps, buffer0, plan):
+    """The smallest buffer of any prefix, depth by depth: the scalar
+    recurrence at the longest download. Returns how many leading depths
+    are stall-free and whether the terminal drain applies."""
+    rtt, bits_max, chunk_dur = plan.rtt, plan.bits_max, plan.chunk_dur
+    n_free = 0
+    stall_free = plan.zero_cost
+    buf_min = buffer0
+    tp_prev = None
+    for tp in pred_kbps.tolist():
+        if tp != tp_prev:
+            # the largest of rtt + bits / tp, by monotone rounding
+            d_max = rtt + bits_max / tp if tp > 0.0 else _BIG_DOWNLOAD_TIME
+            tp_prev = tp
+        stall_free = stall_free and d_max - buf_min <= 0.0
+        n_free += stall_free
+        buf_min = max(buf_min - d_max, 0.0) + chunk_dur
+    return n_free, not plan.zero_cost or buffer0 - buf_min > 0.0
+
+
+def mpc_rollout_scores(pred_kbps, buffer0, latency0, prev_idx, plan):
+    """Score every rate sequence over the horizon; returns scores (L**h,),
+    a new array. `plan` is the session's `MpcPlan`, whose workspace the
+    call reuses. See module stream."""
+    pred_kbps = _prediction(pred_kbps, plan)
     buffer0 = float(buffer0)
     horizon = plan.horizon
     n_rates = plan.ladder_kbps.size
@@ -176,12 +224,14 @@ def mpc_rollout_scores(pred_kbps, buffer0, latency0, prev_idx, plan):
     chunks_per_seg, mu2, mu4 = plan.chunks_per_seg, plan.mu2, plan.mu4
     omega, psi_base = plan.omega, plan.psi_base
     gain_first = plan.gain_first[prev_idx]
+    n_free, drain = _buffer_walk(pred_kbps, buffer0, plan)
+    # a stall-free depth's buffers reach no score unless a later depth can
+    # stall or the drain applies
+    keep_buf = n_free < horizon or drain
 
     buf = np.array([buffer0])
     lat = np.array([float(latency0)])
     score = np.zeros(1)
-    buf_min = buffer0  # the smallest buffer of any prefix, exactly
-    stall_free = plan.zero_cost
     tp_prev = None
     for j, tp in enumerate(pred_kbps):
         if tp != tp_prev:
@@ -190,15 +240,12 @@ def mpc_rollout_scores(pred_kbps, buffer0, latency0, prev_idx, plan):
             else:
                 d = np.full(n_rates, _BIG_DOWNLOAD_TIME)
             d = d[:, None]
-            d_max = d.max()
             tp_prev = tp
         (buf_c, lat_c, score_c, buf_flat, lat_flat, score_flat, stall, term,
          score_by_prev, term_by_prev, parent_score) = plan.depths[j]
-        stall_free = stall_free and d_max - buf_min <= 0.0
 
-        if stall_free:
-            buf_min = (buf_min - d_max) + chunk_dur
-            if j < horizon - 1 or buffer0 - buf_min > 0.0:
+        if j < n_free:
+            if keep_buf:
                 np.subtract(buf, d, out=buf_c)
                 np.add(buf_c, chunk_dur, out=buf_c)
             if j == 0:
@@ -213,7 +260,6 @@ def mpc_rollout_scores(pred_kbps, buffer0, latency0, prev_idx, plan):
             buf, score = buf_flat, score_flat
             continue
 
-        buf_min = max(buf_min - d_max, 0.0) + chunk_dur
         np.subtract(d, buf, out=stall)
         np.maximum(stall, 0.0, out=stall)
         np.subtract(buf, d, out=buf_c)
@@ -233,16 +279,41 @@ def mpc_rollout_scores(pred_kbps, buffer0, latency0, prev_idx, plan):
         np.add(score, term, out=score_c)
         buf, lat, score = buf_flat, lat_flat, score_flat
 
-    if not plan.zero_cost or buffer0 - buf_min > 0.0:
-        drain = plan.drain
-        np.subtract(buffer0, buf, out=drain)
-        np.maximum(drain, 0.0, out=drain)
-        np.multiply(mu2, drain, out=drain)
-        np.subtract(score, drain, out=score)
+    if drain:
+        charge = plan.drain
+        np.subtract(buffer0, buf, out=charge)
+        np.maximum(charge, 0.0, out=charge)
+        np.multiply(mu2, charge, out=charge)
+        np.subtract(score, charge, out=score)
     # rate-major (last chunk most significant) -> first chunk most significant
     scores = np.empty(score.size)
     np.copyto(scores.reshape(plan.digits), plan.scores_by_first)
     return scores
+
+
+def mpc_first_rate(pred_kbps, buffer0, latency0, prev_idx, plan):
+    """The ladder index of the first rate of the best sequence, the argmax
+    of `mpc_rollout_scores` (ties break toward the lower rate). A decision
+    that cannot stall or drain is answered from `plan.first_rates` when a
+    decision of the session with its previous rate and latency was scored
+    before."""
+    pred_kbps = _prediction(pred_kbps, plan)
+    buffer0, latency0 = float(buffer0), float(latency0)
+    n_free, drain = _buffer_walk(pred_kbps, buffer0, plan)
+    key = None
+    # a nan latency is never equal to itself, so it takes no memo entry
+    if n_free == plan.horizon and not drain and latency0 == latency0:
+        key = (prev_idx, latency0)
+        rate = plan.first_rates.get(key)
+        if rate is not None:
+            return rate
+    scores = mpc_rollout_scores(pred_kbps, buffer0, latency0, prev_idx, plan)
+    # sequences are encoded most-significant-digit-first, so the integer
+    # division recovers the first chunk's rate; ties already broke low
+    rate = int(np.argmax(scores)) // plan.n_rest
+    if key is not None:
+        plan.first_rates[key] = rate
+    return rate
 
 
 # ---------------------------------------------------------------------------

@@ -163,24 +163,24 @@ def mpc_plan(cfg, coeffs):
 
 def mpc_select_bitrate(buffer, latency, pred_chunk_kbps, cfg, coeffs,
                        prev_rate_idx=-1, plan=None):
-    """Exhaustively score every rate sequence over the horizon.
+    """The first rate of the best-scoring rate sequence over the horizon.
 
     `plan` is `mpc_plan(cfg, coeffs)`, built here when None; a session
-    builds it once and reuses it, workspace included, for every decision.
-    Returns the ladder index of the first rate of the argmax sequence;
-    ties break toward the lower rate.
+    builds it once and reuses it, workspace and memo included, for every
+    decision. A decision that can stall or drain scores every rate
+    sequence. One that cannot has scores that depend only on the previous
+    rate and the latency, so the session scores each such pair once and
+    looks it up after that (`accel.mpc_first_rate`). Returns the ladder
+    index of the first rate of the argmax sequence; ties break toward the
+    lower rate.
     """
     pred = np.asarray(pred_chunk_kbps, dtype=float)
     if pred.size < cfg.mpc_horizon:
         raise StreamError("predictor output shorter than the MPC horizon")
     if plan is None:
         plan = mpc_plan(cfg, coeffs)
-    scores = accel.mpc_rollout_scores(pred[:cfg.mpc_horizon], buffer,
-                                      latency, prev_rate_idx, plan)
-    # sequences are encoded most-significant-digit-first, so the integer
-    # division recovers the first chunk's rate; ties already broke low
-    best_seq = int(np.argmax(scores))
-    return best_seq // len(cfg.ladder_kbps) ** (cfg.mpc_horizon - 1)
+    return accel.mpc_first_rate(pred[:cfg.mpc_horizon], buffer, latency,
+                                prev_rate_idx, plan)
 
 
 # ---------------------------------------------------------------------------

@@ -247,20 +247,23 @@ def test_infinite_stall_cost():
             _poisoned_run(case)
 
 
-def test_download_equal_to_chunk_at_the_drain_boundary():
-    # with no round trip the top rate downloads in exactly one chunk
-    # duration, which is exactly the buffer: every depth is on the edge of
-    # a stall and the last buffer on the edge of a drain; neither stalls or
-    # drains, so the stall and term rows stay unwritten
+def _drain_boundary_case(horizon, prev_idx):
+    """With no round trip the top rate downloads in exactly one chunk
+    duration, which is exactly the buffer: every depth is on the edge of a
+    stall and the last buffer on the edge of a drain."""
     ladder = np.array([250.0, 500.0, 1000.0])
+    return dict(
+        pred_kbps=np.full(horizon, 1000.0), ladder_kbps=ladder,
+        q_table=np.log(ladder / ladder[0]), buffer0=0.25, latency0=2.5,
+        prev_idx=prev_idx, rtt=0.0, chunk_dur=0.25, chunks_per_seg=4,
+        mu1=0.2, mu2=6.0, mu3=1.0, mu4=0.8, omega=4.0)
+
+
+def test_download_equal_to_chunk_at_the_drain_boundary():
+    # neither stalls or drains, so the stall and term rows stay unwritten
     for horizon in range(1, 7):
         for prev_idx in (-1, 2):
-            case = dict(
-                pred_kbps=np.full(horizon, 1000.0), ladder_kbps=ladder,
-                q_table=np.log(ladder / ladder[0]), buffer0=0.25,
-                latency0=2.5, prev_idx=prev_idx, rtt=0.0, chunk_dur=0.25,
-                chunks_per_seg=4, mu1=0.2, mu2=6.0, mu3=1.0, mu4=0.8,
-                omega=4.0)
+            case = _drain_boundary_case(horizon, prev_idx)
             assert _poisoned_run(case) == (True, True)
             # a hair less buffer: the top rate stalls at the first chunk
             case["buffer0"] = np.nextafter(0.25, 0.0)
@@ -286,10 +289,15 @@ def test_sessions_equal_with_flat_rollout(monkeypatch):
                             plan.chunk_dur, plan.chunks_per_seg, plan.mu1,
                             plan.mu2, plan.mu3, plan.mu4, plan.omega)
 
+    def first_rate(pred_kbps, buffer0, latency0, prev_idx, plan):
+        scores = flat(pred_kbps, buffer0, latency0, prev_idx, plan)
+        return int(np.argmax(scores)) // plan.n_rest
+
     for trace, horizon in ((plenty, 5), (outage, 6)):
         got = session(trace, horizon)
+        # every decision scored afresh, with no memo
         with monkeypatch.context() as m:
-            m.setattr(accel, "mpc_rollout_scores", flat)
+            m.setattr(accel, "mpc_first_rate", first_rate)
             want = session(trace, horizon)
         assert repr(got.events) == repr(want.events)
         assert got == want
@@ -311,6 +319,173 @@ def test_rollout_allocates_only_its_scores():
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * scores.nbytes, (peak, scores.nbytes)
+
+
+def _fresh_first_rate(case):
+    """The first rate of the argmax over a fresh plan's scores."""
+    plan = _plan(case)
+    return int(np.argmax(_rollout(case, plan))) // plan.n_rest
+
+
+def _first_rate(case, plan):
+    return accel.mpc_first_rate(case["pred_kbps"], case["buffer0"],
+                                case["latency0"], case["prev_idx"], plan)
+
+
+class _RolloutSpy:
+    """Counts the rollouts that `accel.mpc_first_rate` runs."""
+
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        self._rollout = accel.mpc_rollout_scores
+        monkeypatch.setattr(accel, "mpc_rollout_scores", self)
+
+    def __call__(self, *args):
+        self.calls += 1
+        return self._rollout(*args)
+
+
+def _memo_key(case, plan):
+    """The memo key of a decision that cannot stall or drain, else None."""
+    n_free, drain = accel._buffer_walk(
+        accel._prediction(case["pred_kbps"], plan), case["buffer0"], plan)
+    if n_free == plan.horizon and not drain:
+        return case["prev_idx"], case["latency0"]
+    return None
+
+
+def _session_decisions(rng, horizon, n_rates, n_decisions, **coeffs):
+    """One session's shape and a stream of decisions for it: stall-free and
+    stalling ones, outages, and latencies and previous rates drawn from
+    small sets, so that keys repeat."""
+    base = _random_case(rng, horizon, n_rates)
+    # round trips short enough for the fastest downloads to fill the buffer
+    base.update(coeffs, rtt=float(rng.uniform(0.0, 0.15)))
+    latencies = [float(x) for x in rng.uniform(0.0, 6.0, 3)]
+    for _ in range(n_decisions):
+        case = dict(base)
+        kind = rng.integers(4)
+        if kind < 2:
+            case["pred_kbps"] = rng.uniform(60000, 100000, horizon)
+        else:
+            case["pred_kbps"] = rng.uniform(200, 9000, horizon)
+        if kind == 3:
+            case["pred_kbps"][rng.random(horizon) < 0.4] = 0.0
+        case["buffer0"] = float(rng.uniform(0.0, 4.0))
+        case["latency0"] = latencies[rng.integers(len(latencies))]
+        case["prev_idx"] = int(rng.integers(-1, n_rates))
+        yield case
+
+
+def test_first_rate_equals_fresh_argmax_with_one_plan_per_session():
+    rng = np.random.default_rng(11)
+    hits = eligible = 0
+    for horizon in range(1, 7):
+        n_rates = 6 if horizon < 6 else 4
+        ladder_q = np.repeat(np.arange(n_rates // 2, dtype=float), 2)
+        sessions = [{}, {"mu3": 0.0}, {"mu3": 0.0, "q_table": ladder_q}]
+        if horizon < 5:
+            sessions.append({"mu2": np.inf})
+        for coeffs in sessions:
+            plan = None
+            for case in _session_decisions(rng, horizon, n_rates, 40,
+                                           **coeffs):
+                plan = plan or _plan(case)
+                key = _memo_key(case, plan)
+                eligible += key is not None
+                hits += key in plan.first_rates
+                with np.errstate(invalid="ignore"):
+                    got = _first_rate(case, plan)
+                    want = _fresh_first_rate(case)
+                assert got == want, (horizon, coeffs, case)
+            if not plan.zero_cost:
+                assert plan.first_rates == {}
+    assert hits > 100 and eligible > hits
+
+
+def test_first_rate_at_the_drain_boundary():
+    for horizon in range(1, 7):
+        for prev_idx in (-1, 2):
+            case = _drain_boundary_case(horizon, prev_idx)
+            plan = _plan(case)
+            assert _memo_key(case, plan) is not None
+            assert _first_rate(case, plan) == _fresh_first_rate(case)
+            assert _first_rate(case, plan) == _fresh_first_rate(case)
+            # a hair less buffer stalls at the first chunk
+            case["buffer0"] = np.nextafter(0.25, 0.0)
+            assert _memo_key(case, plan) is None
+            assert _first_rate(case, plan) == _fresh_first_rate(case)
+
+
+def _memo_case(rng, horizon):
+    """A stall-free case whose buffer does not drain: every download takes
+    under 0.18 s of a 0.2 s chunk."""
+    return dict(_stall_free_case(rng, horizon),
+                rtt=float(rng.uniform(0.0, 0.15)))
+
+
+def test_decisions_with_one_memo_key_have_equal_scores():
+    rng = np.random.default_rng(12)
+    for horizon in range(1, 7):
+        first = _memo_case(rng, horizon)
+        second = _memo_case(rng, horizon)
+        second.update(prev_idx=first["prev_idx"], latency0=first["latency0"])
+        plan = _plan(first)
+        assert _memo_key(first, plan) == _memo_key(second, plan) is not None
+        assert (first["pred_kbps"] != second["pred_kbps"]).all()
+        assert first["buffer0"] != second["buffer0"]
+        assert _rollout(first, plan).tobytes() == \
+            _rollout(second, plan).tobytes()
+
+
+def test_memo_hit_runs_no_rollout_and_a_stall_or_drain_always_does(
+        monkeypatch):
+    rng = np.random.default_rng(13)
+    spy = _RolloutSpy(monkeypatch)
+    case = _memo_case(rng, 5)
+    plan = _plan(case)
+    want = _first_rate(case, plan)
+    assert spy.calls == 1
+    case.update(pred_kbps=rng.uniform(60000, 100000, 5),
+                buffer0=case["buffer0"] + 0.5)
+    assert _first_rate(case, plan) == want
+    assert spy.calls == 1
+    # the top rate outlasts a 0.1 s buffer at 300 kbps: a stall
+    stalling = dict(case, pred_kbps=np.full(5, 300.0), buffer0=0.1)
+    # no stall, but the top rate downloads in 1/0.9 of a chunk, so its
+    # buffer ends lower than it began: a drain
+    draining = dict(case, rtt=0.0, buffer0=3.0,
+                    pred_kbps=np.full(5, 0.9 * case["ladder_kbps"][-1]))
+    draining_plan = _plan(draining)
+    for decision, on in ((stalling, plan), (draining, draining_plan)):
+        assert _memo_key(decision, on) is None
+        for _ in range(2):
+            calls = spy.calls
+            _first_rate(decision, on)
+            assert spy.calls == calls + 1
+    assert draining_plan.first_rates == {}
+
+
+def test_first_rate_checks_the_prediction_before_the_memo(monkeypatch):
+    rng = np.random.default_rng(14)
+    case = _memo_case(rng, 3)
+    plan = _plan(case)
+    want = _first_rate(case, plan)
+    assert plan.first_rates == {(case["prev_idx"], case["latency0"]): want}
+    for size in (2, 4):
+        short = dict(case, pred_kbps=np.full(size, 80000.0))
+        with pytest.raises(ValueError, match="predicted chunks"):
+            _first_rate(short, plan)
+    # a nan latency is scored every time and takes no memo entry, even when
+    # the same nan object comes again
+    nan_case = dict(case, latency0=float("nan"))
+    with np.errstate(invalid="ignore"):
+        want = _fresh_first_rate(nan_case)
+        spy = _RolloutSpy(monkeypatch)
+        for _ in range(2):
+            assert _first_rate(nan_case, plan) == want
+    assert spy.calls == 2
+    assert len(plan.first_rates) == 1
 
 
 def test_sequence_digit_order_breaks_ties_low():
