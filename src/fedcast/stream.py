@@ -26,9 +26,9 @@ class StreamError(ValueError):
     pass
 
 
-# The MPC scores every rate sequence over its horizon; this bound (6 rates
-# over 7 chunks, ~280k sequences) keeps a decision within tens of ms and
-# tens of MB.
+# The MPC expands every rate sequence over its horizon but the last chunk;
+# this bound (6 rates over 7 chunks, ~280k sequences) keeps a decision
+# within tens of ms and tens of MB.
 _MAX_MPC_SEQUENCES = 6 ** 7
 
 
@@ -167,12 +167,13 @@ def mpc_select_bitrate(buffer, latency, pred_chunk_kbps, cfg, coeffs,
 
     `plan` is `mpc_plan(cfg, coeffs)`, built here when None; a session
     builds it once and reuses it, workspace and memo included, for every
-    decision. A decision that can stall or drain scores every rate
-    sequence. One that cannot has scores that depend only on the previous
-    rate and the latency, so the session scores each such pair once and
-    looks it up after that (`accel.mpc_first_rate`). Returns the ladder
-    index of the first rate of the argmax sequence; ties break toward the
-    lower rate.
+    decision. A decision that can stall or drain rolls the rate sequences
+    out, scoring at the last chunk only the children of prefixes that can
+    still hold the best sequence. One that cannot has scores that depend
+    only on the previous rate and the latency, so the session scores each
+    such pair once and looks it up after that (`accel.mpc_first_rate`).
+    Returns the ladder index of the first rate of the argmax sequence; ties
+    break toward the lower rate.
     """
     pred = np.asarray(pred_chunk_kbps, dtype=float)
     if pred.size < cfg.mpc_horizon:
@@ -495,8 +496,9 @@ class _Session:
                               dtype=float)
         if pred_sec.size < self.horizon_sec:
             raise StreamError("predictor returned too few values")
-        if (pred_sec < 0).any():
-            raise StreamError("negative predicted throughput")
+        # a nan fails both comparisons; the MPC would read it as an outage
+        if not all(0.0 <= x < math.inf for x in pred_sec.ravel().tolist()):
+            raise StreamError("negative or non-finite predicted throughput")
         return pred_sec[self.pred_idx] * 1000.0  # Mbps -> Kbps
 
     def _maybe_start(self):

@@ -7,6 +7,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedcast import accel, models, stream
 from fedcast import tensor as T
@@ -69,12 +71,17 @@ def _naive_scores(pred_kbps, ladder_kbps, q_table, buffer0, latency0, prev_idx,
 
 
 def test_numpy_path_matches_naive_oracle():
+    # the scored sequences are close to the straight-line scores (libm's
+    # exp differs from numpy's in the last bit); the exact oracle below
+    # holds the rest
     rng = np.random.default_rng(0)
     for _ in range(10):
         case = _random_case(rng)
         got = _rollout(case)
         want = _naive_scores(**case)
-        assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+        scored = np.isfinite(got)
+        assert scored.any() and np.isneginf(got[~scored]).all()
+        assert np.allclose(got[scored], want[scored], rtol=1e-12, atol=1e-12)
 
 
 def _flat_scores(pred_kbps, ladder_kbps, q_table, buffer0, latency0,
@@ -121,6 +128,25 @@ def _flat_scores(pred_kbps, ladder_kbps, q_table, buffer0, latency0,
     return score
 
 
+def _assert_matches_flat(got, case):
+    """`got` holds the flat rollout's scores, byte for byte, except at
+    sequences left at -inf, whose flat scores are strictly below the flat
+    maximum; so it has the flat rollout's argmax and first rate."""
+    want = _flat_scores(**case)
+    n_rates = len(case["ladder_kbps"])
+    assert got.shape == want.shape == (n_rates ** len(case["pred_kbps"]),)
+    # bytes, so that a flipped sign of zero fails too
+    same = got.view(np.int64) == want.view(np.int64)
+    pruned = ~same
+    assert np.isneginf(got[pruned]).all(), case
+    # a nan anywhere makes every comparison false: nothing may be pruned
+    assert (want[pruned] < want.max()).all(), case
+    assert np.argmax(got) == np.argmax(want), case
+    n_rest = got.size // n_rates
+    assert np.argmax(got) // n_rest == np.argmax(want) // n_rest
+    return pruned
+
+
 def test_prefix_tree_scores_equal_flat_rollout():
     rng = np.random.default_rng(1)
     # up to the session bound of 6 rates over 7 chunks; one plan per shape,
@@ -136,11 +162,7 @@ def test_prefix_tree_scores_equal_flat_rollout():
             # an outage on some steps: every download takes "forever"
             case["pred_kbps"][rng.random(horizon) < 0.3] = 0.0
             got = _rollout(case, plan)
-            want = _flat_scores(**case)
-            assert got.shape == (n_rates ** horizon,)
-            # bytes, so that a flipped sign of zero fails too
-            assert got.tobytes() == want.tobytes(), (horizon, n_rates,
-                                                     prev_idx)
+            _assert_matches_flat(got, case)
             # the result is no view of the workspace: a later call leaves
             # it as it was
             if earlier is not None:
@@ -149,20 +171,19 @@ def test_prefix_tree_scores_equal_flat_rollout():
 
 
 def _poisoned_run(case):
-    """Score `case` in a NaN-filled workspace of its exact size and hold it
-    to the flat rollout byte for byte. Returns whether the stall row and the
-    term row, the last two L**h rows of the workspace, were left unwritten:
-    only a depth that can stall and the terminal drain write the stall row,
-    and only a depth that can stall writes the term row."""
-    n_rates, horizon = len(case["ladder_kbps"]), len(case["pred_kbps"])
-    n_seq = n_rates ** horizon
+    """Score `case` in a NaN-filled workspace and hold it to the flat
+    rollout. Returns whether the stall rows and the term rows, of the tree
+    and of the last depth, were left unwritten: only a depth that can stall
+    and the terminal drain write the stall rows, and only a depth that can
+    stall writes the term rows."""
     plan = _plan(case)
-    work = plan.work
-    work[:] = np.nan
-    got = _rollout(case, plan)
-    assert got.tobytes() == _flat_scores(**case).tobytes(), case
-    return (bool(np.isnan(work[-2 * n_seq:-n_seq]).all()),
-            bool(np.isnan(work[-n_seq:]).all()))
+    plan.work[:] = np.nan
+    _assert_matches_flat(_rollout(case, plan), case)
+    tree = plan.depths[-1:]  # the full rows of the tree's last depth
+    stall = [plan.kids.stall] + [depth.stall for depth in tree]
+    term = [plan.kids.term] + [depth.term for depth in tree]
+    return (all(np.isnan(row).all() for row in stall),
+            all(np.isnan(row).all() for row in term))
 
 
 def _stall_free_case(rng, horizon, n_rates=6):
@@ -498,6 +519,107 @@ def test_sequence_digit_order_breaks_ties_low():
     scores = _rollout(case)
     assert np.allclose(scores, scores[0])
     assert int(np.argmax(scores)) == 0
+
+
+def _oracle_case(rng, horizon, n_rates, outage=False, ties=False,
+                 no_prev=False, zero_latency=False, nan_latency=False,
+                 inf_stall=False, plenty=False):
+    """A random decision with the given twists: downloads that take
+    "forever" on some chunks, quantised qualities without a switching
+    charge (many equal scores), no previous rate, a zero or NaN latency,
+    an infinite stall cost, or a channel faster than the ladder."""
+    case = _random_case(rng, horizon, n_rates)
+    if plenty:
+        case["pred_kbps"] = rng.uniform(20000, 100000, horizon)
+        case["buffer0"] = float(rng.uniform(0.3, 4.0))
+    if outage:
+        case["pred_kbps"][rng.random(horizon) < 0.4] = 0.0
+    if ties:
+        case.update(q_table=np.floor(case["q_table"]), mu3=0.0)
+    if no_prev:
+        case["prev_idx"] = -1
+    if zero_latency:
+        case["latency0"] = 0.0
+    if nan_latency:
+        case["latency0"] = float("nan")
+    if inf_stall:
+        case["mu2"] = np.inf
+    return case
+
+
+_TWISTS = ("outage", "ties", "no_prev", "zero_latency", "nan_latency",
+           "inf_stall", "plenty")
+
+
+def _check_oracle_case(case):
+    """The rollout of `case` against the flat rollout; returns the number
+    of sequences left unscored."""
+    with np.errstate(invalid="ignore"):
+        pruned = _assert_matches_flat(_rollout(case), case)
+    # a nan latency or an infinite stall cost scores every sequence
+    if math.isnan(case["latency0"]) or math.isinf(case["mu2"]):
+        assert not pruned.any()
+    return int(pruned.sum())
+
+
+def test_pruned_rollout_matches_flat_over_horizons_and_ladders():
+    rng = np.random.default_rng(21)
+    pruned = 0
+    for horizon in range(1, 7):
+        for n_rates in range(1, 7):
+            for twist in (None,) + _TWISTS:
+                for _ in range(2):
+                    case = _oracle_case(rng, horizon, n_rates,
+                                        **({twist: True} if twist else {}))
+                    pruned += _check_oracle_case(case)
+    # most of the work is in pruned sequences
+    assert pruned > 10 ** 5
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(horizon=st.integers(1, 6), n_rates=st.integers(1, 6),
+       seed=st.integers(0, 2 ** 32 - 1),
+       twists=st.sets(st.sampled_from(_TWISTS)))
+def test_pruned_rollout_matches_flat_property(horizon, n_rates, seed,
+                                              twists):
+    rng = np.random.default_rng(seed)
+    _check_oracle_case(_oracle_case(rng, horizon, n_rates,
+                                    **{t: True for t in twists}))
+
+
+def test_last_depth_scores_few_parents():
+    # a stalling and draining horizon-6 decision scores the children of a
+    # few of its 7,776 last-depth parents and no others
+    rng = np.random.default_rng(22)
+    for _ in range(5):
+        case = _random_case(rng, horizon=6, n_rates=6)
+        case["pred_kbps"][:] = rng.uniform(800, 3000)
+        got = _rollout(case)
+        _assert_matches_flat(got, case)
+        assert np.isfinite(got).sum() <= 6 * 100
+
+
+def test_download_overflowing_at_the_last_depth_scores_everything():
+    # at a subnormal throughput every last download is inf, and a free stall
+    # (mu2 = 0) costs 0 * inf = nan: the bound, which charges no stall,
+    # cannot see it, so nothing may be pruned
+    rng = np.random.default_rng(24)
+    for horizon in range(2, 5):
+        case = _random_case(rng, horizon, 4)
+        case.update(mu2=0.0, buffer0=4.0)
+        case["pred_kbps"][-1] = 1e-310
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not _check_oracle_case(case)
+
+
+@pytest.mark.parametrize("name", ["mu1", "mu2", "mu3", "mu4"])
+def test_plan_rejects_a_negative_coefficient(name):
+    case = _random_case(np.random.default_rng(23))
+    case[name] = -0.5
+    with pytest.raises(ValueError, match=name):
+        _plan(case)
+    case[name] = 0.0
+    _plan(case)
 
 
 def _naive_conv(x, w):

@@ -322,6 +322,13 @@ def test_trace_shorter_than_session_rejected():
                          StreamConfig(session_len=30), QoECoefficients())
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+def test_session_rejects_a_non_finite_or_negative_prediction(bad):
+    with pytest.raises(StreamError, match="predicted throughput"):
+        simulate_session(np.full(40, 2.0), ConstantPredictor(bad),
+                         StreamConfig(session_len=30), QoECoefficients())
+
+
 def test_config_validation():
     with pytest.raises(StreamError):
         StreamConfig(ladder_kbps=())
