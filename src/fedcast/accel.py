@@ -10,6 +10,9 @@ import numpy as np
 NUMBA_ENABLED = False  # no compiled kernels; read by the benchmark's report
 
 _BIG_DOWNLOAD_TIME = 1e9  # seconds; stands in for "throughput is zero"
+# the fewest last-depth parents, L**(h-1), at which bounding depth h-3
+# first pays: below it, its fixed cost is more than a dense depth h-2
+_TWO_LEVEL_MIN_PARENTS = 5000
 
 
 # ---------------------------------------------------------------------------
@@ -20,8 +23,8 @@ _BIG_DOWNLOAD_TIME = 1e9  # seconds; stands in for "throughput is zero"
 # significant digit, so np.argmax(scores) breaks ties toward the lowest
 # first rate (lexicographically smallest maximal sequence). A sequence whose
 # score is proven strictly below the best one is not scored and reads -inf
-# (see the last depth below), so the argmax, and every score that is not
-# -inf, are those of scoring every sequence.
+# (see the branch-and-bound below), so the argmax, and every score that is
+# not -inf, are those of scoring every sequence.
 #
 # Besides the per-chunk quality/stall/switch/latency terms, a terminal
 # buffer-sustainability charge prices any net buffer drain over the horizon
@@ -34,8 +37,9 @@ _BIG_DOWNLOAD_TIME = 1e9  # seconds; stands in for "throughput is zero"
 # same order, as a flat rollout over all sequences, so the scores are
 # bit-identical to it. Inside the tree the NEWEST rate is the most
 # significant digit (child r*P + p of parent p), so every broadcast is a
-# per-rate column against a long contiguous row of parents. Depths 0..h-2
-# are dense; the last depth scores the children of some parents only.
+# per-rate column against a long contiguous row of parents. Depths 0..h-3
+# are dense; depth h-2 is dense or built below some prefixes only, and the
+# last depth scores the children of some parents only.
 #
 # Every depth computes in place, with out=, into a workspace of rows of
 # L**(h-1) values and fewer: at horizon 6 such a row is 62 KB, and a fresh
@@ -45,7 +49,7 @@ _BIG_DOWNLOAD_TIME = 1e9  # seconds; stands in for "throughput is zero"
 #
 # What does not change between a session's decisions is an `MpcPlan`, built
 # once per session: the ladder's Kbit per chunk, the (L, L) gain table and
-# each first chunk's gain row, psi's base, the bound's constants, the
+# each first chunk's gain row, psi's base, the bounds' constants, the
 # workspace and every depth's views of it. A decision brings only its
 # predicted throughputs, buffer, latency and previous rate.
 #
@@ -75,41 +79,76 @@ _BIG_DOWNLOAD_TIME = 1e9  # seconds; stands in for "throughput is zero"
 #   largest of rtt + bits / tp, so `_buffer_walk` runs the smallest-buffer
 #   recurrence on scalars, before any array is touched.
 #
-# The last depth is a branch-and-bound over its L**(h-1) parents. Each
-# parent p gets a bound U(p) on the score of every child, from quantities
-# the tree holds, and by monotone rounding (all coefficients >= 0, which
-# `MpcPlan` checks, and chunks_per_seg > 0) every child's score is <= U(p):
-# - A child's term is fl(fl(fl(g - c) / k) - fl(mu2 * stall)) with
-#   fl(mu2 * stall) >= 0, so it is at most fl(fl(G - c_lb) / k) when
-#   g <= G, the exact largest gain after p's last rate (`gain_max`), and
-#   c >= c_lb: no stall credit.
-# - c_lb is p's own latency charge minus a margin. A child's latency is
-#   fl(lat + stall) >= lat, so its charge is no smaller than its parent's
-#   as long as exp is monotone, which numpy's SIMD kernel does not
-#   promise. With an exp within 2^-32 relative of the true one (numpy's
-#   are within a few ULP), the four roundings after it put the child's
-#   charge less than mu4 * (2^-31 + 2^-49) below the parent's; the
-#   margin, mu4 * 2^-30 + 2^-1000, covers that, the rounding of the
-#   subtraction and any subnormal rounding.
-# - When the drain applies, a child's end buffer is at most the one after
-#   the shortest download, fl(max(fl(buf - d_min), 0) + chunk_dur), so its
-#   drain charge is at least mu2 * max(buffer0 - that, 0).
+# The last two depths are a branch-and-bound. A prefix p with n = 1 or 2
+# chunks to come gets a bound U(p) on every leaf below it, from quantities
+# the tree holds: per chunk to come, the best gain less a latency charge
+# and less mu2 times a stall, added to p's score in the rollout's order,
+# then less the drain. Rounding is monotone, fl(x) <= fl(y) when x <= y:
+# fl(a + b), fl(a / k) and fl(m * a) do not fall as a grows, and fl(a - b)
+# does not rise as b grows. With every coefficient m >= 0, which `MpcPlan`
+# checks, and k = chunks_per_seg > 0, every leaf's score is <= U(p):
+# - A chunk's term is fl(fl(fl(g - c) / k) - fl(mu2 * stall)). Its gain g
+#   is at most G, the exact largest gain after p's last rate (`gain_max`)
+#   for the first chunk to come, and after any rate (`gain_top`) for a
+#   second.
+# - Its latency charge c is at least c_lb, p's own charge less a margin. A
+#   latency only grows, fl(lat + stall) >= lat, so a leaf's charge is no
+#   smaller than p's as long as exp is monotone, which numpy's SIMD kernel
+#   does not promise. With an exp within 2^-32 relative of the true one
+#   (numpy's are within a few ULP), the four roundings after it put the
+#   leaf's charge less than mu4 * (2^-31 + 2^-49) below p's; the margin,
+#   mu4 * 2^-30 + 2^-1000, covers that, the rounding of the subtraction
+#   and any subnormal rounding.
+# - Every download d is at least the shortest, d_min = rtt + bits_min / tp
+#   by monotone rounding, so from a buffer b the stall is at least
+#   max(fl(d_min - b), 0) and the next buffer at most
+#   fl(max(fl(b - d_min), 0) + chunk_dur). The first chunk's stall is taken
+#   at p's buffer, the second's at the largest buffer after the first, and
+#   the drain charge at the largest end buffer, mu2 * max(buffer0 - it, 0).
+#   Every buffer is chunk_dur or more, so when d_min fits in a chunk the
+#   stall bound is 0 and max(., 0) keeps its argument: both are skipped.
 # - When the last depth is stall-free, a child's score is p's plus
 #   term_next[rate, last rate], so the bound is p's score plus the largest
 #   entry of its column, exactly, minus the drain bound.
-# The children of the parent with the highest bound are scored exactly, and
-# the best of them is the incumbent (when the last depth is stall-free and
-# does not drain, the highest bound is itself a child's score). The
-# children of every parent whose bound reaches the incumbent are scored,
-# the same expressions on a gathered row of those parents; a skipped
-# child's score is <= U(p) < incumbent <= the best score. Every sequence is
-# scored, L**(h-1) // L parents per pass, when the horizon is 1, when a
-# session constant is not finite (mu2, in particular), when a last download
-# is infinite (0 * inf stalls, which no bound charges) or when any bound is
-# nan (as a nan latency makes every bound): np.argmax stops at the first
-# nan, so one test finds it. Under those conditions no child scores nan.
-# On perfbench's stream_outage_h6 (seed 7), 393 rollouts per pass score the
-# children of 13,549 of their 3,055,968 last-depth parents (0.44%).
+# A dense depth leaves its prefixes' latency charges in the bound row,
+# where their bound reads them.
+#
+# The first level bounds the L**(h-2) prefixes of depth h-3 (n = 2) when a
+# depth up to h-3 can stall and the session has `_TWO_LEVEL_MIN_PARENTS`
+# last-depth parents or more. Its fixed cost, the bound and two expansions
+# of one prefix, is more than a dense depth h-2 of fewer parents saves (at
+# 4 to 8 rates and horizons 4 to 7 on a 2-core x86 host it lost at 4,096
+# parents and won at 7,776). The L**2 leaves below the prefix with the
+# highest bound are scored exactly, and the best is the incumbent. Depth
+# h-2 is then built only below the prefixes whose bound reaches it, with
+# the dense depth's expressions on a gathered row of them, in the rows the
+# dense depth h-2 takes; when that is the highest-bound prefix alone, its
+# leaves are the result. The last level bounds the last depth's parents
+# (n = 1): those the first level built, against its incumbent, or every
+# parent of the dense depth h-2, against the best child of the parent with
+# the highest bound (when the last depth is stall-free and does not drain,
+# the highest bound is itself a child's score). The children of every
+# parent whose bound reaches the incumbent are scored, the same
+# expressions on a gathered row of those parents. A skipped leaf's score
+# is <= U(p) < incumbent <= the best score.
+#
+# Every sequence is scored, L**(h-1) // L parents per pass, when the
+# horizon is 1, when a session constant is not finite (mu2, in particular),
+# when a download of the last depth is infinite (a free stall, mu2 = 0,
+# costs 0 * inf = nan there, which a bound at a finite shorter download
+# does not see) or when any bound is nan (as a nan latency makes every
+# bound): np.argmax stops at the first nan, so one test finds it. The first
+# level runs under the same conditions at depth h-2 and h-3, and at a
+# horizon of 3 or more; otherwise depth h-2 is dense. When anything is
+# pruned, no leaf scores nan.
+# On perfbench's stream_outage_h6 (seed 7), 393 rollouts per pass run the
+# first level in 251, which keep 905 of their 325,296 prefixes of depth
+# h-3 (155 keep only the highest-bound one, at most 51 are kept) and build
+# 6,006 of their 1,951,776 prefixes of depth h-2, incumbents included. The
+# last level scores the children of 6,146 of its 1,109,622 parents: 40,710
+# leaves are scored, incumbents included, against 82,098 with the last
+# level alone, and 36,876 of the 18,335,808 are returned. demo_all runs at
+# horizon 5, 1,296 parents, without the first level.
 #
 # A decision that cannot stall at any depth and skips the drain therefore
 # has scores that depend on nothing but the plan, the previous rate and
@@ -139,16 +178,16 @@ def _workspace(sizes):
 
 
 # One depth's views of the workspace: buffer, latency and score of its
-# prefixes by (rate, parent), the same rows flat, its stall and term rows,
-# and by (rate, parent's rate, rest of the parent) its scores, its terms and
-# its parents' scores
+# prefixes by (rate, parent), the same rows flat, its stall, term and
+# latency charge rows, and by (rate, parent's rate, rest of the parent) its
+# scores, terms and latency charges and its parents' scores
 _Depth = namedtuple("_Depth", "buf lat score buf_flat lat_flat score_flat "
-                              "stall term score_by_prev term_by_prev "
-                              "parent_score")
+                              "stall term cost score_by_prev term_by_prev "
+                              "cost_by_prev parent_score")
 
-# The last depth's rows for the children of up to `MpcPlan.block` parents,
-# by (rate, parent): their buffer, latency, score, stall and term, and the
-# gain or term table gathered by each parent's last rate
+# Rows for the children of gathered prefixes, by (rate, parent): their
+# buffer, latency, score, stall and term, and the gain or term table
+# gathered by each parent's last rate
 _Kids = namedtuple("_Kids", "buf lat score stall term table")
 
 
@@ -156,9 +195,10 @@ class MpcPlan:
     """What `mpc_rollout_scores` needs besides a decision's own state,
     built once per session: the ladder's Kbit per chunk, the (L, L) gain
     table and the first chunk's gain row after each previous rate, psi's
-    base, the last depth's bound constants, a workspace and, for every
-    depth but the last, its views of the workspace. The coefficients
-    mu1-mu4 must be non-negative, as the last depth's bound assumes."""
+    base, the bounds' constants and whether the search's first level
+    runs, a workspace and, for every depth but the last, its views of the
+    workspace. The coefficients mu1-mu4 must be non-negative, as the
+    bounds assume."""
 
     def __init__(self, ladder_kbps, q_table, horizon, rtt, chunk_dur,
                  chunks_per_seg, mu1, mu2, mu3, mu4, omega):
@@ -189,20 +229,25 @@ class MpcPlan:
         # a zero stall or drain costs mu2 * 0.0, a zero unless mu2 is inf or
         # nan; its sign is kept by no score, as every score starts from +0.0
         self.zero_cost = math.isfinite(mu2)
-        # the last depth's bound: the best gain after each last rate, the
-        # margin under a parent's latency charge, and whether the session's
-        # constants allow pruning at all
+        # the bounds: the best gain after each last rate and after any rate,
+        # the smallest chunk, the margin under a prefix's latency charge,
+        # and whether the session's constants allow pruning at all
         self.gain_max = self.gain_t.max(axis=0)
+        self.gain_top = self.gain_max.max()
+        self.bits_min = float(self.bits.min())
         self.cost_margin = mu4 * 2.0 ** -30 + 2.0 ** -1000
         self.prunable = horizon > 1 and bool(
             np.isfinite([mu1, mu2, mu3, mu4, omega, chunk_dur]).all()
             and np.isfinite(q).all() and np.isfinite(self.bits).all())
+        self.rates = np.arange(n_rates)
+        n_par = n_rates ** (horizon - 1)
+        self.two_level = (self.prunable and horizon >= 3
+                          and n_par >= _TWO_LEVEL_MIN_PARENTS)
 
         # buffer, latency and score of every prefix of depths 0..h-2
         # ping-pong between two row sets by depth parity, so that depth h-2,
         # the last depth's L**(h-1) parents, lands in the larger set; each
         # depth j holds L**(j+1) prefixes, by (rate, parent)
-        n_par = n_rates ** (horizon - 1)
         n_half = n_par // n_rates  # none at horizon 1
         self.block = max(n_half, 1)  # parents whose children one pass scores
         n_kid = n_rates * self.block
@@ -211,21 +256,28 @@ class MpcPlan:
         full, (stall_row, term_row, self.bound), half = (
             rows[0:3], rows[3:6], rows[6:9])
         self.kids = _Kids(*rows[9:])
+        # depth h-2 for the prefixes of depth h-3 that the bound keeps, in
+        # the rows the dense depth h-2 would take
+        self.mid = _Kids(*full, stall_row, term_row, self.kids.table)
         self.depths = []
         for j in range(horizon - 1):
             shape = (n_rates, n_rates ** j)
             n_ch = n_rates ** (j + 1)
             state = full if (horizon - 2 - j) % 2 == 0 else half
-            flat = [r[:n_ch] for r in (*state, stall_row, term_row)]
-            buf, lat, score, stall, term = (r.reshape(shape) for r in flat)
-            by_prev = (None, None, None)
+            # a depth's latency charges stay in the bound row, where the
+            # bound of its prefixes reads them
+            flat = [r[:n_ch] for r in (*state, stall_row, term_row,
+                                       self.bound)]
+            buf, lat, score, stall, term, cost = (r.reshape(shape)
+                                                  for r in flat)
+            by_prev = (None,) * 4
             if j:
                 # the parent's own last rate is its most significant digit
-                by_prev = (score.reshape(n_rates, n_rates, -1),
-                           term.reshape(n_rates, n_rates, -1),
+                by_prev = (*(r.reshape(n_rates, n_rates, -1)
+                             for r in (score, term, cost)),
                            self.depths[-1].score_flat.reshape(1, n_rates, -1))
             self.depths.append(_Depth(buf, lat, score, *flat[:3], stall,
-                                      term, *by_prev))
+                                      term, cost, *by_prev))
         # each parent's index in first-chunk-first order: the reversal of
         # its digits, which is its own inverse
         self.parent_seq = np.arange(n_par).reshape(
@@ -276,11 +328,24 @@ def _buffer_walk(pred_kbps, buffer0, plan):
     return n_free, not plan.zero_cost or buffer0 - buf_min > 0.0
 
 
+def _shortest(tp, plan):
+    """The shortest download at throughput tp, by monotone rounding."""
+    return plan.rtt + plan.bits_min / tp if tp > 0.0 else _BIG_DOWNLOAD_TIME
+
+
+def _finite(tp, plan):
+    """Whether the longest download at throughput tp is finite."""
+    return not tp > 0.0 or math.isfinite(plan.rtt + plan.bits_max / tp)
+
+
 def mpc_rollout_scores(pred_kbps, buffer0, latency0, prev_idx, plan):
     """Score the rate sequences over the horizon; returns scores (L**h,),
     a new array, first chunk most significant. A sequence whose score is
-    proven below the best is left at -inf. `plan` is the session's
-    `MpcPlan`, whose workspace the call reuses. See module stream."""
+    proven below the best is left at -inf: a branch-and-bound bounds the
+    prefixes of depth h-3, then the last depth's parents, and expands
+    only those whose bound reaches a scored leaf (see the module
+    comment). `plan` is the session's `MpcPlan`, whose workspace the call
+    reuses. See module stream."""
     pred_kbps = _prediction(pred_kbps, plan)
     buffer0, latency0 = float(buffer0), float(latency0)
     horizon = plan.horizon
@@ -293,6 +358,15 @@ def mpc_rollout_scores(pred_kbps, buffer0, latency0, prev_idx, plan):
     # a stall-free depth's buffers reach no score unless a later depth can
     # stall or the drain applies
     keep_buf = n_free < horizon or drain
+    tps = pred_kbps.tolist()
+    downloads = []  # each depth's download times, (L, 1)
+    for j, tp in enumerate(tps):
+        if j and tp == tps[j - 1]:
+            downloads.append(downloads[-1])
+        elif tp > 0.0:
+            downloads.append((rtt + bits / tp)[:, None])
+        else:
+            downloads.append(np.full((n_rates, 1), _BIG_DOWNLOAD_TIME))
 
     buf = np.array([buffer0])
     lat = np.array([latency0])
@@ -303,19 +377,214 @@ def mpc_rollout_scores(pred_kbps, buffer0, latency0, prev_idx, plan):
         cost = _latency_cost(lat, omega, psi_base, mu4, np.empty(1))
         term_first = (gain_first - cost) / chunks_per_seg
         term_next = (plan.gain_t - cost) / chunks_per_seg
-    tp_prev = None
-    for j, tp in enumerate(pred_kbps):
-        if tp != tp_prev:
-            if tp > 0.0:
-                d = rtt + bits / tp
+    scores = np.full(plan.n_rest * n_rates, -np.inf)
+    by_parent = scores.reshape(plan.n_rest, n_rates)
+    n_half = plan.n_rest // n_rates  # the prefixes of depth h-3
+
+    def expand(j, score, lat, buf, sel, last, rows):
+        """The children at depth j of the prefixes `sel` (indices or a
+        slice) of rows score, lat and buf, whose last rates are `last`,
+        into `rows` by (rate, parent), with a dense depth's expressions;
+        at the last depth, with the drain. Returns their scores."""
+        g_score = score[sel]
+        n = g_score.size
+        k_buf, k_lat, k_score, k_stall, k_term, k_table = (
+            row[:n_rates * n].reshape(n_rates, n) for row in rows)
+        d = downloads[j]
+        if keep_buf:
+            g_buf = buf[sel]
+        # a leaf's buffer reaches its score through the drain alone
+        need_buf = drain or (j < horizon - 1 and keep_buf)
+        if j < n_free:
+            if j == 0:
+                table = term_first[:, None]
             else:
-                d = np.full(n_rates, _BIG_DOWNLOAD_TIME)
-            d = d[:, None]
-            tp_prev = tp
-        if j == horizon - 1:
-            break
+                table = term_next.take(last, axis=1, out=k_table, mode="clip")
+            np.add(g_score, table, out=k_score)
+            if need_buf:
+                np.subtract(g_buf, d, out=k_buf)
+                np.add(k_buf, chunk_dur, out=k_buf)
+        else:
+            # the parents have latency0 while every earlier depth is
+            # stall-free
+            lat_g = lat if j <= n_free else lat[sel]
+            np.subtract(d, g_buf, out=k_stall)
+            np.maximum(k_stall, 0.0, out=k_stall)
+            if need_buf:
+                np.subtract(g_buf, d, out=k_buf)
+                np.maximum(k_buf, 0.0, out=k_buf)
+                np.add(k_buf, chunk_dur, out=k_buf)
+            np.add(lat_g, k_stall, out=k_lat)
+            _latency_cost(k_lat, omega, psi_base, mu4, out=k_term)
+            if j == 0:
+                gain = gain_first[:, None]
+            else:
+                gain = plan.gain_t.take(last, axis=1, out=k_table,
+                                        mode="clip")
+            np.subtract(gain, k_term, out=k_term)
+            np.divide(k_term, chunks_per_seg, out=k_term)
+            np.multiply(mu2, k_stall, out=k_stall)
+            np.subtract(k_term, k_stall, out=k_term)
+            np.add(g_score, k_term, out=k_score)
+        if j == horizon - 1 and drain:
+            charge = k_stall
+            np.subtract(buffer0, k_buf, out=charge)
+            np.maximum(charge, 0.0, out=charge)
+            np.multiply(mu2, charge, out=charge)
+            np.subtract(k_score, charge, out=k_score)
+        return k_score
+
+    def bounds(n_left, score, lat, buf, charged):
+        """An upper bound, into plan.bound, on every leaf below each of the
+        prefixes in rows score, lat and buf, which have the horizon's last
+        n_left chunks to come: 1, or 2 when a depth before them can
+        stall. `charged` when plan.bound holds the prefixes' latency
+        charges, as a dense depth leaves them. See the module comment."""
+        n = score.size
+        bound = plan.bound[:n]
+        by_last = bound.reshape(n_rates, -1)
+        j = horizon - n_left  # the next depth
+        # per chunk to come, a bound on its term, by last rate
+        if j < n_free:
+            # (n_left is 1) a stall-free last depth: the best term after
+            # the parent's last rate, exactly
+            terms = (term_next.max(axis=0)[:, None],)
+        elif j <= n_free:
+            # (n_left is 1) every parent has latency0, charged `cost`: the
+            # best gain after its last rate less that charge less the margin
+            terms = (((plan.gain_max - (cost - plan.cost_margin))
+                      / chunks_per_seg)[:, None],)
+        else:
+            # the best gain after the prefix's last rate, and after any rate
+            # for a second chunk, less its latency charge less the margin
+            if not charged:
+                _latency_cost(lat, omega, psi_base, mu4, out=bound)
+            np.subtract(bound, plan.cost_margin, out=bound)
+            terms = (by_last,)
+            if n_left == 2:
+                rest = plan.kids.term[:n]
+                np.subtract(plan.gain_top, bound, out=rest)
+                np.divide(rest, chunks_per_seg, out=rest)
+                terms += (rest.reshape(by_last.shape),)
+            np.subtract(plan.gain_max[:, None], by_last, out=by_last)
+            np.divide(bound, chunks_per_seg, out=bound)
+        hi = buf  # the largest buffer a leaf below can have so far
+        carry = plan.kids.buf[:n]
+        stall = plan.kids.stall[:n].reshape(by_last.shape)
+        for i, term in enumerate(terms):
+            d_min = _shortest(tps[j + i], plan)
+            # every buffer is chunk_dur or more: one holds any download
+            # that fits in a chunk, and subtracting it leaves no negative
+            short = d_min <= chunk_dur
+            if not short and j + i >= n_free:
+                # less mu2 times the stall at the shortest download
+                np.subtract(d_min, hi.reshape(by_last.shape), out=stall)
+                np.maximum(stall, 0.0, out=stall)
+                np.multiply(mu2, stall, out=stall)
+                # a first term by last rate alone widens to every prefix
+                out = by_last if i == 0 else term
+                np.subtract(term, stall, out=out)
+                term = out
+            np.add(by_last if i else score.reshape(by_last.shape), term,
+                   out=by_last)
+            if drain or i + 1 < len(terms):
+                np.subtract(hi, d_min, out=carry)
+                if not short:
+                    np.maximum(carry, 0.0, out=carry)
+                np.add(carry, chunk_dur, out=carry)
+                hi = carry
+        if drain:
+            charge = plan.kids.stall[:n]
+            np.subtract(buffer0, hi, out=charge)
+            np.maximum(charge, 0.0, out=charge)
+            np.multiply(mu2, charge, out=charge)
+            np.subtract(bound, charge, out=bound)
+        return bound
+
+    def search(score, lat, buf, keep=None, incumbent=None):
+        """Score the children of the last depth's parents, rows score, lat
+        and buf, whose bound reaches the incumbent, by default the best
+        child of the parent with the highest bound. The parents are all of
+        depth h-2, or those below the prefixes `keep` of depth h-3, by
+        (rate, prefix). Returns the scores."""
+        j = horizon - 1
+        n = score.size
+        stride = n // n_rates  # a parent's last rate is its top digit
+        # each parent's index in first-chunk-first order
+        seq = plan.parent_seq
+        if keep is not None:
+            seq = seq[(plan.rates[:, None] * n_half + keep).ravel()]
+        sel = first = None
+        if plan.prunable and _finite(tps[j], plan):
+            bound = bounds(1, score, lat, buf, keep is None)
+            # argmax stops at the first nan, so a nan bound shows here
+            best = int(bound.argmax())
+            top = bound[best]
+            if top == top:
+                if incumbent is None:
+                    # without a drain, a stall-free last depth's highest
+                    # bound is the score of the best parent's best child
+                    if j < n_free and not drain:
+                        incumbent = top
+                    else:
+                        r = best // stride
+                        first = expand(j, score, lat, buf,
+                                       slice(best, best + 1),
+                                       plan.rates[r:r + 1], plan.kids)
+                        incumbent = first.max()
+                sel = (bound >= incumbent).nonzero()[0]
+                if first is not None and sel.size == 1:
+                    # only the best parent reaches the incumbent
+                    by_parent[seq[sel]] = first.T
+                    return scores
+        if sel is None:
+            sel = np.arange(n)
+        for start in range(0, sel.size, plan.block):
+            part = sel[start:start + plan.block]
+            by_parent[seq[part]] = expand(j, score, lat, buf, part,
+                                          part // stride if j else None,
+                                          plan.kids).T
+        return scores
+
+    def two_level(score, lat, buf):
+        """The last two depths below the prefixes of depth h-3, rows score,
+        lat and buf, whose bound reaches the best leaf below the prefix
+        with the highest bound. None when a bound is nan."""
+        bound = bounds(2, score, lat, buf, True)
+        best = int(bound.argmax())
+        if bound[best] != bound[best]:
+            return None
+        stride = n_half // n_rates
+        mid = plan.mid
+        r = best // stride
+        expand(horizon - 2, score, lat, buf, slice(best, best + 1),
+               plan.rates[r:r + 1], mid)
+        leaves = expand(horizon - 1, mid.score, mid.lat, mid.buf,
+                        slice(0, n_rates), plan.rates, plan.kids)
+        incumbent = leaves.max()
+        keep = (bound >= incumbent).nonzero()[0]
+        if keep.size == 1:
+            # only the best prefix reaches the incumbent
+            by_parent[plan.parent_seq[plan.rates * n_half + best]] = leaves.T
+            return scores
+        expand(horizon - 2, score, lat, buf, keep, keep // stride, mid)
+        n = n_rates * keep.size
+        return search(mid.score[:n], mid.lat[:n], mid.buf[:n], keep,
+                      incumbent)
+
+    # the first level of the search, where a depth up to h-3 can stall and
+    # the last two downloads are finite
+    two = (plan.two_level and n_free <= horizon - 3
+           and _finite(tps[-2], plan) and _finite(tps[-1], plan))
+    for j in range(horizon - 1):
+        if two and j == horizon - 2:
+            result = two_level(score, lat, buf)
+            if result is not None:
+                return result
+        d = downloads[j]
         (buf_c, lat_c, score_c, buf_flat, lat_flat, score_flat, stall, term,
-         score_by_prev, term_by_prev, parent_score) = plan.depths[j]
+         cost_c, score_by_prev, term_by_prev, cost_by_prev,
+         parent_score) = plan.depths[j]
 
         if j < n_free:
             if keep_buf:
@@ -335,11 +604,11 @@ def mpc_rollout_scores(pred_kbps, buffer0, latency0, prev_idx, plan):
         np.add(buf_c, chunk_dur, out=buf_c)
         np.add(lat, stall, out=lat_c)
         # term = (gain - mu4 * psi(lat)) / chunks_per_seg - mu2 * stall
-        _latency_cost(lat_c, omega, psi_base, mu4, out=term)
+        _latency_cost(lat_c, omega, psi_base, mu4, out=cost_c)
         if j == 0:
-            np.subtract(gain_first[:, None], term, out=term)
+            np.subtract(gain_first[:, None], cost_c, out=term)
         else:
-            np.subtract(plan.gain_t[:, :, None], term_by_prev,
+            np.subtract(plan.gain_t[:, :, None], cost_by_prev,
                         out=term_by_prev)
         np.divide(term, chunks_per_seg, out=term)
         np.multiply(mu2, stall, out=stall)
@@ -347,125 +616,10 @@ def mpc_rollout_scores(pred_kbps, buffer0, latency0, prev_idx, plan):
         np.add(score, term, out=score_c)
         buf, lat, score = buf_flat, lat_flat, score_flat
 
-    # the last depth, j = horizon - 1: buf, lat and score now hold its
-    # parents (the root at horizon 1; lat is latency0 alone while every
-    # parent is stall-free), and d its download times
-    j = horizon - 1
-    free = j < n_free
-    parents_free = j <= n_free  # so every parent has latency0
-    n_par = plan.n_rest
-
-    def kids(sel):
-        """The scores of the children of parents `sel` (tree indices, at
-        most plan.block of them), (L, len(sel)) by rate."""
-        n = sel.size
-        k_buf, k_lat, k_score, k_stall, k_term, k_table = (
-            row[:n_rates * n].reshape(n_rates, n) for row in plan.kids)
-        g_score = score[sel]
-        if keep_buf:
-            g_buf = buf[sel]
-        if j:
-            last = sel // (n_par // n_rates)  # the parent's last rate
-        if free:
-            if j == 0:
-                table = term_first[:, None]
-            else:
-                table = term_next.take(last, axis=1, out=k_table,
-                                       mode="clip")
-            np.add(g_score, table, out=k_score)
-            if drain:
-                np.subtract(g_buf, d, out=k_buf)
-                np.add(k_buf, chunk_dur, out=k_buf)
-        else:
-            lat_g = lat if parents_free else lat[sel]
-            np.subtract(d, g_buf, out=k_stall)
-            np.maximum(k_stall, 0.0, out=k_stall)
-            np.subtract(g_buf, d, out=k_buf)
-            np.maximum(k_buf, 0.0, out=k_buf)
-            np.add(k_buf, chunk_dur, out=k_buf)
-            np.add(lat_g, k_stall, out=k_lat)
-            _latency_cost(k_lat, omega, psi_base, mu4, out=k_term)
-            if j == 0:
-                gain = gain_first[:, None]
-            else:
-                gain = plan.gain_t.take(last, axis=1, out=k_table,
-                                        mode="clip")
-            np.subtract(gain, k_term, out=k_term)
-            np.divide(k_term, chunks_per_seg, out=k_term)
-            np.multiply(mu2, k_stall, out=k_stall)
-            np.subtract(k_term, k_stall, out=k_term)
-            np.add(g_score, k_term, out=k_score)
-        if drain:
-            charge = k_stall
-            np.subtract(buffer0, k_buf, out=charge)
-            np.maximum(charge, 0.0, out=charge)
-            np.multiply(mu2, charge, out=charge)
-            np.subtract(k_score, charge, out=k_score)
-        return k_score
-
-    scores = np.full(n_par * n_rates, -np.inf)
-    by_parent = scores.reshape(n_par, n_rates)
-    sel = None
-    # the longest download, by monotone rounding, must be finite
-    if plan.prunable and (not tp > 0.0
-                          or math.isfinite(rtt + plan.bits_max / tp)):
-        bound = _last_depth_bounds(plan, score, lat, buf, d, free,
-                                   parents_free, drain, buffer0,
-                                   cost if n_free else None,
-                                   term_next if free else None)
-        # argmax stops at the first nan, so a nan bound shows here
-        best = int(bound.argmax())
-        top = bound[best]
-        if top == top:
-            # without a drain, a stall-free last depth's highest bound is
-            # the score of the best parent's best child
-            first = None if free and not drain else kids(np.array([best]))
-            incumbent = top if first is None else first.max()
-            sel = (bound >= incumbent).nonzero()[0]
-            if first is not None and sel.size == 1:
-                # only the best parent reaches the incumbent
-                by_parent[plan.parent_seq[best]] = first[:, 0]
-                return scores
-    if sel is None:
-        sel = np.arange(n_par)
-    for start in range(0, sel.size, plan.block):
-        part = sel[start:start + plan.block]
-        by_parent[plan.parent_seq[part]] = kids(part).T
-    return scores
-
-
-def _last_depth_bounds(plan, score, lat, buf, d, free, parents_free, drain,
-                       buffer0, cost, term_next):
-    """An upper bound on the score of every child of each of the last
-    depth's parents, into plan.bound. See the module comment."""
-    bound = plan.bound
-    by_last = bound.reshape(plan.ladder_kbps.size, -1)
-    score_by_last = score.reshape(by_last.shape)
-    chunks_per_seg = plan.chunks_per_seg
-    if free:
-        np.add(score_by_last, term_next.max(axis=0)[:, None], out=by_last)
-    elif parents_free:
-        # every parent has latency0, whose charge is `cost`
-        ub = (plan.gain_max - (cost - plan.cost_margin)) / chunks_per_seg
-        np.add(score_by_last, ub[:, None], out=by_last)
-    else:
-        _latency_cost(lat, plan.omega, plan.psi_base, plan.mu4, out=bound)
-        np.subtract(bound, plan.cost_margin, out=bound)
-        np.subtract(plan.gain_max[:, None], by_last, out=by_last)
-        np.divide(bound, chunks_per_seg, out=bound)
-        np.add(score, bound, out=bound)
-    if drain:
-        # the largest buffer a child can end with: after the shortest
-        # download
-        charge = plan.kids.stall[:bound.size]
-        np.subtract(buf, d.min(), out=charge)
-        np.maximum(charge, 0.0, out=charge)
-        np.add(charge, plan.chunk_dur, out=charge)
-        np.subtract(buffer0, charge, out=charge)
-        np.maximum(charge, 0.0, out=charge)
-        np.multiply(plan.mu2, charge, out=charge)
-        np.subtract(bound, charge, out=bound)
-    return bound
+    # the last depth over every parent of depth h-2: buf, lat and score
+    # hold them (the root at horizon 1; lat is latency0 alone while every
+    # parent is stall-free)
+    return search(score, lat, buf)
 
 
 def mpc_first_rate(pred_kbps, buffer0, latency0, prev_idx, plan):

@@ -25,12 +25,24 @@ class EvalPair:
             raise AnalysisError("non-finite values")
 
 
+def constant_truth(y):
+    """Whether R^2 against ground truth y is undefined: y is constant (its
+    mean may still round off its value, leaving a SS_tot of rounding
+    error), or its SS_tot rounds to 0."""
+    y = np.asarray(y, dtype=float)
+    return bool(np.ptp(y) == 0.0) or _ss_tot(y) == 0.0
+
+
+def _ss_tot(y):
+    return float(np.sum((y - y.mean()) ** 2))
+
+
 def r2_score(pair):
     """Coefficient of determination: 1 - SS_res / SS_tot."""
     y, yhat = pair.y_true, pair.y_pred
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    if ss_tot == 0.0:
+    if constant_truth(y):
         raise AnalysisError("constant ground truth, R^2 undefined")
+    ss_tot = _ss_tot(y)
     ss_res = float(np.sum((y - yhat) ** 2))
     return 1.0 - ss_res / ss_tot
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analysis import EvalPair, r2_score, mse
+from .analysis import EvalPair, constant_truth, mse, r2_score
 from .models import LOCKSTEP_ARCHS, ParamSet, TrainingDiverged, init_model, \
     local_train, predict_trace
 from .preprocess import Windows, build_windows, filter_trace, fit_scaler, \
@@ -205,9 +205,14 @@ def _cohorts(spec, clients, participants):
     return list(by_length.values())
 
 
+def _test_truth(client):
+    """A client's held-out throughput, as its evaluation compares it."""
+    return client.scaler.inverse_throughput(client.test.y.ravel())
+
+
 def evaluate_client(spec, client):
-    yhat, y = predict_trace(spec, client.params, client.test)
-    pair = EvalPair(y_true=client.scaler.inverse_throughput(y),
+    yhat, _ = predict_trace(spec, client.params, client.test)
+    pair = EvalPair(y_true=_test_truth(client),
                     y_pred=client.scaler.inverse_throughput(yhat))
     return r2_score(pair), mse(pair)
 
@@ -277,6 +282,12 @@ def run_experiment(clients, rc, tc, spec):
     """rc.total_rounds sequential rounds from a fresh seeded global model."""
     if not clients:
         raise FLError("need at least one client")
+    # every round scores each client by R^2 over its test span, which a
+    # constant throughput leaves undefined
+    for client in clients:
+        if constant_truth(_test_truth(client)):
+            raise FLError(f"client {client.client_id}: throughput is "
+                          f"constant over its test span, R^2 undefined")
     global_params = init_model(spec, seed=(rc.seed, 7700))
     for client in clients:
         client.params = global_params.copy()

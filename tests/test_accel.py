@@ -30,12 +30,19 @@ def _random_case(rng, horizon=4, n_rates=5):
         omega=4.0)
 
 
-def _plan(case):
-    """The session constants of a case, as the rollout takes them."""
-    return accel.MpcPlan(
+def _plan(case, two_level=None):
+    """The session constants of a case, as the rollout takes them; with
+    `two_level` True or False, the search's first level, at depth h-3, is
+    on wherever the session allows it, or off, whatever the ladder's
+    size."""
+    plan = accel.MpcPlan(
         case["ladder_kbps"], case["q_table"], len(case["pred_kbps"]),
         case["rtt"], case["chunk_dur"], case["chunks_per_seg"], case["mu1"],
         case["mu2"], case["mu3"], case["mu4"], case["omega"])
+    if two_level is not None:
+        plan.two_level = bool(two_level and plan.prunable
+                              and plan.horizon >= 3)
+    return plan
 
 
 def _rollout(case, plan=None):
@@ -328,18 +335,24 @@ def test_sessions_equal_with_flat_rollout(monkeypatch):
 
 def test_rollout_allocates_only_its_scores():
     # numpy reports its data buffers to tracemalloc; with a warm workspace a
-    # horizon-6 call allocates the scores it returns and next to nothing else
+    # horizon-6 call allocates the scores it returns and next to nothing
+    # else, with the first level on (an outage from the third chunk on) or
+    # off (a stall from the fifth)
     rng = np.random.default_rng(2)
     case = _random_case(rng, horizon=6, n_rates=6)
-    plan = _plan(case)
-    _rollout(case, plan)
-    tracemalloc.start()
-    try:
-        scores = _rollout(case, plan)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.5 * scores.nbytes, (peak, scores.nbytes)
+    outage = dict(case, pred_kbps=np.r_[case["pred_kbps"][:2], np.zeros(4)])
+    late = _stall_free_case(rng, horizon=6)
+    late["pred_kbps"][4:] = 300.0
+    for decision in (case, outage, late):
+        plan = _plan(decision)
+        _rollout(decision, plan)
+        tracemalloc.start()
+        try:
+            scores = _rollout(decision, plan)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * scores.nbytes, (peak, scores.nbytes)
 
 
 def _fresh_first_rate(case):
@@ -523,11 +536,12 @@ def test_sequence_digit_order_breaks_ties_low():
 
 def _oracle_case(rng, horizon, n_rates, outage=False, ties=False,
                  no_prev=False, zero_latency=False, nan_latency=False,
-                 inf_stall=False, plenty=False):
+                 inf_stall=False, plenty=False, free_latency=False):
     """A random decision with the given twists: downloads that take
     "forever" on some chunks, quantised qualities without a switching
     charge (many equal scores), no previous rate, a zero or NaN latency,
-    an infinite stall cost, or a channel faster than the ladder."""
+    an infinite stall cost, a channel faster than the ladder, or a
+    latency that costs nothing (mu4 = 0: a bound can equal a score)."""
     case = _random_case(rng, horizon, n_rates)
     if plenty:
         case["pred_kbps"] = rng.uniform(20000, 100000, horizon)
@@ -544,18 +558,22 @@ def _oracle_case(rng, horizon, n_rates, outage=False, ties=False,
         case["latency0"] = float("nan")
     if inf_stall:
         case["mu2"] = np.inf
+    if free_latency:
+        case["mu4"] = 0.0
     return case
 
 
 _TWISTS = ("outage", "ties", "no_prev", "zero_latency", "nan_latency",
-           "inf_stall", "plenty")
+           "inf_stall", "plenty", "free_latency")
 
 
-def _check_oracle_case(case):
-    """The rollout of `case` against the flat rollout; returns the number
-    of sequences left unscored."""
+def _check_oracle_case(case, two_level=None):
+    """The rollout of `case` against the flat rollout, with the search's
+    first level as `_plan` sets it; returns the number of sequences left
+    unscored."""
     with np.errstate(invalid="ignore"):
-        pruned = _assert_matches_flat(_rollout(case), case)
+        pruned = _assert_matches_flat(_rollout(case, _plan(case, two_level)),
+                                      case)
     # a nan latency or an infinite stall cost scores every sequence
     if math.isnan(case["latency0"]) or math.isinf(case["mu2"]):
         assert not pruned.any()
@@ -571,7 +589,10 @@ def test_pruned_rollout_matches_flat_over_horizons_and_ladders():
                 for _ in range(2):
                     case = _oracle_case(rng, horizon, n_rates,
                                         **({twist: True} if twist else {}))
-                    pruned += _check_oracle_case(case)
+                    pruned += _check_oracle_case(case, two_level=False)
+                    if horizon >= 3:
+                        # the same decision, bounded at depth h-3 first
+                        pruned += _check_oracle_case(case, two_level=True)
     # most of the work is in pruned sequences
     assert pruned > 10 ** 5
 
@@ -579,37 +600,97 @@ def test_pruned_rollout_matches_flat_over_horizons_and_ladders():
 @settings(max_examples=300, deadline=None, database=None, derandomize=True)
 @given(horizon=st.integers(1, 6), n_rates=st.integers(1, 6),
        seed=st.integers(0, 2 ** 32 - 1),
-       twists=st.sets(st.sampled_from(_TWISTS)))
+       twists=st.sets(st.sampled_from(_TWISTS)), two_level=st.booleans())
 def test_pruned_rollout_matches_flat_property(horizon, n_rates, seed,
-                                              twists):
+                                              twists, two_level):
     rng = np.random.default_rng(seed)
     _check_oracle_case(_oracle_case(rng, horizon, n_rates,
-                                    **{t: True for t in twists}))
+                                    **{t: True for t in twists}), two_level)
+
+
+def test_first_level_at_the_drain_boundary():
+    # every download is on the edge of a stall and the last buffer on the
+    # edge of a drain; a hair less buffer stalls at the first chunk, where
+    # the first level bounds depth h-3
+    for horizon in range(3, 7):
+        for prev_idx in (-1, 2):
+            case = _drain_boundary_case(horizon, prev_idx)
+            for buffer0 in (0.25, np.nextafter(0.25, 0.0)):
+                case["buffer0"] = buffer0
+                _check_oracle_case(case, two_level=True)
 
 
 def test_last_depth_scores_few_parents():
     # a stalling and draining horizon-6 decision scores the children of a
-    # few of its 7,776 last-depth parents and no others
+    # few of its 7,776 last-depth parents and no others, with or without
+    # the first level
     rng = np.random.default_rng(22)
     for _ in range(5):
         case = _random_case(rng, horizon=6, n_rates=6)
         case["pred_kbps"][:] = rng.uniform(800, 3000)
-        got = _rollout(case)
+        for two_level in (False, True):
+            got = _rollout(case, _plan(case, two_level))
+            _assert_matches_flat(got, case)
+            assert np.isfinite(got).sum() <= 6 * 100
+
+
+@pytest.mark.parametrize("two_level", [False, True])
+def test_all_outage_decision_scores_few_parents(two_level):
+    # every download takes "forever", so every leaf stalls ~1e9 s a chunk:
+    # the bound's stall at the shortest download tells the parents apart
+    rng = np.random.default_rng(26)
+    for _ in range(4):
+        case = _random_case(rng, horizon=6, n_rates=6)
+        case["pred_kbps"][:] = 0.0
+        got = _rollout(case, _plan(case, two_level))
         _assert_matches_flat(got, case)
-        assert np.isfinite(got).sum() <= 6 * 100
+        parents = np.isfinite(got).reshape(6 ** 5, 6).any(axis=1)
+        assert parents.sum() < 6 ** 5 // 10, parents.sum()
+
+
+def test_first_level_leaves_whole_subtrees_unscored():
+    # an outage from the third chunk on: the first level builds depth h-2
+    # for a few of the 1,296 prefixes of depth h-3 only, and the 36 leaves
+    # below each of the others stay -inf
+    rng = np.random.default_rng(25)
+    for _ in range(4):
+        case = _random_case(rng, horizon=6, n_rates=6)
+        case["pred_kbps"][2:] = 0.0
+        plan = _plan(case)
+        assert plan.two_level
+        plan.work[:] = np.nan
+        got = _rollout(case, plan)
+        _assert_matches_flat(got, case)
+        # first chunk first, a prefix of depth h-3 owns 36 leaves in a row
+        scored = np.isfinite(got).reshape(6 ** 4, 6 ** 2).any(axis=1)
+        assert 1 <= scored.sum() <= 20, scored.sum()
+        # depth h-2 holds 6 children of each prefix it was built for
+        built = ~np.isnan(plan.depths[-1].score_flat)
+        assert built.sum() % 6 == 0
+        assert scored.sum() <= built.sum() // 6 <= 60, built.sum()
 
 
 def test_download_overflowing_at_the_last_depth_scores_everything():
-    # at a subnormal throughput every last download is inf, and a free stall
-    # (mu2 = 0) costs 0 * inf = nan: the bound, which charges no stall,
-    # cannot see it, so nothing may be pruned
+    # at a tiny throughput the downloads of a depth overflow to inf, all of
+    # them or only the larger chunks', and a free stall (mu2 = 0) costs
+    # 0 * inf = nan, which no bound can price: at either of the last two
+    # depths, nothing may be pruned; an empty buffer stalls at the first
+    # chunk, where the first level bounds depth h-3
     rng = np.random.default_rng(24)
-    for horizon in range(2, 5):
-        case = _random_case(rng, horizon, 4)
-        case.update(mu2=0.0, buffer0=4.0)
-        case["pred_kbps"][-1] = 1e-310
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert not _check_oracle_case(case)
+    for horizon, buffer0 in itertools.product(range(2, 5), (4.0, 0.0)):
+        for depth in {horizon - 2, horizon - 1}:
+            case = _random_case(rng, horizon, 4)
+            ladder = np.array([300.0, 1000.0, 3000.0, 6000.0])
+            case.update(mu2=0.0, buffer0=buffer0, ladder_kbps=ladder,
+                        q_table=np.log(ladder / ladder[0]))
+            # the top chunk over tp is twice the largest double, and the
+            # bottom one a tenth of it
+            big = np.finfo(float).max
+            for tp in (1e-310, ladder[-1] * case["chunk_dur"] / big / 2):
+                case["pred_kbps"][depth] = tp
+                with np.errstate(over="ignore", invalid="ignore"):
+                    assert not _check_oracle_case(case, two_level=False)
+                    assert not _check_oracle_case(case, two_level=True)
 
 
 @pytest.mark.parametrize("name", ["mu1", "mu2", "mu3", "mu4"])

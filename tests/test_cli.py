@@ -1,6 +1,7 @@
 """Config parsing, synthetic generation and the subcommand pipeline."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -317,6 +318,34 @@ def test_trace_short_of_two_eval_windows_exits_1(tmp_path, capsys, length):
                    .replace("history = 5", "history = 15"))
     assert cli.run(cfg, "federate") == 1
     _assert_one_line_error(capsys, "client syn00")
+
+
+def test_negative_synthetic_offset_exits_1_naming_the_client(tmp_path,
+                                                             capsys):
+    # the demo with offsets from -5 Mbps: syn00's throughput is clipped to
+    # zero over its whole test span, where R^2 is undefined
+    demo = Path(__file__).resolve().parent.parent / "configs" / "demo.ini"
+    cfg = tmp_path / "demo.ini"
+    cfg.write_text(demo.read_text()
+                   .replace("offset_min = 10", "offset_min = -5")
+                   .replace("out_dir = runs/demo",
+                            f"out_dir = {tmp_path / 'run'}"))
+    assert cli.run(cfg, "all") == 1
+    _assert_one_line_error(capsys, "client syn00", "constant",
+                           "test span")
+    # it stops before any round, so nothing is written
+    assert not (tmp_path / "run" / "rounds.csv").exists()
+
+
+def test_flat_lined_trace_exits_1_naming_the_client(tmp_path, capsys):
+    # a file whose throughput varies, then stays at 20 Mbps from t = 80 on,
+    # through the test span (the last ~20% of the windows)
+    rows = [(t, 0, 0, 0, -90, 10, 20.0 + (t * 7 % 13 if t < 80 else 0),
+             "LTE") for t in range(160)]
+    cfg, out = _files_config(tmp_path, rows)
+    assert cli.run(cfg, "federate") == 1
+    _assert_one_line_error(capsys, "client cell", "constant")
+    assert not (out / "rounds.csv").exists()
 
 
 def test_truncated_checkpoint_exits_1_naming_the_file(tmp_path, capsys):

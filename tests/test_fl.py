@@ -294,6 +294,23 @@ def test_zero_rounds_returns_initial_params():
         models.init_model(spec, seed=(1, 7700)).to_bytes()
 
 
+def test_constant_test_span_raises_before_the_first_round(monkeypatch):
+    # the third client's throughput is flat over its test span; the
+    # experiment names it before any client trains
+    clients = _clients(n=3)
+    flat = clients[2].test
+    flat.y[:] = flat.y[0]
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained before the check")
+
+    monkeypatch.setattr(fl, "local_train", no_training)
+    rc = fl.RoundConfig(strategy=fl.StrategyKind("FEDAVG"), total_rounds=1)
+    with pytest.raises(fl.FLError, match=f"client {clients[2].client_id}"):
+        fl.run_experiment(clients, rc,
+                          models.TrainConfig(learning_rate=0.01), _toy_spec())
+
+
 def test_all_clients_evaluated_under_partial_participation():
     clients = _clients(n=4)
     spec = _toy_spec()
