@@ -50,6 +50,8 @@ class SyntheticSpec:
             raise ConfigError("bad synthetic size")
         if not 1 <= self.n_datasets <= self.n_clients:
             raise ConfigError("n_datasets must be in [1, n_clients]")
+        if min(self.offset_min, self.offset_max) <= 0:
+            raise ConfigError("offsets must be positive (Mbps)")
         if min(self.period_min, self.period_max) <= 0:
             raise ConfigError("periods must be positive")
         if min(self.amp_frac, self.noise_frac) < 0:
@@ -373,7 +375,7 @@ def _load_traces(cfg):
     return traces
 
 
-def build_client_set(traces, pre_cfg, window_cfg, train_ratio=0.8):
+def build_client_set(traces, pre_cfg, window_cfg, train_ratio):
     """ClientHandles for a cohort; per_dataset scope shares one scaler per
     dataset tag (fitted on whole traces, as the scaling is dataset-global)."""
     if pre_cfg.scaling_scope == "per_dataset":

@@ -93,7 +93,7 @@ class RoundReport:
                    1 if cid in self.participants else 0)
 
 
-def build_client(trace, pre_cfg, wc, train_ratio=0.8, scaler=None):
+def build_client(trace, pre_cfg, wc, train_ratio, scaler=None):
     """Filter, scale (fit on the train prefix only) and window one trace."""
     filtered = filter_trace(trace, pre_cfg)
     anchors = window_anchors(filtered, wc, wc.train_stride)

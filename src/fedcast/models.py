@@ -512,7 +512,7 @@ def _prox_penalty(params, anchor, include_bn, stacked=False):
     return total
 
 
-def _objective(spec, params, x, y, cfg, anchor, stacked=False):
+def _objective(spec, params, x, y, cfg, anchor, stacked):
     """The training loss of one batch; with stacked, one loss per slice."""
     loss = T.mse(forward_graph(spec, params, x, training=True), y,
                  per_slice=stacked)
@@ -524,100 +524,54 @@ def _objective(spec, params, x, y, cfg, anchor, stacked=False):
     return loss
 
 
-def _check_member(params, windows, cfg, anchor):
-    if cfg.prox_mu > 0 and anchor is None:
-        raise ModelError("prox_mu > 0 requires a global anchor")
-    if anchor is not None and not params.same_structure(anchor):
-        raise ModelError("anchor structure mismatch")
-    if not windows:
-        raise ModelError("no training windows")
-
-
-def _mean_loss(losses):
-    return float(np.mean(losses)) if losses else 0.0
-
-
 def local_train(spec, params, windows, cfg, global_anchor=None, rng=None):
-    """Run cfg.local_epochs of mini-batch training; returns (params, loss).
+    """Run cfg.local_epochs of mini-batch training on a cohort of clients;
+    returns (trained, loss).
 
-    The optimized objective is the MSE forecasting loss plus, when
-    cfg.prox_mu > 0, the proximal term (mu/2) * ||w - w_anchor||^2 over
-    the non-batch-norm trainable parameters. `params` is trained in place.
+    `params`, `windows` and, when given, `global_anchor` and `rng` are lists
+    with one entry per member. The optimized objective is the MSE
+    forecasting loss plus, when cfg.prox_mu > 0, the proximal term
+    (mu/2) * ||w - w_anchor||^2 over the non-batch-norm trainable
+    parameters. Each member's ParamSet is trained in place. `trained` lists
+    them, with None for a member whose loss went non-finite, and `loss` is
+    the mean of the other members' last-epoch losses; TrainingDiverged is
+    raised when every member diverges.
 
-    A cohort trains in one call: `params`, `windows` and, when given,
-    `global_anchor` and `rng` are then lists with one entry per member, and
-    the call returns the list of trained ParamSets and the mean of the
-    members' losses. A member whose loss goes non-finite gets None in that
-    list; TrainingDiverged is raised only when every member diverges. A
-    cohort of one is the single call. A larger cohort must be of a
-    LOCKSTEP_ARCHS architecture, with train sets of one length: it trains
-    in lockstep on a leading client axis (`stack_params`), in stacks of at
-    most LOCKSTEP_MAX members, each member drawing its batch order from its
-    own rng, and each member's parameters, running statistics and loss are
-    the bits of its own single call.
+    A cohort of more than one must be of a LOCKSTEP_ARCHS architecture,
+    with train sets of one length: it trains in lockstep on a leading client
+    axis (`stack_params`), in stacks of at most LOCKSTEP_MAX members, each
+    member drawing its batch order from its own rng, and each member's
+    parameters, running statistics and loss are the bits of its own cohort
+    of one.
     """
-    if isinstance(params, ParamSet):
-        return _train_one(spec, params, windows, cfg, global_anchor, rng)
     k = len(params)
     anchors = [None] * k if global_anchor is None else list(global_anchor)
     rngs = [None] * k if rng is None else list(rng)
     if k == 0 or not len(windows) == len(anchors) == len(rngs) == k:
         raise ModelError("a cohort takes one params, windows, anchor and "
                          "rng per member")
-    if k == 1:
-        trained, loss = _train_one(spec, params[0], windows[0], cfg,
-                                   anchors[0], rngs[0])
-        return [trained], loss
-    return _train_lockstep(spec, params, windows, cfg, anchors, rngs)
-
-
-def _train_one(spec, params, windows, cfg, anchor, rng):
-    _check_member(params, windows, cfg, anchor)
-    if rng is None:
-        rng = np.random.default_rng(0)
-    x_all, y_all = windows.x, windows.y
-    n = x_all.shape[0]
-    opt = _optimizer(params, cfg)
-
-    last_epoch_losses = []
-    for epoch in range(cfg.local_epochs):
-        perm = rng.permutation(n)
-        losses = []
-        for start in range(0, n, cfg.batch_size):
-            idx = perm[start:start + cfg.batch_size]
-            loss = _objective(spec, params, x_all[idx], y_all[idx], cfg,
-                              anchor)
-            value = float(loss.data)
-            if not math.isfinite(value):
-                raise TrainingDiverged(
-                    f"non-finite loss at epoch {epoch} ({spec.arch})")
-            params.zero_grad()
-            loss.backward()
-            opt.step()
-            del loss    # the step's graph, before the next one is built
-            losses.append(value)
-        last_epoch_losses = losses
-    return params, _mean_loss(last_epoch_losses)
-
-
-def _train_lockstep(spec, members, windows, cfg, anchors, rngs):
-    if spec.arch not in LOCKSTEP_ARCHS:
+    if k > 1 and spec.arch not in LOCKSTEP_ARCHS:
         raise ModelError(f"a {spec.arch} cohort trains one member per call")
-    for params, w, anchor in zip(members, windows, anchors):
-        _check_member(params, w, cfg, anchor)
-    n = len(windows[0])
-    if any(len(w) != n for w in windows):
+    for member, w, anchor in zip(params, windows, anchors):
+        if cfg.prox_mu > 0 and anchor is None:
+            raise ModelError("prox_mu > 0 requires a global anchor")
+        if anchor is not None and not member.same_structure(anchor):
+            raise ModelError("anchor structure mismatch")
+        if not w:
+            raise ModelError("no training windows")
+    if any(len(w) != len(windows[0]) for w in windows):
         raise ModelError("a cohort's train sets differ in length")
     # stacks of near-equal sizes, none above LOCKSTEP_MAX
-    n_stacks = -(-len(members) // LOCKSTEP_MAX)
-    bounds = [len(members) * i // n_stacks for i in range(n_stacks + 1)]
+    n_stacks = -(-k // LOCKSTEP_MAX)
+    bounds = [k * i // n_stacks for i in range(n_stacks + 1)]
     trained, losses = [], []
     for lo, hi in zip(bounds, bounds[1:]):
-        t, l = _train_stack(spec, members[lo:hi], windows[lo:hi], cfg,
+        t, l = _train_stack(spec, params[lo:hi], windows[lo:hi], cfg,
                             anchors[lo:hi], rngs[lo:hi])
         trained += t
         losses += l
-    kept = [loss for params, loss in zip(trained, losses) if params is not None]
+    kept = [loss for member, loss in zip(trained, losses)
+            if member is not None]
     if not kept:
         raise TrainingDiverged(f"non-finite loss ({spec.arch}) for every "
                                f"member of a cohort")
@@ -625,11 +579,17 @@ def _train_lockstep(spec, members, windows, cfg, anchors, rngs):
 
 
 def _train_stack(spec, members, windows, cfg, anchors, rngs):
-    """Train `members` as one stack; ([trained or None], [loss or None])."""
+    """Train `members` as one stack; ([trained or None], [loss or None]).
+    A stack of one trains its member's own parameters on its own arrays,
+    with no client axis."""
     n = len(windows[0])
     rngs = [np.random.default_rng(0) if r is None else r for r in rngs]
-    stack = stack_params(members)
-    anchor = stack_params(anchors) if cfg.prox_mu > 0 else None
+    lone = len(members) == 1
+    if lone:
+        stack, anchor = members[0], anchors[0]
+    else:
+        stack = stack_params(members)
+        anchor = stack_params(anchors) if cfg.prox_mu > 0 else None
     opt = _optimizer(stack, cfg)
     alive = list(range(len(members)))   # the member of each slice
     losses = {m: [] for m in alive}     # member -> last epoch's losses
@@ -639,10 +599,14 @@ def _train_stack(spec, members, windows, cfg, anchors, rngs):
         losses = {m: [] for m in alive}
         for start in range(0, n, cfg.batch_size):
             idx = [perm[start:start + cfg.batch_size] for perm in perms]
-            x = np.stack([windows[m].x[i] for m, i in zip(alive, idx)])
-            y = np.stack([windows[m].y[i] for m, i in zip(alive, idx)])
-            loss = _objective(spec, stack, x, y, cfg, anchor, stacked=True)
-            values = loss.data.tolist()
+            if lone:
+                x, y = windows[0].x[idx[0]], windows[0].y[idx[0]]
+            else:
+                x = np.stack([windows[m].x[i] for m, i in zip(alive, idx)])
+                y = np.stack([windows[m].y[i] for m, i in zip(alive, idx)])
+            loss = _objective(spec, stack, x, y, cfg, anchor,
+                              stacked=not lone)
+            values = loss.data.reshape(-1).tolist()
             rows = [j for j, v in enumerate(values) if math.isfinite(v)]
             if not rows:
                 return [None] * len(members), [None] * len(members)
@@ -651,7 +615,7 @@ def _train_stack(spec, members, windows, cfg, anchors, rngs):
             # a diverged slice's gradient and step are garbage, but only
             # its own: no op mixes slices
             with np.errstate(all="ignore" if diverged else None):
-                T.reduce_sum(loss).backward()
+                (loss if lone else T.reduce_sum(loss)).backward()
                 opt.step()
             del loss    # the step's graph, before the next one is built
             if diverged:
@@ -669,10 +633,11 @@ def _train_stack(spec, members, windows, cfg, anchors, rngs):
     trained = [None] * len(members)
     member_losses = [None] * len(members)
     for j, m in enumerate(alive):
-        for (_, s, _), (_, t, _) in zip(stack, members[m]):
-            t.data = s.data[j].reshape(t.data.shape).copy()
+        if not lone:
+            for (_, s, _), (_, t, _) in zip(stack, members[m]):
+                t.data = s.data[j].reshape(t.data.shape).copy()
         trained[m] = members[m]
-        member_losses[m] = _mean_loss(losses[m])
+        member_losses[m] = float(np.mean(losses[m])) if losses[m] else 0.0
     return trained, member_losses
 
 

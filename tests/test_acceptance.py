@@ -74,7 +74,7 @@ def test_criterion_02_fedbn_decoupling():
         seed=31)
     pre = PreprocessConfig(filter_window=3)
     wc = WindowConfig(history=5, horizon=1)
-    clients = cli.build_client_set(traces, pre, wc)
+    clients = cli.build_client_set(traces, pre, wc, 0.8)
     spec = _toy_spec(in_features=6)
     tc = models.TrainConfig(learning_rate=0.01, batch_size=16, local_epochs=1)
     shared = models.init_model(spec, seed=1)
@@ -87,9 +87,9 @@ def test_criterion_02_fedbn_decoupling():
         updates = []
         for k, client in enumerate(clients):
             broadcast = client.params.copy()
-            trained, _ = models.local_train(
-                spec, broadcast, client.train, tc,
-                rng=np.random.default_rng((31, rnd, k)))
+            (trained,), _ = models.local_train(
+                spec, [broadcast], [client.train], tc,
+                rng=[np.random.default_rng((31, rnd, k))])
             updates.append((trained, client.n_samples))
         per_client, _ = fl.aggregate_fedbn(updates)
         # independent oracle for the shared block
@@ -119,7 +119,7 @@ def test_criterion_03_fedprox_contract():
         cli.SyntheticSpec(n_clients=1, length=140), seed=7)
     pre = PreprocessConfig(filter_window=3)
     wc = WindowConfig(history=5, horizon=1)
-    client = cli.build_client_set(traces, pre, wc)[0]
+    client = cli.build_client_set(traces, pre, wc, 0.8)[0]
 
     # exactness at the anchor: penalty gradient contributes nothing
     params = models.init_model(spec, seed=3)
@@ -149,9 +149,9 @@ def test_criterion_03_fedprox_contract():
             anchor_s = work.copy()
             cfg = models.TrainConfig(learning_rate=0.01, batch_size=16,
                                      local_epochs=2, prox_mu=mu)
-            trained, _ = models.local_train(spec, work, client.train, cfg,
-                                            global_anchor=anchor_s,
-                                            rng=np.random.default_rng(seed))
+            (trained,), _ = models.local_train(
+                spec, [work], [client.train], cfg, global_anchor=[anchor_s],
+                rng=[np.random.default_rng(seed)])
             d = 0.0
             for name, t, is_bn in trained.entries:
                 if t.requires_grad and not is_bn:
@@ -247,7 +247,7 @@ def test_criterion_06_synthetic_federated_benchmark():
                                         seed=seed)
         pre = PreprocessConfig(filter_window=3, scaling_scope="per_dataset")
         wc = WindowConfig(history=15, horizon=1)
-        clients = cli.build_client_set(traces, pre, wc)
+        clients = cli.build_client_set(traces, pre, wc, 0.8)
         spec = models.ModelSpec(arch="LSTM", in_features=6, history=15,
                                 horizon=1, hidden=24)
         tc = models.TrainConfig(learning_rate=3e-3, batch_size=32,

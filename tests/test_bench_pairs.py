@@ -54,3 +54,29 @@ def test_summary_flags_unequal_artifacts_and_failures():
     m = got["metrics"]["pipeline_s"]
     assert m["change_lower"] == "0/2"   # a tie is not lower
     assert m["parent_quartiles"] == [1.0, 1.0]
+
+
+@pytest.mark.parametrize("parent, change, better, verdict", [
+    # tight parent runs; the change's median is 40% slower
+    ([1.0, 1.01, 0.99, 1.0, 1.02], [1.4, 1.41, 1.39, 1.4, 1.42], "lower",
+     "worse"),
+    # a larger-is-better metric that fell by 40%
+    ([1.0, 1.01, 0.99, 1.0, 1.02], [0.6, 0.61, 0.59, 0.6, 0.62], "higher",
+     "worse"),
+    # the parent's quartiles are 0.8 and 1.6 around a median of 1.0, wider
+    # than the bound, and the change's runs overlap the parent's
+    ([0.5, 0.8, 1.0, 1.6, 2.0], [0.6, 0.9, 1.1, 1.5, 1.9], "lower",
+     "unresolved"),
+    # as wide, but every change run beats every parent run
+    ([0.5, 0.8, 1.0, 1.6, 2.0], [0.1, 0.2, 0.3, 0.4, 0.45], "lower",
+     "not worse"),
+    # tight parent runs, the change 10% slower: within the bound
+    ([1.0, 1.01, 0.99, 1.0, 1.02], [1.1, 1.11, 1.09, 1.1, 1.12], "lower",
+     "not worse"),
+])
+def test_judge_end_to_end_metric(parent, change, better, verdict):
+    got = bench_pairs.judge(parent, change, better, 0.25)
+    assert got["verdict"] == verdict
+    assert got["bound"] == 0.25 and got["better"] == better
+    want = (sorted(change)[2] - sorted(parent)[2]) / sorted(parent)[2]
+    assert got["median_change"] == pytest.approx(want)

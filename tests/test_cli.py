@@ -320,21 +320,24 @@ def test_trace_short_of_two_eval_windows_exits_1(tmp_path, capsys, length):
     _assert_one_line_error(capsys, "client syn00")
 
 
-def test_negative_synthetic_offset_exits_1_naming_the_client(tmp_path,
-                                                             capsys):
-    # the demo with offsets from -5 Mbps: syn00's throughput is clipped to
-    # zero over its whole test span, where R^2 is undefined
+def test_non_positive_synthetic_offset_exits_1_naming_the_key(tmp_path,
+                                                              capsys):
+    # a trace with an offset of 0 Mbps or less would be clipped to zero,
+    # so the config is refused before any trace is generated
     demo = Path(__file__).resolve().parent.parent / "configs" / "demo.ini"
     cfg = tmp_path / "demo.ini"
-    cfg.write_text(demo.read_text()
-                   .replace("offset_min = 10", "offset_min = -5")
-                   .replace("out_dir = runs/demo",
-                            f"out_dir = {tmp_path / 'run'}"))
-    assert cli.run(cfg, "all") == 1
-    _assert_one_line_error(capsys, "client syn00", "constant",
-                           "test span")
-    # it stops before any round, so nothing is written
-    assert not (tmp_path / "run" / "rounds.csv").exists()
+    for key, demo_line, bad in (("offset_min", "offset_min = 10", -5),
+                                ("offset_min", "offset_min = 10", 0),
+                                ("offset_max", "offset_max = 100", 0)):
+        cfg.write_text(demo.read_text()
+                       .replace(demo_line, f"{key} = {bad}")
+                       .replace("out_dir = runs/demo",
+                                f"out_dir = {tmp_path / 'run'}"))
+        assert cli.run(cfg, "all") == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err, err
+        assert f"[synthetic] {key}: offsets must be positive" in err, err
+        assert not (tmp_path / "run").exists()
 
 
 def test_flat_lined_trace_exits_1_naming_the_client(tmp_path, capsys):

@@ -32,7 +32,7 @@ def _clients(n=4, seed=11, length=140, h=5):
                       period_min=20, period_max=50), seed=seed)
     pre = PreprocessConfig(filter_window=3)
     wc = WindowConfig(history=h, horizon=1)
-    return [fl.build_client(tr, pre, wc) for tr in traces]
+    return [fl.build_client(tr, pre, wc, 0.8) for tr in traces]
 
 
 @pytest.mark.parametrize("train_stride, eval_stride, horizon",
@@ -44,7 +44,7 @@ def test_eval_windows_are_the_eval_stride_windows_of_the_test_span(
     pre = PreprocessConfig(filter_window=3)
     wc = WindowConfig(history=5, horizon=horizon, train_stride=train_stride,
                       eval_stride=eval_stride)
-    client = fl.build_client(tr, pre, wc)
+    client = fl.build_client(tr, pre, wc, 0.8)
     scaled = apply_scaler(filter_trace(tr, pre), client.scaler)
     _, test = split_train_test(build_windows(scaled, wc, train_stride), 0.8)
     evals = build_windows(scaled, wc, eval_stride)
@@ -235,9 +235,9 @@ def test_single_client_round_equals_local_training():
     global_params = models.init_model(spec, seed=(rc.seed, 7700))
     clients[0].params = global_params.copy()
 
-    expected, _ = models.local_train(
-        spec, global_params.copy(), clients[0].train, tc,
-        rng=np.random.default_rng((rc.seed, 7702, 0, 0)))
+    (expected,), _ = models.local_train(
+        spec, [global_params.copy()], [clients[0].train], tc,
+        rng=[np.random.default_rng((rc.seed, 7702, 0, 0))])
 
     new_global, report = fl.run_round(clients, global_params, rc, tc, spec,
                                       round_index=0)
@@ -589,6 +589,14 @@ _MATRIX_HASHES = {
     ("CNN", "FEDAVG_LOCAL_STATS"): "37650a3f113efe861b0cad01ac15852b0103a675997d4f74d61f399c40132af8",
     ("CNN", "FEDPROX"): "a05b5c7c82d7af63b9364f7afad6e55dada9a5543aa21f1caa65c879c75f61b5",
     ("CNN", "FEDBN"): "eef6898e51b3266583a03c9ddec836014f393bd4d0fe5473a7cf16c0cf6ae213",
+    ("LSTM_CNN", "FEDAVG"): "4795f8551265e1dbfe125afc84ed11d023a446a0839bc611aeedcc774ed83331",
+    ("LSTM_CNN", "FEDAVG_LOCAL_STATS"): "08336c61dac5fdd48d522ddf9881d2399588e3a5fbd57497cf74675268557520",
+    ("LSTM_CNN", "FEDPROX"): "4bfceec0d5c8a05ba318c050fbe2538f9d408404c1728a2cdead376ee69a9480",
+    ("LSTM_CNN", "FEDBN"): "1f6dd3882407a0fb23d5f4b98a0907c8f3105f04d766ef9b7aba000a354ea2cf",
+    ("TRANSFORMER", "FEDAVG"): "a7057b4be0917d9a7efa21c041d2b799dfb49eb0369987b7991231e4ff423858",
+    ("TRANSFORMER", "FEDAVG_LOCAL_STATS"): "4a3b796eb8b881eb01717fad609baea9969e5e56529bb39e97f9a7dae9587873",
+    ("TRANSFORMER", "FEDPROX"): "5066b8d37b41dbadf9323e07787efff56fe91c40f940da46a08a32f1f8212ed8",
+    ("TRANSFORMER", "FEDBN"): "ff87ad6ca7d0bc186692947dae71d74db68f9eaaf0f41fdf95abda4d321d2160",
 }
 
 

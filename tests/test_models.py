@@ -348,9 +348,9 @@ def test_local_train_prox_shrinks_drift():
     for mu, cfg in cfgs.items():
         params = models.init_model(spec, seed=9)
         anchor = params.copy()
-        trained, _ = models.local_train(spec, params, samples, cfg,
-                                        global_anchor=anchor,
-                                        rng=np.random.default_rng(0))
+        (trained,), _ = models.local_train(spec, [params], [samples], cfg,
+                                           global_anchor=[anchor],
+                                           rng=[np.random.default_rng(0)])
         drift = 0.0
         for (name, t, is_bn) in trained.entries:
             if t.requires_grad and not is_bn:
@@ -365,7 +365,7 @@ def test_local_train_requires_anchor_for_prox():
     samples = _samples_from_series(np.arange(20, dtype=float))
     cfg = models.TrainConfig(learning_rate=0.01, prox_mu=0.5)
     with pytest.raises(models.ModelError):
-        models.local_train(spec, params, samples, cfg)
+        models.local_train(spec, [params], [samples], cfg)
 
 
 def test_local_train_and_predict_reject_empty_windows():
@@ -374,7 +374,7 @@ def test_local_train_and_predict_reject_empty_windows():
     none = _samples_from_series(np.arange(20, dtype=float))[:0]
     cfg = models.TrainConfig(learning_rate=0.01, local_epochs=0)
     with pytest.raises(models.ModelError, match="no training windows"):
-        models.local_train(spec, params, none, cfg)
+        models.local_train(spec, [params], [none], cfg)
     with pytest.raises(models.ModelError, match="no evaluation windows"):
         models.predict_trace(spec, params, none)
 
@@ -387,7 +387,7 @@ def test_local_train_detects_divergence():
     cfg = models.TrainConfig(learning_rate=1e30, batch_size=8, local_epochs=1)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(models.TrainingDiverged):
-            models.local_train(spec, params, samples, cfg)
+            models.local_train(spec, [params], [samples], cfg)
 
 
 def test_predict_trace_alignment():
@@ -420,7 +420,8 @@ def test_trained_model_tracks_constant_trace():
     spec = _toy_spec("LSTM", in_features=6)
     params = models.init_model(spec, seed=0)
     cfg = models.TrainConfig(learning_rate=0.01, batch_size=32, local_epochs=30)
-    models.local_train(spec, params, samples, cfg, rng=np.random.default_rng(1))
+    models.local_train(spec, [params], [samples], cfg,
+                       rng=[np.random.default_rng(1)])
     yhat, _ = models.predict_trace(spec, params, samples)
     assert np.all(np.abs(yhat - 20.0) / 20.0 < 0.05)
 
@@ -441,9 +442,9 @@ def test_training_loss_monotone_in_median(arch):
         cfg = models.TrainConfig(learning_rate=0.01, batch_size=16,
                                  local_epochs=1)
         for epoch in range(5):
-            params, loss = models.local_train(
-                spec, params, samples, cfg,
-                rng=np.random.default_rng((seed, epoch)))
+            (params,), loss = models.local_train(
+                spec, [params], [samples], cfg,
+                rng=[np.random.default_rng((seed, epoch))])
             losses[seed, epoch] = loss
     med = np.median(losses, axis=0)
     assert all(b <= a + 1e-12 for a, b in zip(med, med[1:]))
@@ -471,14 +472,16 @@ def _member_rng(j):
 
 
 def _train_each(spec, params, windows, cfg):
-    """The oracle: one local_train call per member; None if it diverges."""
+    """The oracle: one local_train call per member, a cohort of one that
+    trains with no client axis; (params, loss), or None if it diverges."""
     prox = cfg.prox_mu > 0
     out = []
     for j, (p, w) in enumerate(zip(params, windows)):
         try:
-            out.append(models.local_train(spec, p.copy(), w, cfg,
-                                          global_anchor=p if prox else None,
-                                          rng=_member_rng(j)))
+            (trained,), loss = models.local_train(
+                spec, [p.copy()], [w], cfg,
+                global_anchor=[p] if prox else None, rng=[_member_rng(j)])
+            out.append((trained, loss))
         except models.TrainingDiverged:
             out.append(None)
     return out
@@ -600,7 +603,7 @@ def test_cohort_needs_one_train_length_and_a_lockstep_architecture():
     params, windows = _cohort(cnn, 2)
     with pytest.raises(models.ModelError, match="CNN"):
         _train_cohort(cnn, params, windows, cfg)
-    # a CNN cohort of one is the single call
+    # a CNN cohort of one trains, with no client axis
     _assert_cohort_is_each(_train_cohort(cnn, params[:1], windows[:1], cfg),
                            _train_each(cnn, params[:1], windows[:1], cfg))
 

@@ -17,11 +17,14 @@ The JSON written to --out holds, per workload, each side's value of every
 end-to-end metric and stage time in pair order, their medians and
 inclusive quartiles, the median ratio change / parent, the number of
 pairs in which the change is lower, and whether the two sides wrote
-byte-identical artifacts in every pair.
+byte-identical artifacts in every pair. Each end-to-end metric of
+BENCHMARK.json also gets its relative median change next to its bound and
+a verdict (`judge`), printed to stderr as well.
 """
 
 import argparse
 import json
+import math
 import shutil
 import statistics
 import subprocess
@@ -139,6 +142,28 @@ def summarise(pairs):
     }
 
 
+def judge(parent, change, better, bound):
+    """The verdict on one end-to-end metric from each side's runs, with
+    `better` ("lower" or "higher") and the relative `bound` of
+    BENCHMARK.json: "worse" when the change's median is worse than the
+    parent's by more than the bound; "unresolved" when the parent's
+    interquartile range exceeds the bound times its median and not every
+    change run beats every parent run; "not worse" otherwise."""
+    sign = 1.0 if better == "lower" else -1.0    # + is worse
+    pm, cm = statistics.median(parent), statistics.median(change)
+    q1, q3 = _quartiles(parent)
+    if sign * (cm - pm) > bound * abs(pm):
+        verdict = "worse"
+    elif q3 - q1 > bound * abs(pm) \
+            and max(sign * c for c in change) >= min(sign * p for p in parent):
+        verdict = "unresolved"
+    else:
+        verdict = "not worse"
+    return {"better": better, "bound": bound,
+            "median_change": (cm - pm) / pm if pm else math.nan,
+            "verdict": verdict}
+
+
 def traced_record(seed, runs):
     """Per-layer metrics of one --trace 1 run per side: name -> [parent,
     change]."""
@@ -158,6 +183,8 @@ def traced_record(seed, runs):
 def main(argv=None):
     args = parse_args(argv)
     workloads = [w for w in args.workloads.split(",") if w]
+    end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())[
+        "end_to_end"]
     out = {"command": "python3 perfbench/run.py --workload W --seed N "
                       f"--seconds {args.seconds:g} --trace {{0,1}}",
            "pairs": args.pairs, "end_to_end": {}, "traced": {}}
@@ -176,7 +203,14 @@ def main(argv=None):
                 print(f"{workload} pair {p + 1}/{args.pairs} seed {seed}: "
                       + ", ".join(f"{s} {pairs[-1][s]['values']['pipeline_s']:.4f}"
                                   for s in SIDES), file=sys.stderr)
-            out["end_to_end"][workload] = summarise(pairs)
+            summary = out["end_to_end"][workload] = summarise(pairs)
+            for metric in end_to_end:
+                m = summary["metrics"][metric["name"]]
+                m.update(judge(m["parent"], m["change"], metric["better"],
+                               metric["bound"]))
+                print(f"{workload} {metric['name']}: median "
+                      f"{m['median_change']:+.1%} (bound {m['bound']:.0%}), "
+                      f"{m['verdict']}", file=sys.stderr)
             if args.traced_seed is not None:
                 seed = args.traced_seed + 100 * w
                 runs = {side: run_bench(checkouts[side], workload, seed,
