@@ -12,6 +12,7 @@ import math
 import sys
 import traceback
 from dataclasses import asdict, dataclass, fields
+from itertools import combinations
 from pathlib import Path
 from typing import get_args, get_origin
 
@@ -164,7 +165,7 @@ class ExperimentConfig:
 
 # INI key -> dataclass field, where the two names differ
 _FIELD_OF_KEY = {"scaler": "scaler_kind", "scope": "scaling_scope",
-                 "participation": "participation_fraction", "strategy": "kind",
+                 "participation": "participation_fraction",
                  "mapping": "mapping_path"}
 _KEY_OF_FIELD = {f: k for k, f in _FIELD_OF_KEY.items()}
 
@@ -191,8 +192,7 @@ _SCHEMA = {
     "model": _keys(models.ModelSpec,
                    skip=("in_features", "history", "horizon")),
     "train": _keys(models.TrainConfig, skip=("prox_mu",)),
-    "rounds": {**_keys(fl.StrategyKind),
-               **_keys(fl.RoundConfig, skip=("strategy", "seed"))},
+    "rounds": _keys(fl.RoundConfig, skip=("seed",)),
     "stream": {**_keys(stream.StreamConfig,
                        skip=("segment_len", "chunks_per_segment")),
                **_keys(ExperimentConfig, ("predictor", "constant_mbps"))},
@@ -229,8 +229,10 @@ def _cast(kind, raw):
 
 def _build(cls, base, given, errors):
     """cls(**{**base, **given}). When that is invalid, add to `errors` one line
-    per key of `given` that is invalid on its own or next to the keys that
-    are valid on their own, and return cls(**base)."""
+    per key of `given` outside the largest subset of `given` that is valid
+    as a whole, with the error that key gives next to that subset, and
+    return cls(**base). Keys that are only valid together, such as FedProx's
+    strategy and mu, thus take no blame for a third key."""
     def error(kwargs):
         try:
             cls(**{**base, **kwargs})
@@ -238,19 +240,16 @@ def _build(cls, base, given, errors):
             return exc
         return None
 
-    whole = error(given)
-    if whole is None:
+    if error(given) is None:
         return cls(**{**base, **given})
-    valid = {k: v for k, v in given.items() if error({k: v}) is None}
-    blamed = {k: error({**valid, k: v}) for k, v in given.items()
-              if k not in valid}
-    blamed = {k: exc for k, exc in blamed.items() if exc is not None}
-    for name, exc in blamed.items():
-        section, key = _KEY_OF[cls, name]
-        errors.append(f"[{section}] {key}: {exc}")
-    if not blamed:
-        section, _ = _KEY_OF[cls, next(iter(given))]
-        errors.append(f"[{section}] {whole}")
+    subsets = (dict(keys) for n in range(len(given) - 1, -1, -1)
+               for keys in combinations(given.items(), n))
+    valid = next(s for s in subsets if error(s) is None)
+    for name, value in given.items():
+        if name not in valid:
+            section, key = _KEY_OF[cls, name]
+            errors.append(f"[{section}] {key}: "
+                          f"{error({**valid, name: value})}")
     return cls(**base)
 
 
@@ -300,8 +299,7 @@ def _parse_config(path, overrides):
     cfg.model_kwargs.update(given.get(models.ModelSpec, {}))
     cfg.train = build(models.TrainConfig,
                       **asdict(models.default_train_config(spec.arch)))
-    cfg.rounds = build(fl.RoundConfig, strategy=build(fl.StrategyKind),
-                       seed=cfg.seed)
+    cfg.rounds = build(fl.RoundConfig, seed=cfg.seed)
     cfg.stream_config = build(stream.StreamConfig)
     cfg.qoe = build(stream.QoECoefficients,
                     r_min_kbps=min(cfg.stream_config.ladder_kbps))
@@ -429,12 +427,11 @@ def cmd_federate(cfg):
         "config": {
             "model": cfg.model_kwargs,
             "train": _settings("train", cfg.train),
-            "rounds": {**_settings("rounds", cfg.rounds.strategy),
-                       **_settings("rounds", cfg.rounds)},
+            "rounds": _settings("rounds", cfg.rounds),
             "window": _settings("window", cfg.window),
             "preprocess": _settings("preprocess", cfg.preprocess),
         },
-        "strategy": cfg.rounds.strategy.kind,
+        "strategy": cfg.rounds.strategy,
         "arch": cfg.model_kwargs["arch"],
         "rounds": len(reports),
         "clients": [c.client_id for c in clients],
@@ -513,10 +510,16 @@ def cmd_stream(cfg):
                 "stream with the model predictor needs checkpoints; "
                 "run `federate` into the same out_dir first")
         for tr in traces:
-            path = ckpt_dir / f"client_{tr.client_id}.ckpt"
-            if not path.exists():
-                path = ckpt_dir / "global.ckpt"
+            own = ckpt_dir / f"client_{tr.client_id}.ckpt"
+            path = own if own.exists() else ckpt_dir / "global.ckpt"
             spec, params = models.load_checkpoint(path)
+            # the global model stands in for a client only where it holds
+            # no entry of its own that stays local and so never trained
+            if path != own and fl._local_entries(cfg.rounds, params):
+                raise models.CheckpointError(
+                    f"client {tr.client_id}: {own} does not exist, and under "
+                    f"{cfg.rounds.strategy} the global model's client-local "
+                    f"entries never trained")
             rows = model_inputs(tr).shape[0]
             if spec.in_features != rows:
                 raise models.CheckpointError(

@@ -3,8 +3,10 @@
 Every client owns a full model. In a round, each sampled client trains a
 copy of its own model; the entries that are shared are then averaged over
 the updates, weighted by sample count, and written into every client's
-model and into the global one. The other entries stay local: each model
-keeps its own.
+model and into the global one, in one merge (`aggregate_fedbn`) where the
+global model is one more update of weight 0. The other entries stay local:
+each model keeps its own. `RoundConfig` holds the strategy with the rest
+of the round settings.
 
     strategy         aggregate_running_stats  entries that stay local
     FedAvg, FedProx  true (the default)       none
@@ -20,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analysis import EvalPair, constant_truth, mse, r2_score
+from .analysis import AnalysisError, EvalPair, constant_truth, mse, r2_score
 from .models import LOCKSTEP_ARCHS, ParamSet, TrainingDiverged, init_model, \
     local_train, predict_trace
 from .preprocess import Windows, build_windows, filter_trace, fit_scaler, \
@@ -36,28 +38,21 @@ class FLError(ValueError):
 
 
 @dataclass
-class StrategyKind:
-    kind: str = FEDBN
-    mu: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in (FEDAVG, FEDPROX, FEDBN):
-            raise FLError(f"unknown strategy {self.kind!r}")
-        if self.kind == FEDPROX and self.mu <= 0:
-            raise FLError("FEDPROX requires mu > 0")
-        if self.kind != FEDPROX and self.mu != 0:
-            raise FLError("mu is only meaningful for FEDPROX")
-
-
-@dataclass
 class RoundConfig:
-    strategy: StrategyKind
+    strategy: str = FEDBN
+    mu: float = 0.0             # FedProx's proximal weight
     total_rounds: int = 100
     participation_fraction: float = 0.85
     seed: int = 0
     aggregate_running_stats: bool = True
 
     def __post_init__(self):
+        if self.strategy not in (FEDAVG, FEDPROX, FEDBN):
+            raise FLError(f"unknown strategy {self.strategy!r}")
+        if self.strategy == FEDPROX and self.mu <= 0:
+            raise FLError("FEDPROX requires mu > 0")
+        if self.strategy != FEDPROX and self.mu != 0:
+            raise FLError("mu is only meaningful for FEDPROX")
         if not 0 < self.participation_fraction <= 1:
             raise FLError("participation_fraction must be in (0, 1]")
         if self.total_rounds < 0:
@@ -158,34 +153,30 @@ def aggregate_fedavg(updates):
     return out
 
 
-def aggregate_fedbn(updates, others=(), local=None):
+def aggregate_fedbn(updates, local):
     """FedAvg over the shared entries; client-local entries stay with their
     owner.
 
-    `local` lists the indices of the client-local entries, by default every
-    batch-norm entry. Returns (per_client, per_other): for each update and
-    for each ParamSet in `others`, the FedAvg average with that ParamSet's
-    own local entries put back.
+    `local` lists the indices of the client-local entries. Returns, for each
+    update, the FedAvg average with that update's own local entries put
+    back; an update of weight 0 takes no part in the average but still
+    gets its merged copy.
     """
     averaged = aggregate_fedavg(updates)
-    if local is None:
-        local = [i for i, (_, _, is_bn) in enumerate(averaged.entries)
-                 if is_bn]
-
-    def merged(own):
+    merged = []
+    for own, _ in updates:
         out = averaged.copy()
         for i in local:
             out.entries[i][1].data = own.entries[i][1].data.copy()
-        return out
-
-    return [merged(ps) for ps, _ in updates], [merged(ps) for ps in others]
+        merged.append(out)
+    return merged
 
 
 def _local_entries(rc, params):
     """Indices of the entries of `params` that stay with their client: every
     batch-norm entry under FedBN, the batch-norm running statistics when
     they are not aggregated, otherwise none."""
-    if rc.strategy.kind == FEDBN:
+    if rc.strategy == FEDBN:
         return [i for i, (_, _, is_bn) in enumerate(params.entries) if is_bn]
     if rc.aggregate_running_stats:
         return []
@@ -226,9 +217,9 @@ def run_round(clients, global_params, rc, tc, spec, round_index=0):
     the average of the shared entries over the clients that trained; a
     client that was not sampled or diverged weighs 0 in that average.
     """
-    prox = rc.strategy.kind == FEDPROX
+    prox = rc.strategy == FEDPROX
     if prox:
-        tc = replace(tc, prox_mu=rc.strategy.mu)
+        tc = replace(tc, prox_mu=rc.mu)
     rng = np.random.default_rng((rc.seed, 7701, round_index))
     participants = sample_clients(clients, rc.participation_fraction, rng)
 
@@ -258,15 +249,20 @@ def run_round(clients, global_params, rc, tc, spec, round_index=0):
     if len(diverged) == len(participants):
         raise FLError(f"round {round_index}: every participant diverged")
 
-    per_client, (new_global,) = aggregate_fedbn(
-        updates, [global_params], _local_entries(rc, global_params))
+    # the global model merges as one more update of weight 0
+    *per_client, new_global = aggregate_fedbn(
+        updates + [(global_params, 0)], _local_entries(rc, global_params))
     for client, params in zip(clients, per_client):
         client.params = params
 
     metrics = {}
     r2s = []
     for client in clients:
-        r2, m = evaluate_client(spec, client)
+        try:
+            r2, m = evaluate_client(spec, client)
+        except (TrainingDiverged, AnalysisError) as exc:
+            raise FLError(f"round {round_index}: client {client.client_id}: "
+                          f"evaluation failed: {exc}") from None
         metrics[client.client_id] = (r2, m)
         r2s.append(r2)
     report = RoundReport(round_index=round_index,

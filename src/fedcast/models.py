@@ -65,6 +65,9 @@ class ModelSpec:
             raise ModelError("in_features, history and horizon must be >= 1")
         if min(self.hidden, self.num_layers, self.num_heads) < 1:
             raise ModelError("hidden, num_layers and num_heads must be >= 1")
+        if self.num_layers != 1 and self.arch != "LSTM":
+            raise ModelError(f"num_layers only stacks the LSTM; {self.arch} "
+                             f"takes 1")
         if self.ff_dim < 0:
             raise ModelError("ff_dim must be >= 0")
         self.conv_channels = tuple(self.conv_channels)
@@ -207,9 +210,8 @@ def _layout(spec):
         w("head.w", (flat, spec.horizon), flat)
         w("head.b", (spec.horizon,), flat)
     elif spec.arch in ("LSTM", "LSTM_CNN"):
-        layers = spec.num_layers if spec.arch == "LSTM" else 1
         size_in = d_in
-        for layer in range(layers):
+        for layer in range(spec.num_layers):
             w(f"lstm{layer}.w_ih", (size_in, 4 * spec.hidden), size_in)
             w(f"lstm{layer}.w_hh", (spec.hidden, 4 * spec.hidden), spec.hidden)
             w(f"lstm{layer}.b", (4 * spec.hidden,), spec.hidden)

@@ -14,6 +14,7 @@ threshold and the jumped media seconds accrue to the skip penalty eta.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,6 +68,8 @@ class StreamConfig:
             raise StreamError("max_latency must exceed playback_threshold")
         if self.mpc_horizon < 1:
             raise StreamError("mpc_horizon must be >= 1")
+        if self.rtt_overhead < 0:
+            raise StreamError("rtt_overhead must be >= 0")
         if len(self.ladder_kbps) ** self.mpc_horizon > _MAX_MPC_SEQUENCES:
             raise StreamError(
                 f"{len(self.ladder_kbps)} rates over mpc_horizon "
@@ -76,6 +79,10 @@ class StreamConfig:
     @property
     def chunk_dur(self):
         return self.segment_len / self.chunks_per_segment
+
+
+# psi(l) takes exp(omega - l) for l >= 0: above this omega it overflows
+_MAX_OMEGA = math.log(sys.float_info.max)
 
 
 @dataclass
@@ -93,6 +100,9 @@ class QoECoefficients:
             raise StreamError("QoE coefficients must be non-negative")
         if self.r_min_kbps <= 0:
             raise StreamError("R_min must be positive")
+        if self.omega > _MAX_OMEGA:
+            raise StreamError(f"omega must be <= {_MAX_OMEGA!r}, the largest "
+                              f"exponent whose exp is finite")
 
 
 def latency_penalty(latency_s, omega):

@@ -91,7 +91,9 @@ def test_criterion_02_fedbn_decoupling():
                 spec, [broadcast], [client.train], tc,
                 rng=[np.random.default_rng((31, rnd, k))])
             updates.append((trained, client.n_samples))
-        per_client, _ = fl.aggregate_fedbn(updates)
+        per_client = fl.aggregate_fedbn(
+            updates, [i for i, (_, _, is_bn) in enumerate(shared.entries)
+                      if is_bn])
         # independent oracle for the shared block
         total = sum(n for _, n in updates)
         for i, (name, t, is_bn) in enumerate(per_client[0].entries):
@@ -252,9 +254,8 @@ def test_criterion_06_synthetic_federated_benchmark():
                                 horizon=1, hidden=24)
         tc = models.TrainConfig(learning_rate=3e-3, batch_size=32,
                                 local_epochs=3)
-        rc = fl.RoundConfig(strategy=fl.StrategyKind(strategy),
-                            total_rounds=40, participation_fraction=0.85,
-                            seed=seed)
+        rc = fl.RoundConfig(strategy=strategy, total_rounds=40,
+                            participation_fraction=0.85, seed=seed)
         reports, _ = fl.run_experiment(clients, rc, tc, spec)
         return (max(r.mean_r2 for r in reports), reports[-1].var_r2)
 

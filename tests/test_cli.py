@@ -162,6 +162,34 @@ key = 1
         assert "[stream] mpc_horizon" in err, subcommand
 
 
+def test_keys_valid_only_together_take_no_blame_for_a_third(tmp_path,
+                                                            capsys):
+    # FEDPROX needs mu, and mu needs FEDPROX: neither is valid on its own
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text("[experiment]\nseed = 7\n[rounds]\nstrategy = FEDPROX\n"
+                   "mu = 0.1\ntotal_rounds = -3\n")
+    assert cli.run(cfg, "federate") == 1
+    err = capsys.readouterr().err
+    assert err.splitlines()[1:] == [
+        "[rounds] total_rounds: total_rounds must be >= 0"], err
+
+
+@pytest.mark.parametrize("extra, named", [
+    ("\n[qoe]\nomega = 710\n", "[qoe] omega"),
+    ("rtt_overhead = -1\n", "[stream] rtt_overhead")],
+    ids=["omega", "rtt_overhead"])
+def test_stream_setting_out_of_range_exits_1_naming_the_key(tmp_path, capsys,
+                                                           extra, named):
+    # omega 710 overflowed math.exp in the latency penalty (exit 2); a
+    # negative rtt_overhead downloaded chunks in no time (exit 0)
+    cfg, out = _config(tmp_path, extra=extra)
+    assert cli.run(cfg, "all") == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err, err
+    assert named in err, err
+    assert not out.exists()
+
+
 def test_seed_only_config_resolves_to_dataclass_defaults(tmp_path):
     path = tmp_path / "seed_only.ini"
     path.write_text("[experiment]\nseed = 3\n")
@@ -173,7 +201,7 @@ def test_seed_only_config_resolves_to_dataclass_defaults(tmp_path):
     assert models.ModelSpec(**sizes, **cfg.model_kwargs) == \
         models.ModelSpec(**sizes)
     assert cfg.train == models.default_train_config("LSTM")
-    assert cfg.rounds == fl.RoundConfig(strategy=fl.StrategyKind(), seed=3)
+    assert cfg.rounds == fl.RoundConfig(seed=3)
     assert cfg.stream_config == stream.StreamConfig()
     assert cfg.qoe == stream.QoECoefficients(
         r_min_kbps=min(stream.StreamConfig().ladder_kbps))
@@ -351,6 +379,38 @@ def test_flat_lined_trace_exits_1_naming_the_client(tmp_path, capsys):
     assert not (out / "rounds.csv").exists()
 
 
+def test_non_finite_evaluation_exits_1_naming_the_client(tmp_path, capsys):
+    # one SGD step at learning rate 1e4 leaves finite weights whose
+    # evaluation forecasts overflow
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(f"""\
+[experiment]
+seed = 3
+out_dir = {tmp_path / "run"}
+[synthetic]
+n_clients = 4
+length = 120
+[window]
+history = 8
+[model]
+arch = LSTM
+hidden = 8
+[train]
+learning_rate = 1e4
+optimizer = sgd
+local_epochs = 1
+[rounds]
+strategy = FEDAVG
+total_rounds = 1
+""")
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert cli.run(cfg, "federate") == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err, err
+    assert "round 0: client syn00: evaluation failed" in err, err
+    assert not (tmp_path / "run" / "rounds.csv").exists()
+
+
 def test_truncated_checkpoint_exits_1_naming_the_file(tmp_path, capsys):
     cfg, out = _config(tmp_path, rounds=1)
     cfg.write_text(cfg.read_text().replace("predictor = harmonic",
@@ -390,6 +450,29 @@ def _federated_checkpoint(tmp_path):
                                            "predictor = model"))
     assert cli.run(cfg, "federate") == 0
     return cfg, out / "checkpoints" / "client_syn00.ckpt"
+
+
+@pytest.mark.parametrize("rounds, code", [
+    ("strategy = FEDBN", 1),
+    ("strategy = FEDAVG\naggregate_running_stats = false", 1),
+    ("strategy = FEDAVG", 0)],
+    ids=["fedbn", "fedavg_local_stats", "fedavg"])
+def test_client_without_checkpoint_falls_back_to_global_only_if_all_shared(
+        tmp_path, capsys, rounds, code):
+    # the global model stands in for a client only where it holds no
+    # client-local entry, whose values would be the untrained initial ones
+    cfg, out = _config(tmp_path, rounds=1)
+    cfg.write_text(cfg.read_text()
+                   .replace("predictor = harmonic", "predictor = model")
+                   .replace("strategy = FEDAVG", rounds))
+    assert cli.run(cfg, "federate") == 0
+    ckpt = out / "checkpoints" / "client_syn01.ckpt"
+    ckpt.unlink()
+    assert cli.run(cfg, "stream") == code
+    if code:
+        _assert_one_line_error(capsys, "client syn01", str(ckpt))
+    else:
+        assert (out / "qoe.csv").exists()
 
 
 def test_checkpoint_header_of_another_model_exits_1_naming_the_file(

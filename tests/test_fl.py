@@ -59,18 +59,17 @@ def test_eval_windows_are_the_eval_stride_windows_of_the_test_span(
 
 def test_fedprox_requires_positive_mu():
     with pytest.raises(fl.FLError):
-        fl.StrategyKind("FEDPROX", mu=0.0)
+        fl.RoundConfig("FEDPROX", mu=0.0)
     with pytest.raises(fl.FLError):
-        fl.StrategyKind("FEDAVG", mu=0.5)
-    assert fl.StrategyKind("FEDPROX", mu=0.1).mu == 0.1
+        fl.RoundConfig("FEDAVG", mu=0.5)
+    assert fl.RoundConfig("FEDPROX", mu=0.1).mu == 0.1
 
 
 def test_round_config_validation():
     with pytest.raises(fl.FLError):
-        fl.RoundConfig(strategy=fl.StrategyKind("FEDAVG"),
-                       participation_fraction=0.0)
+        fl.RoundConfig(strategy="FEDAVG", participation_fraction=0.0)
     with pytest.raises(fl.FLError):
-        fl.RoundConfig(strategy=fl.StrategyKind("FEDAVG"), total_rounds=-1)
+        fl.RoundConfig(strategy="FEDAVG", total_rounds=-1)
 
 
 # --- client sampling ---------------------------------------------------------
@@ -199,26 +198,35 @@ def test_fedavg_requires_positive_total():
 # --- FedBN -------------------------------------------------------------------
 
 
+def _bn_entries(params):
+    return [i for i, (_, _, is_bn) in enumerate(params.entries) if is_bn]
+
+
 def test_fedbn_degenerates_to_fedavg_without_bn():
     spec = _toy_spec(use_batchnorm=False)
     updates = [(_random_paramset(spec, s), s + 2) for s in range(3)]
     avg = fl.aggregate_fedavg(updates)
-    per_client, per_other = fl.aggregate_fedbn(updates,
-                                               [_random_paramset(spec, 9)])
-    for client_ps in per_client + per_other:
+    idle = (_random_paramset(spec, 9), 0)
+    merged = fl.aggregate_fedbn(updates + [idle],
+                                _bn_entries(updates[0][0]))
+    assert len(merged) == 4
+    for client_ps in merged:
         for (_, a, _), (_, b, _) in zip(client_ps.entries, avg.entries):
             assert np.array_equal(a.data, b.data)
 
 
 def test_fedbn_keeps_bn_blocks_bitwise():
+    # the idle model weighs 0: it takes no part in the average but gets
+    # its own batch-norm entries back, as the global model does in a round
     spec = _toy_spec()
     updates = [(_random_paramset(spec, s), 2 * s + 1) for s in range(4)]
     idle = _random_paramset(spec, 9)
-    per_client, per_other = fl.aggregate_fedbn(updates, [idle])
+    merged = fl.aggregate_fedbn(updates + [(idle, 0)], _bn_entries(idle))
     avg = fl.aggregate_fedavg(updates)
     owners = [ps for ps, _ in updates] + [idle]
-    for orig, merged in zip(owners, per_client + per_other):
-        for i, (name, t, is_bn) in enumerate(merged.entries):
+    assert len(merged) == len(owners)
+    for orig, merged_ps in zip(owners, merged):
+        for i, (name, t, is_bn) in enumerate(merged_ps.entries):
             expected = orig if is_bn else avg
             assert np.array_equal(t.data, expected.entries[i][1].data), name
 
@@ -230,7 +238,7 @@ def test_single_client_round_equals_local_training():
     clients = _clients(n=1)
     spec = _toy_spec()
     tc = models.TrainConfig(learning_rate=0.01, batch_size=16, local_epochs=1)
-    rc = fl.RoundConfig(strategy=fl.StrategyKind("FEDAVG"), total_rounds=1,
+    rc = fl.RoundConfig(strategy="FEDAVG", total_rounds=1,
                         participation_fraction=1.0, seed=3)
     global_params = models.init_model(spec, seed=(rc.seed, 7700))
     clients[0].params = global_params.copy()
@@ -251,7 +259,7 @@ def test_round_replay_determinism():
         spec = _toy_spec()
         tc = models.TrainConfig(learning_rate=0.01, batch_size=16,
                                 local_epochs=1)
-        rc = fl.RoundConfig(strategy=fl.StrategyKind("FEDBN"), total_rounds=3,
+        rc = fl.RoundConfig(strategy="FEDBN", total_rounds=3,
                             participation_fraction=0.85, seed=21)
         reports, global_params = fl.run_experiment(clients, rc, tc, spec)
         return reports, global_params
@@ -269,7 +277,7 @@ def test_fedbn_round_preserves_client_bn_state():
     clients = _clients(n=3)
     spec = _toy_spec()
     tc = models.TrainConfig(learning_rate=0.01, batch_size=16, local_epochs=1)
-    rc = fl.RoundConfig(strategy=fl.StrategyKind("FEDBN"), total_rounds=2,
+    rc = fl.RoundConfig(strategy="FEDBN", total_rounds=2,
                         participation_fraction=1.0, seed=5)
     fl.run_experiment(clients, rc, tc, spec)
     # after the run, clients' non-BN blocks are identical, BN blocks are not
@@ -286,7 +294,7 @@ def test_zero_rounds_returns_initial_params():
     clients = _clients(n=2)
     spec = _toy_spec()
     tc = models.TrainConfig(learning_rate=0.01)
-    rc = fl.RoundConfig(strategy=fl.StrategyKind("FEDAVG"), total_rounds=0,
+    rc = fl.RoundConfig(strategy="FEDAVG", total_rounds=0,
                         seed=1)
     reports, global_params = fl.run_experiment(clients, rc, tc, spec)
     assert reports == []
@@ -305,7 +313,7 @@ def test_constant_test_span_raises_before_the_first_round(monkeypatch):
         raise AssertionError("trained before the check")
 
     monkeypatch.setattr(fl, "local_train", no_training)
-    rc = fl.RoundConfig(strategy=fl.StrategyKind("FEDAVG"), total_rounds=1)
+    rc = fl.RoundConfig(strategy="FEDAVG", total_rounds=1)
     with pytest.raises(fl.FLError, match=f"client {clients[2].client_id}"):
         fl.run_experiment(clients, rc,
                           models.TrainConfig(learning_rate=0.01), _toy_spec())
@@ -315,7 +323,7 @@ def test_all_clients_evaluated_under_partial_participation():
     clients = _clients(n=4)
     spec = _toy_spec()
     tc = models.TrainConfig(learning_rate=0.01, batch_size=16, local_epochs=1)
-    rc = fl.RoundConfig(strategy=fl.StrategyKind("FEDAVG"), total_rounds=1,
+    rc = fl.RoundConfig(strategy="FEDAVG", total_rounds=1,
                         participation_fraction=0.5, seed=9)
     reports, _ = fl.run_experiment(clients, rc, tc, spec)
     report = reports[0]
@@ -350,7 +358,7 @@ def test_diverged_client_is_excluded(monkeypatch):
                        if params is not None)
         return trained, loss
 
-    rc = fl.RoundConfig(strategy=fl.StrategyKind("FEDAVG"), total_rounds=1,
+    rc = fl.RoundConfig(strategy="FEDAVG", total_rounds=1,
                         participation_fraction=1.0, seed=4)
     global_params = models.init_model(spec, seed=(rc.seed, 7700))
     for c in clients:
@@ -362,7 +370,7 @@ def test_diverged_client_is_excluded(monkeypatch):
 
     # under FedBN the diverged client keeps its own pre-round batch-norm
     # entries and takes the average of the others everywhere else
-    rc = replace(rc, strategy=fl.StrategyKind("FEDBN"))
+    rc = replace(rc, strategy="FEDBN")
     for c in clients:
         c.params = global_params.copy()
     monkeypatch.setattr(fl, "local_train", real_local_train)
@@ -385,7 +393,7 @@ def test_report_rows_format():
     clients = _clients(n=2)
     spec = _toy_spec()
     tc = models.TrainConfig(learning_rate=0.01, batch_size=16, local_epochs=1)
-    rc = fl.RoundConfig(strategy=fl.StrategyKind("FEDAVG"), total_rounds=1,
+    rc = fl.RoundConfig(strategy="FEDAVG", total_rounds=1,
                         participation_fraction=1.0, seed=2)
     reports, _ = fl.run_experiment(clients, rc, tc, spec)
     rows = list(reports[0].rows())
@@ -399,7 +407,7 @@ def test_running_stats_stay_local_when_not_aggregated(monkeypatch):
     clients = _clients(n=3)
     spec = _toy_spec()
     tc = models.TrainConfig(learning_rate=0.01, batch_size=16, local_epochs=1)
-    rc = fl.RoundConfig(strategy=fl.StrategyKind("FEDAVG"), total_rounds=1,
+    rc = fl.RoundConfig(strategy="FEDAVG", total_rounds=1,
                         participation_fraction=0.5, seed=6,
                         aggregate_running_stats=False)
     global_params = models.init_model(spec, seed=(rc.seed, 7700))

@@ -119,10 +119,12 @@ def test_stacked_forward_equals_per_call_forward(arch, use_batchnorm):
 @pytest.mark.parametrize("bad", [dict(hidden=0), dict(num_layers=0),
                                  dict(num_heads=0), dict(ff_dim=-1),
                                  dict(conv_channels=(8, 0)),
-                                 dict(conv_channels=(8,))])
+                                 dict(conv_channels=(8,)),
+                                 dict(arch="LSTM_CNN", num_layers=3)])
 def test_spec_rejects_out_of_range_sizes(bad):
+    arch = "CNN" if "conv_channels" in bad else "TRANSFORMER"
     with pytest.raises(models.ModelError):
-        _toy_spec("CNN" if "conv_channels" in bad else "TRANSFORMER", **bad)
+        _toy_spec(**{"arch": arch, **bad})
 
 
 def test_transformer_positional_encoding_distinguishes_order():

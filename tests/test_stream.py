@@ -1,6 +1,7 @@
 """Streaming simulator: QoE arithmetic, MPC selection, session dynamics."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -46,6 +47,17 @@ def test_quality_below_rmin_rejected():
 def test_latency_penalty_zero_at_zero():
     for omega in (1.0, 4.0, 10.0):
         assert latency_penalty(0.0, omega) == 0.0
+
+
+def test_largest_finite_omega_is_the_bound():
+    # psi takes exp(omega - l), l >= 0: the largest omega whose exp is
+    # finite is accepted, the next float is refused
+    omega = math.log(sys.float_info.max)
+    assert QoECoefficients(omega=omega).omega == omega
+    for lat in (0.0, 1.0, 1e6):
+        assert math.isfinite(latency_penalty(lat, omega))
+    with pytest.raises(StreamError, match="omega"):
+        QoECoefficients(omega=math.nextafter(omega, math.inf))
 
 
 def test_latency_penalty_limit():
