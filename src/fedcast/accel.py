@@ -338,23 +338,28 @@ def _finite(tp, plan):
     return not tp > 0.0 or math.isfinite(plan.rtt + plan.bits_max / tp)
 
 
-def mpc_rollout_scores(pred_kbps, buffer0, latency0, prev_idx, plan):
+def mpc_rollout_scores(pred_kbps, buffer0, latency0, prev_idx, plan,
+                       walk=None):
     """Score the rate sequences over the horizon; returns scores (L**h,),
     a new array, first chunk most significant. A sequence whose score is
     proven below the best is left at -inf: a branch-and-bound bounds the
     prefixes of depth h-3, then the last depth's parents, and expands
     only those whose bound reaches a scored leaf (see the module
     comment). `plan` is the session's `MpcPlan`, whose workspace the call
-    reuses. See module stream."""
-    pred_kbps = _prediction(pred_kbps, plan)
+    reuses. `walk` is `_buffer_walk`'s result for a prediction that
+    `_prediction` already checked, when the caller has them. See module
+    stream."""
     buffer0, latency0 = float(buffer0), float(latency0)
+    if walk is None:
+        pred_kbps = _prediction(pred_kbps, plan)
+        walk = _buffer_walk(pred_kbps, buffer0, plan)
+    n_free, drain = walk
     horizon = plan.horizon
     n_rates = plan.ladder_kbps.size
     rtt, bits, chunk_dur = plan.rtt, plan.bits, plan.chunk_dur
     chunks_per_seg, mu2, mu4 = plan.chunks_per_seg, plan.mu2, plan.mu4
     omega, psi_base = plan.omega, plan.psi_base
     gain_first = plan.gain_first[prev_idx]
-    n_free, drain = _buffer_walk(pred_kbps, buffer0, plan)
     # a stall-free depth's buffers reach no score unless a later depth can
     # stall or the drain applies
     keep_buf = n_free < horizon or drain
@@ -638,7 +643,8 @@ def mpc_first_rate(pred_kbps, buffer0, latency0, prev_idx, plan):
         rate = plan.first_rates.get(key)
         if rate is not None:
             return rate
-    scores = mpc_rollout_scores(pred_kbps, buffer0, latency0, prev_idx, plan)
+    scores = mpc_rollout_scores(pred_kbps, buffer0, latency0, prev_idx, plan,
+                                walk=(n_free, drain))
     # sequences are encoded most-significant-digit-first, so the integer
     # division recovers the first chunk's rate; ties already broke low
     rate = int(np.argmax(scores)) // plan.n_rest

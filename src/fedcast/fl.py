@@ -223,16 +223,22 @@ def run_round(clients, global_params, rc, tc, spec, round_index=0):
     rng = np.random.default_rng((rc.seed, 7701, round_index))
     participants = sample_clients(clients, rc.participation_fraction, rng)
 
+    # an overflow in training or evaluation is reported by the finiteness
+    # checks that follow it (a diverged member, a failed evaluation), not
+    # by numpy's warning
+    quiet = dict(over="ignore", invalid="ignore")
     trained = {}
     for cohort in _cohorts(spec, clients, participants):
         members = [clients[k] for k in cohort]
         try:
-            trained_params, _ = local_train(
-                spec, [c.params.copy() for c in members],
-                [c.train for c in members], tc,
-                global_anchor=[c.params for c in members] if prox else None,
-                rng=[np.random.default_rng((rc.seed, 7702, round_index, k))
-                     for k in cohort])
+            with np.errstate(**quiet):
+                trained_params, _ = local_train(
+                    spec, [c.params.copy() for c in members],
+                    [c.train for c in members], tc,
+                    global_anchor=[c.params for c in members] if prox
+                    else None,
+                    rng=[np.random.default_rng((rc.seed, 7702, round_index,
+                                                k)) for k in cohort])
         except TrainingDiverged:
             trained_params = [None] * len(cohort)
         trained.update(zip(cohort, trained_params))
@@ -259,7 +265,8 @@ def run_round(clients, global_params, rc, tc, spec, round_index=0):
     r2s = []
     for client in clients:
         try:
-            r2, m = evaluate_client(spec, client)
+            with np.errstate(**quiet):
+                r2, m = evaluate_client(spec, client)
         except (TrainingDiverged, AnalysisError) as exc:
             raise FLError(f"round {round_index}: client {client.client_id}: "
                           f"evaluation failed: {exc}") from None

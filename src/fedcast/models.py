@@ -23,10 +23,14 @@ from . import tensor as T
 ARCHS = ("CNN", "LSTM", "LSTM_CNN", "TRANSFORMER")
 # architectures whose cohorts train in lockstep on a leading client axis,
 # at most LOCKSTEP_MAX members to a stack: a step's tape grows with the
-# stack (~0.6 MB a member at the demo's shape), and on the demo a stack of
-# 4 was as fast as one of 7 but not as small as the per-client path
+# stack (five (S, K, B, H) arrays, ~0.5 MB a member at the demo's shape).
+# The demo's cohort of 7, 3 epochs, in one process (median of 60 shuffled
+# runs, tracemalloc peak): stacks of at most 3 take 0.198 s and 2.73 MB,
+# of 4 0.172 s and 3.54 MB, one stack of 7 0.148 s and 6.01 MB. Stacks of
+# 4 (a cohort of 7 trains as 3 and 4) peak at what stacks of 3 did with
+# the per-step tape that kept h as well (3.55 MB).
 LOCKSTEP_ARCHS = ("LSTM",)
-LOCKSTEP_MAX = 3
+LOCKSTEP_MAX = 4
 
 _TABLE_LR = {"CNN": 1e-3, "LSTM": 3e-4, "LSTM_CNN": 3e-3, "TRANSFORMER": 1e-3}
 _DEFAULT_EPOCHS = {"CNN": 2, "LSTM": 3, "LSTM_CNN": 2, "TRANSFORMER": 3}
@@ -280,9 +284,10 @@ def _bn(params, name, x, channel_axis, training):
                         channel_axis=channel_axis, training=training)
 
 
-def _lstm(params, prefix, x_seq):
+def _lstm(params, prefix, x_seq, last=False):
     return T.lstm(x_seq, params.get(f"{prefix}.w_ih"),
-                  params.get(f"{prefix}.w_hh"), params.get(f"{prefix}.b"))
+                  params.get(f"{prefix}.w_hh"), params.get(f"{prefix}.b"),
+                  last=last)
 
 
 def _positional_encoding(steps, dim):
@@ -365,10 +370,10 @@ def forward_graph(spec, params, x_raw, training=False):
     # time-major rows for the recurrent and attention models: (..., H+1, |F|+1)
     x_seq = np.ascontiguousarray(np.swapaxes(x_raw, -1, -2))
     if spec.arch == "LSTM":
-        x = T.Tensor(x_seq)
+        feat = T.Tensor(x_seq)
         for layer in range(spec.num_layers):
-            x = _lstm(params, f"lstm{layer}", x)
-        feat = x[..., -1, :]
+            feat = _lstm(params, f"lstm{layer}", feat,
+                         last=layer == spec.num_layers - 1)
         if spec.use_batchnorm:
             feat = _bn(params, "bn", feat, channel_axis=-1, training=training)
         feat = T.relu(T.add(T.matmul(feat, params.get("fc.w")), params.get("fc.b")))
@@ -444,7 +449,11 @@ class SGD:
 
 class Adam:
     """Elementwise, so each slice of stacked parameters takes the steps of
-    its own optimizer."""
+    its own optimizer. A step works in place where the order allows, as
+    `m = b1*m + (1-b1)*g`, `v = b2*v + ((1-b2)*g)*g` and
+    `p -= (lr*mhat) / (sqrt(vhat) + eps)`: four short-lived arrays per
+    parameter, and no scratch kept between steps (kept, it would add to a
+    training step's peak)."""
 
     def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         self.params = params
@@ -456,17 +465,25 @@ class Adam:
 
     def step(self):
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
+        c1, c2 = 1 - b1 ** self.t, 1 - b2 ** self.t
         for p, m, v in zip(self.params, self.m, self.v):
-            if p.grad is None:
+            g = p.grad
+            if g is None:
                 continue
             m *= b1
-            m += (1 - b1) * p.grad
+            m += (1 - b1) * g
             v *= b2
-            v += (1 - b2) * p.grad * p.grad
-            mhat = m / (1 - b1 ** self.t)
-            vhat = v / (1 - b2 ** self.t)
-            p.data -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+            g2 = (1 - b2) * g
+            g2 *= g
+            v += g2
+            update = m / c1         # mhat
+            update *= lr
+            den = v / c2            # vhat
+            np.sqrt(den, out=den)
+            den += eps
+            update /= den
+            p.data -= update
 
     def keep(self, rows):
         """Stacked parameters keep only slices `rows`: so do the moments."""

@@ -408,88 +408,165 @@ def conv2d(x, w):
     return _make(out, (x, w), back)
 
 
-def lstm(x_seq, w_ih, w_hh, bias):
+def _sigmoid_into(z, out):
+    """`_sigmoid(z)` written into `out`, op for op: -z lands in the
+    contiguous `out`, so exp reads a contiguous array as it does there."""
+    np.negative(z, out=out)
+    np.exp(out, out=out)
+    np.add(1.0, out, out=out)
+    return np.divide(1.0, out, out=out)
+
+
+def lstm(x_seq, w_ih, w_hh, bias, last=False):
     """One LSTM layer from a zero state; x_seq (B,S,D), w_ih (D,4H),
     w_hh (H,4H), bias (4H,) with gates in the order i, f, g, o.
 
     Returns the (B,S,H) hidden sequence as one node whose backward runs
-    BPTT over the gate activations cached by the forward. Every step
-    repeats the arithmetic of the per-step graph (sigmoid, tanh, mul and
-    matmul ops) on arrays of the same shape and layout, and the weight and
-    bias gradients are accumulated step by step in reverse time order, so
-    outputs and gradients are bit-identical to that graph. Projecting all
-    steps with one matmul, or summing the weight gradient over steps in
-    one, would reorder the floating-point sums.
+    BPTT over the tape the forward keeps; with `last`, only the last
+    hidden state, (B,H), whose gradient the backward takes directly.
+
+    Every step repeats the arithmetic of the per-step graph (sigmoid, tanh,
+    mul and matmul ops) in its order, on arrays of the same shape and
+    layout: the step's input is copied to a contiguous (B,D) array, and
+    each activation reads a contiguous (B,H) array (a ufunc may take
+    another code path on a strided view). The
+    weight and bias gradients are accumulated step by step in reverse time
+    order, so outputs and gradients are bit-identical to that graph.
+    Projecting all steps with one matmul, or summing the weight gradient
+    over steps in one, would reorder the floating-point sums.
+
+    The tape is five (S,B,H) arrays, the cell state c and the gates i, f,
+    g and o of every step, written in place with `out=`; a call where
+    nothing needs a gradient keeps two rotating slots instead. The
+    backward rebuilds h_prev = o * tanh(c) of the step before from the
+    tape: tanh reads the same contiguous cell state as in the forward, so
+    both products have the forward's bits, and that tanh(c) is the one
+    the step before then uses. Under `last`, the gradient of every earlier
+    step's hidden state is dh_next + 0.0, the bits of the zero gradient
+    that slicing the sequence gave those steps plus dh_next.
 
     The forward also takes a stack of such inputs, x_seq (K,B,S,D), and
-    returns (K,B,S,H): matmul runs one product per (B,·) slice, so each
-    slice gets the bits of its own call. The backward takes the stack too
-    when the weights are stacked with it, w_ih (K,D,4H), w_hh (K,H,4H) and
-    bias (K,1,4H): every step counts its axes from the end, so slice k's
-    gradients are the bits of its own (B,S,D) call.
+    returns (K,B,S,H) (with `last`, (K,B,H)): matmul runs one product per
+    (B,·) slice, so each slice gets the bits of its own call. The backward
+    takes the stack too when the weights are stacked with it, w_ih
+    (K,D,4H), w_hh (K,H,4H) and bias (K,1,4H): every step counts its axes
+    from the end, so slice k's gradients are the bits of its own (B,S,D)
+    call.
     """
     x_seq, w_ih, w_hh, bias = (as_tensor(t) for t in (x_seq, w_ih, w_hh, bias))
     *lead, steps, _ = x_seq.data.shape
     hid = w_hh.data.shape[-2]
+    state = (*lead, hid)
     track = any(t.requires_grad for t in (x_seq, w_ih, w_hh, bias))
-    h = np.zeros((*lead, hid))
-    c = c0 = np.zeros((*lead, hid))
-    hs, cache = [], []
+    slots = steps if track else 2
+    cs, ig, fg, gg, og = (np.empty((slots, *state)) for _ in range(5))
+    zeros = np.zeros(state)
+    xt = np.empty(x_seq.data.shape[:-2] + x_seq.data.shape[-1:])
+    gates = np.empty((*lead, 4 * hid))
+    proj = np.empty_like(gates)
+    tc = np.empty(state)
+    h = np.zeros(state)
+    seq = None if last else np.empty((*lead, steps, hid))
     for t in range(steps):
-        xt = x_seq.data[..., t, :].copy()
-        h_prev = h
-        gates = xt @ w_ih.data + h @ w_hh.data + bias.data
-        # each activation reads a contiguous (B,H) array, like the graph's
-        # slice copies (`-z` makes one for the sigmoids): a ufunc may take
-        # another code path on a strided view
-        i = _sigmoid(gates[..., :hid])
-        f = _sigmoid(gates[..., hid:2 * hid])
-        g = np.tanh(gates[..., 2 * hid:3 * hid].copy())
-        o = _sigmoid(gates[..., 3 * hid:])
-        c = f * c + i * g
-        tc = np.tanh(c)
-        h = o * tc
-        hs.append(h)
-        if track:
-            # the tape keeps what the backward cannot remake: xt is copied
-            # again and tanh(c) recomputed, from the same arrays, so with
-            # the same bits
-            cache.append((h_prev, c, i, f, g, o))
+        s = t % slots
+        c_prev = cs[(t - 1) % slots] if t else zeros
+        c, i, f, g, o = cs[s], ig[s], fg[s], gg[s], og[s]
+        np.copyto(xt, x_seq.data[..., t, :])
+        np.matmul(xt, w_ih.data, out=gates)
+        np.matmul(h, w_hh.data, out=proj)
+        np.add(gates, proj, out=gates)
+        np.add(gates, bias.data, out=gates)
+        _sigmoid_into(gates[..., :hid], i)
+        _sigmoid_into(gates[..., hid:2 * hid], f)
+        np.copyto(g, gates[..., 2 * hid:3 * hid])
+        np.tanh(g, out=g)
+        _sigmoid_into(gates[..., 3 * hid:], o)
+        np.multiply(f, c_prev, out=c)
+        np.multiply(i, g, out=tc)
+        np.add(c, tc, out=c)
+        np.tanh(c, out=tc)
+        np.multiply(o, tc, out=h)
+        if seq is not None:
+            seq[..., t, :] = h
+    out = h if last else seq
+    if not track:
+        return Tensor(out)
 
     def back(grad):
-        dx = np.zeros_like(x_seq.data) if x_seq.requires_grad else None
+        dx = np.empty_like(x_seq.data) if x_seq.requires_grad else None
         w_ih_t = np.swapaxes(w_ih.data, -1, -2)
         w_hh_t = np.swapaxes(w_hh.data, -1, -2)
-        dh_next = dc_next = None
+        dh_buf, dh_next, dc, dc_next, tmp, do, tc_prev = (
+            np.empty(state) for _ in range(7))
+        tc = np.tanh(cs[-1])
+        dgates = np.empty((*lead, 4 * hid))
+        d_i, d_f, d_g, d_o = (dgates[..., k * hid:(k + 1) * hid]
+                              for k in range(4))
+        db = np.empty(dgates.shape[:-2] + dgates.shape[-1:])
+        dw_ih, dw_hh, dxt = (np.empty_like(a) for a in (w_ih.data, w_hh.data,
+                                                         xt))
+        zeros = np.zeros(state)
+        # transposed views, made once: the (D,B) and (H,B) operands of the
+        # weight gradients
+        xt_t, tmp_t, zeros_t = (np.swapaxes(a, -1, -2) for a in (xt, tmp,
+                                                                  zeros))
         for t in reversed(range(steps)):
-            h_prev, c, i, f, g, o = cache[t]
-            c_prev = cache[t - 1][1] if t else c0
-            tc = np.tanh(c)
-            dh = grad[..., t, :] if dh_next is None else grad[..., t, :] + dh_next
-            do = dh * tc
-            dc = (dh * o) * (1.0 - tc * tc)
-            if dc_next is not None:
-                dc = dc + dc_next
-            dgates = np.empty((*lead, 4 * hid))
-            dgates[..., :hid] = ((dc * g) * i) * (1.0 - i)
-            dgates[..., hid:2 * hid] = ((dc * c_prev) * f) * (1.0 - f)
-            dgates[..., 2 * hid:3 * hid] = (dc * i) * (1.0 - g * g)
-            dgates[..., 3 * hid:] = (do * o) * (1.0 - o)
+            c, i, f, g, o = cs[t], ig[t], fg[t], gg[t], og[t]
+            c_prev = cs[t - 1] if t else zeros
+            if t:
+                np.tanh(c_prev, out=tc_prev)
+            if last:
+                dh = np.add(grad if t == steps - 1 else dh_next, 0.0,
+                            out=dh_buf)
+            elif t == steps - 1:
+                dh = grad[..., t, :]
+            else:
+                dh = np.add(grad[..., t, :], dh_next, out=dh_buf)
+            np.multiply(dh, tc, out=do)
+            np.multiply(dh, o, out=dc)
+            np.multiply(tc, tc, out=tmp)
+            np.subtract(1.0, tmp, out=tmp)
+            np.multiply(dc, tmp, out=dc)
+            if t < steps - 1:
+                np.add(dc, dc_next, out=dc)
+            # each gate's ((dc * x) * y) * (1 - z), as the graph multiplies
+            np.multiply(dc, g, out=tmp)
+            np.multiply(tmp, i, out=tmp)
+            np.subtract(1.0, i, out=d_i)
+            np.multiply(tmp, d_i, out=d_i)
+            np.multiply(dc, c_prev, out=tmp)
+            np.multiply(tmp, f, out=tmp)
+            np.subtract(1.0, f, out=d_f)
+            np.multiply(tmp, d_f, out=d_f)
+            np.multiply(dc, i, out=tmp)
+            np.multiply(g, g, out=d_g)
+            np.subtract(1.0, d_g, out=d_g)
+            np.multiply(tmp, d_g, out=d_g)
+            np.multiply(do, o, out=tmp)
+            np.subtract(1.0, o, out=d_o)
+            np.multiply(tmp, d_o, out=d_o)
             if bias.requires_grad:
-                bias._accum(dgates.sum(axis=-2).reshape(bias.data.shape))
+                np.add.reduce(dgates, axis=-2, out=db)
+                bias._accum(db.reshape(bias.data.shape))
             if dx is not None:
-                dx[..., t, :] = dgates @ w_ih_t
+                np.matmul(dgates, w_ih_t, out=dxt)
+                dx[..., t, :] = dxt
             if w_ih.requires_grad:
-                xt = x_seq.data[..., t, :].copy()
-                w_ih._accum(np.swapaxes(xt, -1, -2) @ dgates)
+                np.copyto(xt, x_seq.data[..., t, :])
+                np.matmul(xt_t, dgates, out=dw_ih)
+                w_ih._accum(dw_ih)
             if w_hh.requires_grad:
-                w_hh._accum(np.swapaxes(h_prev, -1, -2) @ dgates)
-            dh_next = dgates @ w_hh_t
-            dc_next = dc * f
+                if t:   # h_prev, as the forward made it
+                    np.multiply(og[t - 1], tc_prev, out=tmp)
+                np.matmul(tmp_t if t else zeros_t, dgates, out=dw_hh)
+                w_hh._accum(dw_hh)
+            np.matmul(dgates, w_hh_t, out=dh_next)
+            np.multiply(dc, f, out=dc_next)
+            tc, tc_prev = tc_prev, tc
         if dx is not None:
             x_seq._accum(dx)
 
-    return _make(np.stack(hs, axis=-2), (x_seq, w_ih, w_hh, bias), back)
+    return _make(out, (x_seq, w_ih, w_hh, bias), back)
 
 
 def batch_norm(x, gamma, beta, running_mean, running_var, channel_axis,

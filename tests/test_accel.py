@@ -367,16 +367,23 @@ def _first_rate(case, plan):
 
 
 class _RolloutSpy:
-    """Counts the rollouts that `accel.mpc_first_rate` runs."""
+    """Counts the rollouts that `accel.mpc_first_rate` runs, and the
+    buffer walks of the decision and its rollouts."""
 
     def __init__(self, monkeypatch):
-        self.calls = 0
+        self.calls = self.walks = 0
         self._rollout = accel.mpc_rollout_scores
+        self._walk = accel._buffer_walk
         monkeypatch.setattr(accel, "mpc_rollout_scores", self)
+        monkeypatch.setattr(accel, "_buffer_walk", self.walk)
 
-    def __call__(self, *args):
+    def __call__(self, *args, **kwargs):
         self.calls += 1
-        return self._rollout(*args)
+        return self._rollout(*args, **kwargs)
+
+    def walk(self, *args):
+        self.walks += 1
+        return self._walk(*args)
 
 
 def _memo_key(case, plan):
@@ -494,9 +501,11 @@ def test_memo_hit_runs_no_rollout_and_a_stall_or_drain_always_does(
     for decision, on in ((stalling, plan), (draining, draining_plan)):
         assert _memo_key(decision, on) is None
         for _ in range(2):
-            calls = spy.calls
+            calls, walks = spy.calls, spy.walks
             _first_rate(decision, on)
             assert spy.calls == calls + 1
+            # the rollout takes the decision's walk instead of its own
+            assert spy.walks == walks + 1
     assert draining_plan.first_rates == {}
 
 

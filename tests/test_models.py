@@ -1,5 +1,7 @@
 """Architectures, initialization, local training and checkpoints."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -219,24 +221,38 @@ def _lstm_params(rng, d, hidden, scale):
                          requires_grad=True), False)])
 
 
-def _lstm_run(fused, params, x, g_out, whole_sequence):
+def _lstm_run(mode, params, x, g_out):
     """Output, input gradient and parameter gradients of one layer under a
-    linear loss on the last hidden state or on the whole sequence."""
+    linear loss. Modes: "graph" and "fused" take the loss on the whole
+    sequence, "graph_last" and "fused_slice" on the last hidden state
+    sliced from it, and "graph_h" and "fused_last" on the last hidden
+    state as returned (the per-step graph's h, `T.lstm(..., last=True)`).
+    Stacked inputs (K, B, S, D) take stacked parameters; only the fused
+    modes run them."""
     params = params.copy()
-    hidden = params.get("l.w_hh").data.shape[0]
+    hidden = params.get("l.w_hh").data.shape[-2]
     xt = T.Tensor(x.copy(), requires_grad=True)
-    if fused:
-        seq = T.lstm(xt, params.get("l.w_ih"), params.get("l.w_hh"),
-                     params.get("l.b"))
-        last = seq[:, -1, :]
+    weights = (params.get("l.w_ih"), params.get("l.w_hh"), params.get("l.b"))
+    if mode == "fused_last":
+        out = T.lstm(xt, *weights, last=True)
+    elif mode.startswith("fused"):
+        out = T.lstm(xt, *weights)
     else:
-        last, seq = _lstm_layer(params, "l", xt, hidden)
-    if whole_sequence:
-        loss = T.reduce_sum(T.mul(seq, T.Tensor(g_out)))
-    else:
-        loss = T.reduce_sum(T.mul(last, T.Tensor(g_out[:, -1, :])))
-    loss.backward()
-    return [seq.data, xt.grad] + [t.grad for _, t, _ in params]
+        last, out = _lstm_layer(params, "l", xt, hidden)
+        if mode == "graph_h":
+            out = last
+    if mode in ("graph_last", "fused_slice"):
+        out = out[..., -1, :]
+    g = g_out if out.data.shape == g_out.shape else g_out[..., -1, :]
+    T.reduce_sum(T.mul(out, T.Tensor(g))).backward()
+    return [out.data, xt.grad] + [t.grad for _, t, _ in params]
+
+
+def _assert_same_bytes(got, want, case):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape, case
+        assert a.tobytes() == b.tobytes(), case
 
 
 def test_fused_lstm_is_bit_identical_to_per_step_graph():
@@ -251,12 +267,40 @@ def test_fused_lstm_is_bit_identical_to_per_step_graph():
         x = rng.normal(size=(b_n, steps, d)) * scale
         params = _lstm_params(rng, d, hidden, 0.5)
         g_out = rng.normal(size=(b_n, steps, hidden))
-        for whole in (False, True):
-            got = _lstm_run(True, params, x, g_out, whole)
-            want = _lstm_run(False, params, x, g_out, whole)
-            for a, b in zip(got, want):
-                assert a.shape == b.shape
-                assert a.tobytes() == b.tobytes(), (b_n, steps, d, hidden)
+        case = (b_n, steps, d, hidden)
+        for fused, graph in (("fused", "graph"), ("fused_slice", "graph_last"),
+                             ("fused_last", "graph_h")):
+            _assert_same_bytes(_lstm_run(fused, params, x, g_out),
+                               _lstm_run(graph, params, x, g_out), case)
+    # zero weights: every gate gradient but g's is a signed zero, and so is
+    # every hidden-state gradient carried back a step
+    for b_n, steps, d, hidden in shapes[:8]:
+        x = rng.normal(size=(b_n, steps, d))
+        params = _lstm_params(rng, d, hidden, 0.0)
+        g_out = rng.normal(size=(b_n, steps, hidden))
+        for fused, graph in (("fused", "graph"), ("fused_last", "graph_h")):
+            _assert_same_bytes(_lstm_run(fused, params, x, g_out),
+                               _lstm_run(graph, params, x, g_out),
+                               (b_n, steps, d, hidden))
+
+
+@pytest.mark.parametrize("scale", [0.5, 0.0])
+def test_stacked_fused_lstm_slices_are_each_slices_per_step_graph(scale):
+    """A (K, B, S, D) stack with stacked weights: slice k's last hidden
+    state, hidden sequence and gradients are the bytes of the per-step
+    graph on slice k alone."""
+    rng = np.random.default_rng(5)
+    k_n, b_n, steps, d, hidden = 4, 32, 16, 6, 24
+    x = rng.normal(size=(k_n, b_n, steps, d)) * scale
+    members = [_lstm_params(rng, d, hidden, 0.5) for _ in range(k_n)]
+    stacked = models.stack_params(members)
+    g_out = rng.normal(size=(k_n, b_n, steps, hidden))
+    for fused, graph in (("fused", "graph"), ("fused_last", "graph_h")):
+        got = _lstm_run(fused, stacked, x, g_out)
+        for j in range(k_n):
+            want = _lstm_run(graph, members[j], x[j], g_out[j])
+            mine = [a[j].reshape(b.shape) for a, b in zip(got, want)]
+            _assert_same_bytes(mine, want, (fused, j))
 
 
 @pytest.mark.parametrize("arch, layers", [("LSTM", 1), ("LSTM", 2),
@@ -278,8 +322,12 @@ def test_fused_lstm_models_match_per_step_graph(monkeypatch, arch, layers):
             + [t.data for _, t, _ in params]
 
     fused = run()
-    monkeypatch.setattr(models, "_lstm", lambda params, prefix, x_seq:
-                        _lstm_layer(params, prefix, x_seq, spec.hidden)[1])
+
+    def per_step_lstm(params, prefix, x_seq, last=False):
+        h, seq = _lstm_layer(params, prefix, x_seq, spec.hidden)
+        return h if last else seq
+
+    monkeypatch.setattr(models, "_lstm", per_step_lstm)
     per_step = run()
     assert len(fused) == len(per_step)
     for a, b in zip(fused, per_step):
@@ -511,7 +559,7 @@ def _assert_cohort_is_each(cohort, each):
     assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
 
 
-@pytest.mark.parametrize("k", [1, 2, 7])
+@pytest.mark.parametrize("k", [1, 2, 4, 5, 7, 8])
 @pytest.mark.parametrize("use_batchnorm", [True, False])
 @pytest.mark.parametrize("prox_mu", [0.0, 0.05])
 def test_cohort_call_is_bitwise_the_per_member_calls(k, use_batchnorm,
@@ -530,6 +578,50 @@ def test_cohort_call_is_bitwise_the_per_member_calls(k, use_batchnorm,
         stats = [p.get("bn.running_mean").data
                  for p in _train_cohort(spec, params, windows, cfg)[0]]
         assert not np.array_equal(stats[0], stats[1])
+
+
+def _traced(fn):
+    """(result, bytes still allocated after fn, peak bytes during fn)."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, kept - before, peak - before
+
+
+def test_lstm_training_tape_is_five_state_arrays_per_step():
+    """The forward of a demo-shape stack of LOCKSTEP_MAX members keeps c,
+    i, f, g and o of every step, (S, K, B, H) each, and little else: the
+    slack is three (K, B, H) arrays (the returned last hidden state, the
+    step's input copy and the node itself)."""
+    spec = _lockstep_spec()
+    k, b_n = models.LOCKSTEP_MAX, 32
+    stack = models.stack_params([models.init_model(spec, seed=j)
+                                 for j in range(k)])
+    x = T.Tensor(np.random.default_rng(0).normal(
+        size=(k, b_n, spec.steps, spec.in_features)))
+    weights = [stack.get(f"lstm0.{n}") for n in ("w_ih", "w_hh", "b")]
+    out, kept, _ = _traced(lambda: T.lstm(x, *weights, last=True))
+    assert out.data.shape == (k, b_n, spec.hidden)
+    step = k * b_n * spec.hidden * 8
+    assert kept <= 5 * spec.steps * step + 3 * step, kept / step
+
+
+def test_lstm_eval_forward_keeps_no_tape():
+    """An eval forward of 256 windows peaks below two (S, 256, H) arrays:
+    a tape of even one of c, i, f, g, o over every step, or a hidden
+    sequence kept for the last step, would pass that."""
+    spec = _lockstep_spec()
+    params = models.init_model(spec, seed=1)
+    x = np.random.default_rng(1).normal(size=(256, spec.in_features,
+                                              spec.steps))
+    models.forward(spec, params, x)     # warm-up
+    out, _, peak = _traced(lambda: models.forward(spec, params, x))
+    assert out.shape == (256, spec.horizon)
+    assert peak < 2 * spec.steps * 256 * spec.hidden * 8, peak
 
 
 def test_cohort_of_seven_in_one_stack_is_bitwise_the_per_member_calls(
