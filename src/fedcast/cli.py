@@ -118,7 +118,6 @@ class ExperimentConfig:
     then the stage configs that `_parse_config` builds from their sections."""
     seed: int = None
     out_dir: str = "runs/out"
-    workers: int = 1
     source: str = "synthetic"           # synthetic | files
     files: tuple[str, ...] = ()
     mapping_path: str = ""
@@ -137,8 +136,6 @@ class ExperimentConfig:
     raw_echo: str = ""
 
     def __post_init__(self):
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
         if self.source not in ("synthetic", "files"):
             raise ConfigError(
                 f"must be synthetic or files, got {self.source!r}")
@@ -182,7 +179,7 @@ def _keys(cls, only=None, skip=()):
 # and [window], FedProx's mu from [rounds], the seed of the rounds from
 # [experiment]; the segment and chunk layout of the stream is fixed.
 _SCHEMA = {
-    "experiment": _keys(ExperimentConfig, ("seed", "out_dir", "workers")),
+    "experiment": _keys(ExperimentConfig, ("seed", "out_dir")),
     "data": _keys(ExperimentConfig,
                   ("source", "files", "mapping_path", "dataset_tag")),
     "synthetic": _keys(SyntheticSpec),
@@ -575,9 +572,9 @@ def cmd_stream(cfg):
     return 0
 
 
-def run(config_path, subcommand, out=None, seed=None, workers=None):
+def run(config_path, subcommand, out=None, seed=None):
     """Entry shared by the CLI and tests; returns a process exit code."""
-    overrides = {"out_dir": out, "seed": seed, "workers": workers}
+    overrides = {"out_dir": out, "seed": seed}
     try:
         cfg = _parse_config(config_path, overrides)
     except ConfigError as exc:
@@ -621,10 +618,8 @@ def main(argv=None):
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--workers", type=int, default=None)
     args = parser.parse_args(argv)
-    return run(args.config, args.subcommand, out=args.out, seed=args.seed,
-               workers=args.workers)
+    return run(args.config, args.subcommand, out=args.out, seed=args.seed)
 
 
 if __name__ == "__main__":

@@ -126,31 +126,22 @@ def sample_clients(clients, fraction, rng):
     return sorted(rng.choice(len(clients), size=k, replace=False).tolist())
 
 
-def _check_structures(paramsets):
-    first = paramsets[0]
-    for other in paramsets[1:]:
-        if not first.same_structure(other):
-            raise FLError("structural mismatch between client parameters")
-
-
 def aggregate_fedavg(updates):
     """Sample-count-weighted mean of every parameter, BN state included. An
     update of weight 0 takes no part in the sum."""
     if not updates:
         raise FLError("no updates to aggregate")
-    paramsets = [p for p, _ in updates]
-    _check_structures(paramsets)
+    first = updates[0][0]
+    if not all(first.same_structure(ps) for ps, _ in updates):
+        raise FLError("structural mismatch between client parameters")
     total = float(sum(n for _, n in updates))
     if total <= 0:
         raise FLError("total sample count must be positive")
-    out = paramsets[0].copy()
-    for i, (name, t, _) in enumerate(out.entries):
-        acc = np.zeros_like(t.data)
-        for ps, n in updates:
-            if n:
-                acc += (n / total) * ps.entries[i][1].data
-        t.data = acc
-    return out
+    acc = np.zeros_like(first.flat)
+    for ps, n in updates:
+        if n:
+            acc += (n / total) * ps.flat
+    return ParamSet.from_flat(first.layout, acc)
 
 
 def aggregate_fedbn(updates, local):
@@ -167,7 +158,7 @@ def aggregate_fedbn(updates, local):
     for own, _ in updates:
         out = averaged.copy()
         for i in local:
-            out.entries[i][1].data = own.entries[i][1].data.copy()
+            out.entries[i][1].data[...] = own.entries[i][1].data
         merged.append(out)
     return merged
 

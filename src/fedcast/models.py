@@ -120,16 +120,48 @@ def default_train_config(arch, **overrides):
 
 
 class ParamSet:
-    """Ordered named parameters; the unit of federated exchange."""
+    """Ordered named parameters; the unit of federated exchange. Their
+    values are one float64 vector, `flat`, of which every entry's data is a
+    view; `layout` holds each entry's (name, shape, is_bn, trainable). A
+    stack of K models (`stack_params`) is a (K, P) matrix, model k in row k,
+    where an entry of shape (C,) is the view (K, 1, C), so it broadcasts
+    over a batch like its own (C,) does, and any other shape s is (K, *s)."""
 
     def __init__(self, entries):
-        # entries: list of (name, Tensor, is_batchnorm)
-        self.entries = list(entries)
-        self._index = {}
-        for name, t, _ in self.entries:
+        # (name, Tensor, is_batchnorm) entries, copied into one vector
+        entries = list(entries)
+        self._bind([(name, t.data.shape, is_bn, t.requires_grad)
+                    for name, t, is_bn in entries],
+                   np.concatenate([t.data.ravel() for _, t, _ in entries]))
+
+    @classmethod
+    def from_flat(cls, layout, flat):
+        """The ParamSet of `layout` whose entries are views of `flat`."""
+        out = cls.__new__(cls)
+        out._bind(layout, flat)
+        return out
+
+    def _bind(self, layout, flat):
+        self.layout, self.flat, self.grad = layout, flat, None
+        self.entries, self._index = [], {}
+        for (name, _, is_bn, trainable), view in zip(layout,
+                                                     self._views(flat)):
             if name in self._index:
                 raise ModelError(f"duplicate parameter {name!r}")
+            t = T.Tensor(view, requires_grad=trainable)
             self._index[name] = t
+            self.entries.append((name, t, is_bn))
+
+    def _views(self, vec):
+        """Each entry's view of `vec`, a vector or a stack's matrix; each
+        reshape only splits a slice's last axis, so it copies nothing."""
+        lead, off = vec.shape[:-1], 0
+        for _, shape, _, _ in self.layout:
+            size = math.prod(shape)
+            view = (*lead, 1, *shape) if lead and len(shape) == 1 \
+                else (*lead, *shape)
+            yield vec[..., off:off + size].reshape(view)
+            off += size
 
     def __iter__(self):
         return iter(self.entries)
@@ -144,23 +176,22 @@ class ParamSet:
         return [t for _, t, _ in self.entries if t.requires_grad]
 
     def copy(self):
-        out = []
-        for name, t, is_bn in self.entries:
-            nt = T.Tensor(t.data.copy(), requires_grad=t.requires_grad)
-            out.append((name, nt, is_bn))
-        return ParamSet(out)
+        return ParamSet.from_flat(self.layout, self.flat.copy())
 
     def same_structure(self, other):
-        if len(self.entries) != len(other.entries):
-            return False
-        for (n1, t1, b1), (n2, t2, b2) in zip(self.entries, other.entries):
-            if n1 != n2 or b1 != b2 or t1.data.shape != t2.data.shape:
-                return False
-        return True
+        return self.layout == other.layout \
+            and self.flat.shape == other.flat.shape
+
+    def keep(self, rows):
+        """A stack keeps only its models `rows`, in that order."""
+        self._bind(self.layout, self.flat[rows])
 
     def zero_grad(self):
-        for _, t, _ in self.entries:
-            t.grad = None
+        """Point every entry's gradient at its view of one zeroed vector,
+        `grad`; the first accumulation, 0.0 + g, has the bits of g + 0.0."""
+        self.grad = np.zeros_like(self.flat)
+        for (_, t, _), g in zip(self.entries, self._views(self.grad)):
+            t.grad = g
 
     def to_bytes(self):
         return T.write_named_arrays(
@@ -345,8 +376,7 @@ def forward_graph(spec, params, x_raw, training=False):
         raise ModelError(f"bad input shape {x_raw.shape} for {spec.arch}")
     if x_raw.ndim == 4 and training and (
             spec.arch not in LOCKSTEP_ARCHS
-            or params.get("head.b").data.shape
-            != (x_raw.shape[0], 1, spec.horizon)):
+            or params.flat.shape[:-1] != x_raw.shape[:1]):
         raise ModelError("a stacked training input needs a stack of "
                          f"{x_raw.shape[0]} models of a lockstep "
                          f"architecture ({', '.join(LOCKSTEP_ARCHS)})")
@@ -417,11 +447,12 @@ def forward(spec, params, x, training=False):
     """Predictions (B, F) for a (B, |F|+1, H+1) input array, or (T, B, F)
     for an eval-mode stack (T, B, |F|+1, H+1); see `forward_graph`.
 
-    The parameters enter as constants sharing their arrays, so no autodiff
-    graph is built; with training=True the batch-norm running statistics in
-    `params` are still updated."""
-    constants = ParamSet([(name, T.Tensor(t.data), is_bn)
-                          for name, t, is_bn in params])
+    The parameters enter as constants that are views of `params.flat`, so
+    no autodiff graph is built; with training=True the batch-norm running
+    statistics in `params` are still updated."""
+    constants = ParamSet.from_flat([(name, shape, is_bn, False)
+                                    for name, shape, is_bn, _ in params.layout],
+                                   params.flat)
     out = forward_graph(spec, constants, x, training=training).data
     if not np.isfinite(out).all():
         raise TrainingDiverged("non-finite predictions")
@@ -439,80 +470,70 @@ class SGD:
         self.lr = lr
 
     def step(self):
-        for p in self.params:
-            if p.grad is not None:
-                p.data -= self.lr * p.grad
+        p = self.params.flat
+        p -= self.lr * self.params.grad
 
     def keep(self, rows):
-        """Stacked parameters keep only slices `rows`; SGD has no state."""
+        """A stack keeps only its models `rows`; SGD has no state."""
 
 
 class Adam:
-    """Elementwise, so each slice of stacked parameters takes the steps of
-    its own optimizer. A step works in place where the order allows, as
-    `m = b1*m + (1-b1)*g`, `v = b2*v + ((1-b2)*g)*g` and
-    `p -= (lr*mhat) / (sqrt(vhat) + eps)`: four short-lived arrays per
-    parameter, and no scratch kept between steps (kept, it would add to a
-    training step's peak)."""
+    """Steps a ParamSet's whole vector after `zero_grad` and a backward
+    pass. Elementwise, so each model of a stack takes the steps of its own
+    optimizer, and an entry that took no gradient keeps its bits: its
+    moments stay 0, and p - 0.0 is p. A step works in place where the
+    order allows, as `m = b1*m + (1-b1)*g`, `v = b2*v + ((1-b2)*g)*g` and
+    `p -= (lr*mhat) / (sqrt(vhat) + eps)`: four short-lived vectors, and no
+    scratch kept between steps (kept, it would add to a training step's
+    peak)."""
 
     def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         self.params = params
         self.lr = lr
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.m = [np.zeros_like(p.data) for p in params]
-        self.v = [np.zeros_like(p.data) for p in params]
+        self.m = np.zeros_like(params.flat)
+        self.v = np.zeros_like(params.flat)
         self.t = 0
 
     def step(self):
         self.t += 1
         b1, b2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
         c1, c2 = 1 - b1 ** self.t, 1 - b2 ** self.t
-        for p, m, v in zip(self.params, self.m, self.v):
-            g = p.grad
-            if g is None:
-                continue
-            m *= b1
-            m += (1 - b1) * g
-            v *= b2
-            g2 = (1 - b2) * g
-            g2 *= g
-            v += g2
-            update = m / c1         # mhat
-            update *= lr
-            den = v / c2            # vhat
-            np.sqrt(den, out=den)
-            den += eps
-            update /= den
-            p.data -= update
+        p, g, m, v = self.params.flat, self.params.grad, self.m, self.v
+        m *= b1
+        m += (1 - b1) * g
+        v *= b2
+        g2 = (1 - b2) * g
+        g2 *= g
+        v += g2
+        update = m / c1         # mhat
+        update *= lr
+        den = v / c2            # vhat
+        np.sqrt(den, out=den)
+        den += eps
+        update /= den
+        p -= update
 
     def keep(self, rows):
-        """Stacked parameters keep only slices `rows`: so do the moments."""
-        self.m = [m[rows] for m in self.m]
-        self.v = [v[rows] for v in self.v]
+        """A stack keeps only its models `rows`: so do the moments."""
+        self.m = self.m[rows]
+        self.v = self.v[rows]
 
 
 def _optimizer(params, cfg):
-    trainable = params.trainable()
     if cfg.optimizer == "adam":
-        return Adam(trainable, cfg.learning_rate)
-    return SGD(trainable, cfg.learning_rate)
+        return Adam(params, cfg.learning_rate)
+    return SGD(params, cfg.learning_rate)
 
 
 def stack_params(paramsets):
-    """K models as one ParamSet on a leading client axis: an entry of shape
-    (C,) becomes (K, 1, C), so it broadcasts over a batch like its own
-    (C,) does, and any other shape s becomes (K, *s)."""
+    """K models as one ParamSet on a leading client axis, model k in row k
+    of its (K, P) vector (see ParamSet)."""
     first = paramsets[0]
     if not all(first.same_structure(ps) for ps in paramsets[1:]):
         raise ModelError("structural mismatch in a cohort")
-    out = []
-    for i, (name, t, is_bn) in enumerate(first.entries):
-        data = np.stack([ps.entries[i][1].data for ps in paramsets])
-        if t.data.ndim == 1:
-            data = data[:, None, :]
-        out.append((name, T.Tensor(data, requires_grad=t.requires_grad),
-                    is_bn))
-    return ParamSet(out)
+    return ParamSet.from_flat(first.layout,
+                              np.stack([ps.flat for ps in paramsets]))
 
 
 def _prox_penalty(params, anchor, include_bn, stacked=False):
@@ -638,11 +659,9 @@ def _train_stack(spec, members, windows, cfg, anchors, rngs):
                 opt.step()
             del loss    # the step's graph, before the next one is built
             if diverged:
-                for _, t, _ in stack:
-                    t.data = t.data[rows]
+                stack.keep(rows)
                 if anchor is not None:
-                    for _, t, _ in anchor:
-                        t.data = t.data[rows]
+                    anchor.keep(rows)
                 opt.keep(rows)
                 alive = [alive[j] for j in rows]
                 perms = [perms[j] for j in rows]
@@ -653,8 +672,7 @@ def _train_stack(spec, members, windows, cfg, anchors, rngs):
     member_losses = [None] * len(members)
     for j, m in enumerate(alive):
         if not lone:
-            for (_, s, _), (_, t, _) in zip(stack, members[m]):
-                t.data = s.data[j].reshape(t.data.shape).copy()
+            members[m].flat[...] = stack.flat[j]
         trained[m] = members[m]
         member_losses[m] = float(np.mean(losses[m])) if losses[m] else 0.0
     return trained, member_losses
@@ -715,9 +733,7 @@ def load_checkpoint(path):
         raise CheckpointError(f"{path}: corrupt checkpoint: {exc}") from None
     expected = [(name, shape, is_bn, trainable)
                 for name, shape, _, is_bn, trainable in _layout(spec)]
-    found = [(name, t.data.shape, is_bn, t.requires_grad)
-             for name, t, is_bn in params]
-    if found != expected:
+    if params.layout != expected:
         raise CheckpointError(f"{path}: the parameters are not those of the "
                               f"{spec.arch} model its header describes")
     bad = [name for name, t, _ in params if not np.isfinite(t.data).all()]

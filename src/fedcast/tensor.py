@@ -2,8 +2,8 @@
 
 Small tape-based engine: each op returns a new Tensor holding a backward
 closure; Tensor.backward() walks the graph once in reverse topological
-order. float64 throughout by default (float32 inputs are preserved for
-callers that want the speed).
+order. Every Tensor holds float64; a float64 array is wrapped, not
+copied, so a Tensor can be a view of a larger buffer.
 """
 
 import math
@@ -18,10 +18,7 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents")
 
     def __init__(self, data, requires_grad=False):
-        arr = np.asarray(data)
-        if arr.dtype not in (np.float32, np.float64):
-            arr = arr.astype(np.float64)
-        self.data = arr
+        self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = requires_grad
         self._backward = None

@@ -36,7 +36,7 @@ def _random_paramset(spec, seed):
     params = models.init_model(spec, seed=seed)
     rng = np.random.default_rng(seed + 5000)
     for _, t, _ in params.entries:
-        t.data = rng.normal(size=t.data.shape)
+        t.data[...] = rng.normal(size=t.data.shape)
     return params
 
 

@@ -207,7 +207,7 @@ def test_seed_only_config_resolves_to_dataclass_defaults(tmp_path):
     assert cfg.qoe == stream.QoECoefficients(
         r_min_kbps=min(stream.StreamConfig().ladder_kbps))
     defaults = cli.ExperimentConfig()
-    for name in ("out_dir", "workers", "source", "files", "mapping_path",
+    for name in ("out_dir", "source", "files", "mapping_path",
                  "dataset_tag", "train_ratio", "predictor", "constant_mbps"):
         assert getattr(cfg, name) == getattr(defaults, name), name
 

@@ -22,7 +22,7 @@ def _random_paramset(spec, seed):
     params = models.init_model(spec, seed=seed)
     rng = np.random.default_rng(seed + 1000)
     for _, t, _ in params.entries:
-        t.data = rng.normal(size=t.data.shape)
+        t.data[...] = rng.normal(size=t.data.shape)
     return params
 
 
@@ -108,7 +108,7 @@ def test_fedavg_symmetry_cancels():
     a = _random_paramset(spec, 1)
     b = a.copy()
     for _, t, _ in b.entries:
-        t.data = -t.data
+        t.data[...] = -t.data
     out = fl.aggregate_fedavg([(a, 5), (b, 5)])
     for _, t, _ in out.entries:
         assert np.allclose(t.data, 0.0, atol=1e-15)
@@ -119,9 +119,9 @@ def test_fedavg_weighted_mean_simple():
     zeros = models.init_model(spec, seed=0)
     ones = models.init_model(spec, seed=0)
     for _, t, _ in zeros.entries:
-        t.data = np.zeros_like(t.data)
+        t.data[...] = np.zeros_like(t.data)
     for _, t, _ in ones.entries:
-        t.data = np.ones_like(t.data)
+        t.data[...] = np.ones_like(t.data)
     out = fl.aggregate_fedavg([(zeros, 10), (ones, 30)])
     for _, t, _ in out.entries:
         assert np.allclose(t.data, 0.75, atol=1e-15)
@@ -175,7 +175,7 @@ def test_fedavg_zero_weight_update_takes_no_part():
     updates = [(_random_paramset(spec, s), 3 + s) for s in range(3)]
     ghost = _random_paramset(spec, 99)
     for _, t, _ in ghost.entries:
-        t.data = np.full_like(t.data, np.inf)
+        t.data[...] = np.full_like(t.data, np.inf)
     ghost.entries[0][1].data[...] = np.nan
     base = fl.aggregate_fedavg(updates)
     with_ghost = fl.aggregate_fedavg([updates[0], (ghost, 0)] + updates[1:])

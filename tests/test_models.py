@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fedcast import models
+from fedcast import fl, models
 from fedcast import tensor as T
 from fedcast.preprocess import Windows, WindowConfig, build_windows
 from fedcast.trace import ClientTrace
@@ -714,6 +714,138 @@ def test_paramset_rejects_duplicates():
     t = T.Tensor(np.zeros(1), requires_grad=True)
     with pytest.raises(models.ModelError):
         models.ParamSet([("a", t, False), ("a", t, False)])
+
+
+def _assert_views_of_flat(params):
+    """Every entry's array is a view of `params.flat`, in entry order."""
+    lead = params.flat.shape[:-1]
+    for name, t, _ in params:
+        assert np.shares_memory(t.data, params.flat), name
+    assert np.concatenate([t.data.reshape(*lead, -1) for _, t, _ in params],
+                          axis=-1).tobytes() == params.flat.tobytes()
+
+
+def test_paramset_entries_are_views_of_one_flat_vector():
+    spec = _toy_spec("CNN")
+    params = models.init_model(spec, seed=0)
+    other = models.init_model(spec, seed=1)
+    copied = params.copy()
+    loaded = models.ParamSet.from_bytes(params.to_bytes())
+    for ps in (params, copied, loaded):
+        _assert_views_of_flat(ps)
+        assert ps.flat.tobytes() == params.flat.tobytes()
+    assert not np.shares_memory(copied.flat, params.flat)
+    updates = [(params, 2), (other, 1)]
+    _assert_views_of_flat(fl.aggregate_fedavg(updates))
+    bn = [i for i, (_, _, is_bn) in enumerate(params.entries) if is_bn]
+    for merged in fl.aggregate_fedbn(updates, bn):
+        _assert_views_of_flat(merged)
+
+    members = [models.init_model(_lockstep_spec(), seed=j) for j in range(3)]
+    stack = models.stack_params(members)
+    _assert_views_of_flat(stack)
+    for j, member in enumerate(members):
+        assert stack.flat[j].tobytes() == member.flat.tobytes()
+    stack.keep([2, 0])
+    _assert_views_of_flat(stack)
+    assert stack.flat.tobytes() == \
+        np.stack([members[2].flat, members[0].flat]).tobytes()
+
+
+class _PerParameterAdam:
+    """The reference: Adam stepping one parameter array at a time, the loop
+    the whole-vector step replaced, kept as it was."""
+
+    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.params = params
+        self.lr = lr
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.m = [np.zeros_like(p.data) for p in params]
+        self.v = [np.zeros_like(p.data) for p in params]
+        self.t = 0
+
+    def step(self):
+        self.t += 1
+        b1, b2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
+        c1, c2 = 1 - b1 ** self.t, 1 - b2 ** self.t
+        for p, m, v in zip(self.params, self.m, self.v):
+            g = p.grad
+            if g is None:
+                continue
+            m *= b1
+            m += (1 - b1) * g
+            v *= b2
+            g2 = (1 - b2) * g
+            g2 *= g
+            v += g2
+            update = m / c1         # mhat
+            update *= lr
+            den = v / c2            # vhat
+            np.sqrt(den, out=den)
+            den += eps
+            update /= den
+            p.data -= update
+
+    def keep(self, rows):
+        """Stacked parameters keep only slices `rows`: so do the moments."""
+        self.m = [m[rows] for m in self.m]
+        self.v = [v[rows] for v in self.v]
+
+
+@pytest.mark.parametrize("arch", ["CNN", "LSTM"])
+def test_adam_on_the_vector_is_bitwise_the_per_parameter_step(arch):
+    """Seven steps of random gradients: the parameters and moments are the
+    bits of the per-parameter reference's. An LSTM stack of LOCKSTEP_MAX
+    drops two members after the third step. The first trainable entry's
+    gradient is -0.0 throughout, and the running statistics take none: all
+    keep their bits, a -0.0 value included, and their moments stay +0.0."""
+    if arch == "CNN":
+        params = models.init_model(_toy_spec("CNN"), seed=3)
+        zero, stat = "conv1.w", "bn1.running_mean"
+    else:
+        params = models.stack_params([
+            models.init_model(_lockstep_spec(), seed=j)
+            for j in range(models.LOCKSTEP_MAX)])
+        zero, stat = "lstm0.w_ih", "bn.running_mean"
+    params.get(zero).data[..., 0] = -0.0
+    params.get(stat).data[..., 0] = -0.0
+    ref = [T.Tensor(t.data.copy()) for t in params.trainable()]
+    names = [name for name, t, _ in params if t.requires_grad]
+    frozen = {name: t.data.copy() for name, t, _ in params
+              if name == zero or not t.requires_grad}
+    opt = models.Adam(params, lr=1e-2)
+    ref_opt = _PerParameterAdam(ref, lr=1e-2)
+    rng = np.random.default_rng(0)
+    for step in range(7):
+        params.zero_grad()
+        for name, r in zip(names, ref):
+            g = rng.normal(size=r.data.shape) if name != zero \
+                else np.full(r.data.shape, -0.0)
+            params.get(name).grad += g
+            r.grad = g
+        opt.step()
+        ref_opt.step()
+        if arch == "LSTM" and step == 2:
+            rows = [0, models.LOCKSTEP_MAX - 1]
+            params.keep(rows)
+            opt.keep(rows)
+            for r in ref:
+                r.data = r.data[rows]
+            ref_opt.keep(rows)
+            frozen = {name: f[rows] for name, f in frozen.items()}
+    moments = [models.ParamSet.from_flat(params.layout, vec)
+               for vec in (opt.m, opt.v)]
+    for i, name in enumerate(names):
+        assert params.get(name).data.tobytes() == ref[i].data.tobytes(), name
+        for mine, want in zip(moments, (ref_opt.m[i], ref_opt.v[i])):
+            assert mine.get(name).data.tobytes() == want.tobytes(), name
+    for name in (zero, stat):
+        assert np.signbit(params.get(name).data[..., 0]).all(), name
+    for name, before in frozen.items():
+        assert params.get(name).data.tobytes() == before.tobytes(), name
+        for mine in moments:
+            got = mine.get(name).data
+            assert not got.any() and not np.signbit(got).any(), name
 
 
 def test_checkpoint_roundtrip(tmp_path):
