@@ -39,7 +39,9 @@ _TWO_LEVEL_MIN_PARENTS = 5000
 # significant digit (child r*P + p of parent p), so every broadcast is a
 # per-rate column against a long contiguous row of parents. Depths 0..h-3
 # are dense; depth h-2 is dense or built below some prefixes only, and the
-# last depth scores the children of some parents only.
+# last depth scores the children of some parents only. One routine,
+# `expand`, builds every depth: a dense depth is `expand` over every
+# parent, the others over a gathered row of parents.
 #
 # Every depth computes in place, with out=, into a workspace of rows of
 # L**(h-1) values and fewer: at horizon 6 such a row is 62 KB, and a fresh
@@ -50,8 +52,9 @@ _TWO_LEVEL_MIN_PARENTS = 5000
 # What does not change between a session's decisions is an `MpcPlan`, built
 # once per session: the ladder's Kbit per chunk, the (L, L) gain table and
 # each first chunk's gain row, psi's base, the bounds' constants, the
-# workspace and every depth's views of it. A decision brings only its
-# predicted throughputs, buffer, latency and previous rate.
+# workspace, and each dense depth's rows of it, shaped (L, parents), with
+# its parents' last rates, so that no decision reshapes them. A decision
+# brings only its predicted throughputs, buffer, latency and previous rate.
 #
 # Work that provably adds +0.0 is skipped; every skip rests on rounding
 # being monotone, so the smallest buffer of any prefix is the scalar
@@ -64,8 +67,9 @@ _TWO_LEVEL_MIN_PARENTS = 5000
 #   first depth that can stall, every prefix's latency is latency0, so the
 #   latency charge is one value per decision and the whole term is an
 #   (L, L) table by (last rate, rate): a stall-free depth is a buffer
-#   subtract, a buffer add and one broadcast score add. The first depth
-#   that can stall and every depth after it run the general expressions.
+#   subtract, a buffer add, a gather of the table by each parent's last
+#   rate and one score add. The first depth that can stall and every depth
+#   after it run the general expressions.
 # - That one latency charge goes through the same array expressions, on a
 #   1-element array: libm's exp (math.exp) differs from numpy's SIMD
 #   kernel in the last bit on ~5% of arguments, while the array kernel
@@ -110,8 +114,8 @@ _TWO_LEVEL_MIN_PARENTS = 5000
 # - When the last depth is stall-free, a child's score is p's plus
 #   term_next[rate, last rate], so the bound is p's score plus the largest
 #   entry of its column, exactly, minus the drain bound.
-# A dense depth leaves its prefixes' latency charges in the bound row,
-# where their bound reads them.
+# A dense depth leaves its prefixes' latency charges in the bound row (its
+# `cost` row), where their bound reads them.
 #
 # The first level bounds the L**(h-2) prefixes of depth h-3 (n = 2) when a
 # depth up to h-3 can stall and the session has `_TWO_LEVEL_MIN_PARENTS`
@@ -120,17 +124,17 @@ _TWO_LEVEL_MIN_PARENTS = 5000
 # 4 to 8 rates and horizons 4 to 7 on a 2-core x86 host it lost at 4,096
 # parents and won at 7,776). The L**2 leaves below the prefix with the
 # highest bound are scored exactly, and the best is the incumbent. Depth
-# h-2 is then built only below the prefixes whose bound reaches it, with
-# the dense depth's expressions on a gathered row of them, in the rows the
-# dense depth h-2 takes; when that is the highest-bound prefix alone, its
-# leaves are the result. The last level bounds the last depth's parents
-# (n = 1): those the first level built, against its incumbent, or every
-# parent of the dense depth h-2, against the best child of the parent with
-# the highest bound (when the last depth is stall-free and does not drain,
-# the highest bound is itself a child's score). The children of every
-# parent whose bound reaches the incumbent are scored, the same
-# expressions on a gathered row of those parents. A skipped leaf's score
-# is <= U(p) < incumbent <= the best score.
+# h-2 is then built only below the prefixes whose bound reaches it, by
+# `expand` on a gathered row of them, in the rows the dense depth h-2
+# takes; when that is the highest-bound prefix alone, its leaves are the
+# result. The last level bounds the last depth's parents (n = 1): those
+# the first level built, against its incumbent, or every parent of the
+# dense depth h-2, against the best child of the parent with the highest
+# bound (when the last depth is stall-free and does not drain, the highest
+# bound is itself a child's score). The children of every parent whose
+# bound reaches the incumbent are scored by `expand` on a gathered row of
+# those parents. A skipped leaf's score is <= U(p) < incumbent <= the best
+# score.
 #
 # Every sequence is scored, L**(h-1) // L parents per pass, when the
 # horizon is 1, when a session constant is not finite (mu2, in particular),
@@ -177,18 +181,11 @@ def _workspace(sizes):
     return work, np.split(work, np.cumsum(sizes)[:-1])
 
 
-# One depth's views of the workspace: buffer, latency and score of its
-# prefixes by (rate, parent), the same rows flat, its stall, term and
-# latency charge rows, and by (rate, parent's rate, rest of the parent) its
-# scores, terms and latency charges and its parents' scores
-_Depth = namedtuple("_Depth", "buf lat score buf_flat lat_flat score_flat "
-                              "stall term cost score_by_prev term_by_prev "
-                              "cost_by_prev parent_score")
-
-# Rows for the children of gathered prefixes, by (rate, parent): their
-# buffer, latency, score, stall and term, and the gain or term table
-# gathered by each parent's last rate
-_Kids = namedtuple("_Kids", "buf lat score stall term table")
+# Rows for the children of some prefixes, by (rate, parent): their buffer,
+# latency, score, stall, term and latency charge, and the gain or term
+# table gathered by each parent's last rate. The charge row is the term row
+# but at a dense depth, whose charges stay in the bound row.
+_Kids = namedtuple("_Kids", "buf lat score stall term cost table")
 
 
 class MpcPlan:
@@ -196,9 +193,10 @@ class MpcPlan:
     built once per session: the ladder's Kbit per chunk, the (L, L) gain
     table and the first chunk's gain row after each previous rate, psi's
     base, the bounds' constants and whether the search's first level
-    runs, a workspace and, for every depth but the last, its views of the
-    workspace. The coefficients mu1-mu4 must be non-negative, as the
-    bounds assume."""
+    runs, a workspace and, for every depth but the last, its rows shaped
+    (L, parents), its parents' last rates and its prefixes' flat rows.
+    The coefficients mu1-mu4 must be non-negative, as the bounds
+    assume."""
 
     def __init__(self, ladder_kbps, q_table, horizon, rtt, chunk_dur,
                  chunks_per_seg, mu1, mu2, mu3, mu4, omega):
@@ -255,29 +253,22 @@ class MpcPlan:
                                      + [n_kid] * 6)
         full, (stall_row, term_row, self.bound), half = (
             rows[0:3], rows[3:6], rows[6:9])
-        self.kids = _Kids(*rows[9:])
+        table = rows[14]
+        self.kids = _Kids(*rows[9:14], rows[13], table)
         # depth h-2 for the prefixes of depth h-3 that the bound keeps, in
         # the rows the dense depth h-2 would take
-        self.mid = _Kids(*full, stall_row, term_row, self.kids.table)
-        self.depths = []
+        self.mid = _Kids(*full, stall_row, term_row, term_row, table)
+        # a dense depth j: its rows, each parent's last rate (its most
+        # significant digit) and its prefixes' buffer, latency and score
+        self.tree = []
         for j in range(horizon - 1):
-            shape = (n_rates, n_rates ** j)
             n_ch = n_rates ** (j + 1)
             state = full if (horizon - 2 - j) % 2 == 0 else half
-            # a depth's latency charges stay in the bound row, where the
-            # bound of its prefixes reads them
             flat = [r[:n_ch] for r in (*state, stall_row, term_row,
-                                       self.bound)]
-            buf, lat, score, stall, term, cost = (r.reshape(shape)
-                                                  for r in flat)
-            by_prev = (None,) * 4
-            if j:
-                # the parent's own last rate is its most significant digit
-                by_prev = (*(r.reshape(n_rates, n_rates, -1)
-                             for r in (score, term, cost)),
-                           self.depths[-1].score_flat.reshape(1, n_rates, -1))
-            self.depths.append(_Depth(buf, lat, score, *flat[:3], stall,
-                                      term, cost, *by_prev))
+                                       self.bound, table)]
+            last = np.repeat(self.rates, n_rates ** (j - 1)) if j else None
+            self.tree.append((_Kids(*(r.reshape(n_rates, -1) for r in flat)),
+                              last, flat[:3]))
         # each parent's index in first-chunk-first order: the reversal of
         # its digits, which is its own inverse
         self.parent_seq = np.arange(n_par).reshape(
@@ -388,16 +379,22 @@ def mpc_rollout_scores(pred_kbps, buffer0, latency0, prev_idx, plan,
 
     def expand(j, score, lat, buf, sel, last, rows):
         """The children at depth j of the prefixes `sel` (indices or a
-        slice) of rows score, lat and buf, whose last rates are `last`,
-        into `rows` by (rate, parent), with a dense depth's expressions;
-        at the last depth, with the drain. Returns their scores."""
-        g_score = score[sel]
-        n = g_score.size
-        k_buf, k_lat, k_score, k_stall, k_term, k_table = (
-            row[:n_rates * n].reshape(n_rates, n) for row in rows)
+        slice; None for all) of rows score, lat and buf, whose last rates
+        are `last`, into `rows`: a dense depth's rows, or rows cut to
+        (L, parents) here when `sel` is given. At the last depth, with the
+        drain. Returns their scores."""
+        if sel is not None:
+            score = score[sel]
+            if keep_buf:
+                buf = buf[sel]
+            # the parents have latency0 while every earlier depth is
+            # stall-free
+            if j > n_free:
+                lat = lat[sel]
+            n = score.size
+            rows = [row[:n_rates * n].reshape(n_rates, n) for row in rows]
+        k_buf, k_lat, k_score, k_stall, k_term, k_cost, k_table = rows
         d = downloads[j]
-        if keep_buf:
-            g_buf = buf[sel]
         # a leaf's buffer reaches its score through the drain alone
         need_buf = drain or (j < horizon - 1 and keep_buf)
         if j < n_free:
@@ -405,32 +402,30 @@ def mpc_rollout_scores(pred_kbps, buffer0, latency0, prev_idx, plan,
                 table = term_first[:, None]
             else:
                 table = term_next.take(last, axis=1, out=k_table, mode="clip")
-            np.add(g_score, table, out=k_score)
+            np.add(score, table, out=k_score)
             if need_buf:
-                np.subtract(g_buf, d, out=k_buf)
+                np.subtract(buf, d, out=k_buf)
                 np.add(k_buf, chunk_dur, out=k_buf)
         else:
-            # the parents have latency0 while every earlier depth is
-            # stall-free
-            lat_g = lat if j <= n_free else lat[sel]
-            np.subtract(d, g_buf, out=k_stall)
+            np.subtract(d, buf, out=k_stall)
             np.maximum(k_stall, 0.0, out=k_stall)
             if need_buf:
-                np.subtract(g_buf, d, out=k_buf)
+                np.subtract(buf, d, out=k_buf)
                 np.maximum(k_buf, 0.0, out=k_buf)
                 np.add(k_buf, chunk_dur, out=k_buf)
-            np.add(lat_g, k_stall, out=k_lat)
-            _latency_cost(k_lat, omega, psi_base, mu4, out=k_term)
+            np.add(lat, k_stall, out=k_lat)
+            # term = (gain - mu4 * psi(lat)) / chunks_per_seg - mu2 * stall
+            _latency_cost(k_lat, omega, psi_base, mu4, out=k_cost)
             if j == 0:
                 gain = gain_first[:, None]
             else:
                 gain = plan.gain_t.take(last, axis=1, out=k_table,
                                         mode="clip")
-            np.subtract(gain, k_term, out=k_term)
+            np.subtract(gain, k_cost, out=k_term)
             np.divide(k_term, chunks_per_seg, out=k_term)
             np.multiply(mu2, k_stall, out=k_stall)
             np.subtract(k_term, k_stall, out=k_term)
-            np.add(g_score, k_term, out=k_score)
+            np.add(score, k_term, out=k_score)
         if j == horizon - 1 and drain:
             charge = k_stall
             np.subtract(buffer0, k_buf, out=charge)
@@ -581,45 +576,17 @@ def mpc_rollout_scores(pred_kbps, buffer0, latency0, prev_idx, plan,
     # the last two downloads are finite
     two = (plan.two_level and n_free <= horizon - 3
            and _finite(tps[-2], plan) and _finite(tps[-1], plan))
-    for j in range(horizon - 1):
+    for j, (rows, last, prefixes) in enumerate(plan.tree):
         if two and j == horizon - 2:
             result = two_level(score, lat, buf)
             if result is not None:
                 return result
-        d = downloads[j]
-        (buf_c, lat_c, score_c, buf_flat, lat_flat, score_flat, stall, term,
-         cost_c, score_by_prev, term_by_prev, cost_by_prev,
-         parent_score) = plan.depths[j]
-
+        expand(j, score, lat, buf, None, last, rows)
         if j < n_free:
-            if keep_buf:
-                np.subtract(buf, d, out=buf_c)
-                np.add(buf_c, chunk_dur, out=buf_c)
-            if j == 0:
-                np.add(score, term_first[:, None], out=score_c)
-            else:
-                np.add(parent_score, term_next[:, :, None], out=score_by_prev)
-            buf, score = buf_flat, score_flat
-            continue
-
-        np.subtract(d, buf, out=stall)
-        np.maximum(stall, 0.0, out=stall)
-        np.subtract(buf, d, out=buf_c)
-        np.maximum(buf_c, 0.0, out=buf_c)
-        np.add(buf_c, chunk_dur, out=buf_c)
-        np.add(lat, stall, out=lat_c)
-        # term = (gain - mu4 * psi(lat)) / chunks_per_seg - mu2 * stall
-        _latency_cost(lat_c, omega, psi_base, mu4, out=cost_c)
-        if j == 0:
-            np.subtract(gain_first[:, None], cost_c, out=term)
+            # a stall-free depth leaves every latency at latency0
+            buf, _, score = prefixes
         else:
-            np.subtract(plan.gain_t[:, :, None], cost_by_prev,
-                        out=term_by_prev)
-        np.divide(term, chunks_per_seg, out=term)
-        np.multiply(mu2, stall, out=stall)
-        np.subtract(term, stall, out=term)
-        np.add(score, term, out=score_c)
-        buf, lat, score = buf_flat, lat_flat, score_flat
+            buf, lat, score = prefixes
 
     # the last depth over every parent of depth h-2: buf, lat and score
     # hold them (the root at horizon 1; lat is latency0 alone while every

@@ -618,7 +618,11 @@ def main(argv=None):
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)
         p.add_argument("--seed", type=int, default=None)
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed its usage error; that is bad input, exit 1
+        return 1 if exc.code == 2 else exc.code
     return run(args.config, args.subcommand, out=args.out, seed=args.seed)
 
 

@@ -451,22 +451,26 @@ class _Session:
                 self.wall = t_next
         return False
 
+    def _skip_media(self, end, latency):
+        """Charge the media from the position to `end` as skipped, per
+        overlapped segment, and give each of those segments without a
+        latency sample `latency`."""
+        s = self._seg_of(self.position)
+        while s * self.cfg.segment_len < end - _EPS and s < self.n_seg:
+            lo = max(self.position, s * self.cfg.segment_len)
+            hi = min(end, (s + 1) * self.cfg.segment_len)
+            if hi > lo:
+                self.seg_eta[s] += hi - lo
+                if math.isnan(self.seg_latency[s]):
+                    self.seg_latency[s] = latency
+            s += 1
+
     def _fire_skip(self):
-        lat_before = self.latency
         raw = self.frontier() - self.cfg.playback_threshold
         new_pos = math.floor(raw / self.cd + _EPS) * self.cd
         if new_pos <= self.position + _EPS:
             return
-        # attribute the jumped media (and its latency) per overlapped segment
-        s = self._seg_of(self.position)
-        while s * self.cfg.segment_len < new_pos - _EPS and s < self.n_seg:
-            lo = max(self.position, s * self.cfg.segment_len)
-            hi = min(new_pos, (s + 1) * self.cfg.segment_len)
-            if hi > lo:
-                self.seg_eta[s] += hi - lo
-                if math.isnan(self.seg_latency[s]):
-                    self.seg_latency[s] = lat_before
-            s += 1
+        self._skip_media(new_pos, self.latency)
         self.position = new_pos
         if self.next_ci * self.cd < new_pos + _EPS:
             self.next_ci = int(round(new_pos / self.cd))
@@ -532,16 +536,7 @@ class _Session:
             pass
         self.done = True
         self.truncated = True
-        pos = self.position
-        s = self._seg_of(pos)
-        while s < self.n_seg:
-            lo = max(pos, s * self.cfg.segment_len)
-            hi = (s + 1) * self.cfg.segment_len
-            if hi > lo:
-                self.seg_eta[s] += hi - lo
-                if math.isnan(self.seg_latency[s]):
-                    self.seg_latency[s] = self.latency
-            s += 1
+        self._skip_media(self.media_end, self.latency)
 
     def run(self):
         while not self.done:

@@ -77,12 +77,6 @@ class Tensor:
     def __mul__(self, other):
         return mul(self, other)
 
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
     def __matmul__(self, other):
         return matmul(self, other)
 
@@ -167,16 +161,6 @@ def div(a, b):
     return _make(a.data / b.data, (a, b), back)
 
 
-def neg(a):
-    a = as_tensor(a)
-
-    def back(g):
-        if a.requires_grad:
-            a._accum(-g)
-
-    return _make(-a.data, (a,), back)
-
-
 def matmul(a, b):
     a, b = as_tensor(a), as_tensor(b)
     out = np.matmul(a.data, b.data)
@@ -203,16 +187,6 @@ def exp(a):
     return _make(y, (a,), back)
 
 
-def log(a):
-    a = as_tensor(a)
-
-    def back(g):
-        if a.requires_grad:
-            a._accum(g / a.data)
-
-    return _make(np.log(a.data), (a,), back)
-
-
 def sqrt(a):
     a = as_tensor(a)
     y = np.sqrt(a.data)
@@ -224,13 +198,19 @@ def sqrt(a):
     return _make(y, (a,), back)
 
 
-def _sigmoid(z):
-    return 1.0 / (1.0 + np.exp(-z))
+def _sigmoid_into(z, out):
+    """1 / (1 + exp(-z)) written into `out`, one op at a time. The graph
+    op `sigmoid` and the fused `lstm` both compute through it, so a
+    step-by-step LSTM graph and the fused layer give the same bits."""
+    np.negative(z, out=out)
+    np.exp(out, out=out)
+    np.add(1.0, out, out=out)
+    return np.divide(1.0, out, out=out)
 
 
 def sigmoid(a):
     a = as_tensor(a)
-    y = _sigmoid(a.data)
+    y = _sigmoid_into(a.data, np.empty_like(a.data))
 
     def back(g):
         if a.requires_grad:
@@ -405,15 +385,6 @@ def conv2d(x, w):
     return _make(out, (x, w), back)
 
 
-def _sigmoid_into(z, out):
-    """`_sigmoid(z)` written into `out`, op for op: -z lands in the
-    contiguous `out`, so exp reads a contiguous array as it does there."""
-    np.negative(z, out=out)
-    np.exp(out, out=out)
-    np.add(1.0, out, out=out)
-    return np.divide(1.0, out, out=out)
-
-
 def lstm(x_seq, w_ih, w_hh, bias, last=False):
     """One LSTM layer from a zero state; x_seq (B,S,D), w_ih (D,4H),
     w_hh (H,4H), bias (4H,) with gates in the order i, f, g, o.
@@ -427,8 +398,13 @@ def lstm(x_seq, w_ih, w_hh, bias, last=False):
     layout: the step's input is copied to a contiguous (B,D) array, and
     each activation reads a contiguous (B,H) array (a ufunc may take
     another code path on a strided view). The
-    weight and bias gradients are accumulated step by step in reverse time
-    order, so outputs and gradients are bit-identical to that graph.
+    weight and bias gradients are summed step by step in reverse time
+    order, from +0.0, in contiguous buffers, and each weight takes its sum
+    in one accumulation after the last step, so outputs and gradients are
+    bit-identical to that graph as long as each weight's gradient starts
+    at None or at the +0.0 that `zero_grad` leaves (one consumer per
+    weight, as in every model). A stack's gradients are strided views of
+    its gradient matrix, where one add costs ~3x a contiguous one.
     Projecting all steps with one matmul, or summing the weight gradient
     over steps in one, would reorder the floating-point sums.
 
@@ -502,6 +478,7 @@ def lstm(x_seq, w_ih, w_hh, bias, last=False):
         db = np.empty(dgates.shape[:-2] + dgates.shape[-1:])
         dw_ih, dw_hh, dxt = (np.empty_like(a) for a in (w_ih.data, w_hh.data,
                                                          xt))
+        sum_ih, sum_hh, sum_b = (np.zeros_like(a) for a in (dw_ih, dw_hh, db))
         zeros = np.zeros(state)
         # transposed views, made once: the (D,B) and (H,B) operands of the
         # weight gradients
@@ -544,22 +521,28 @@ def lstm(x_seq, w_ih, w_hh, bias, last=False):
             np.multiply(tmp, d_o, out=d_o)
             if bias.requires_grad:
                 np.add.reduce(dgates, axis=-2, out=db)
-                bias._accum(db.reshape(bias.data.shape))
+                np.add(sum_b, db, out=sum_b)
             if dx is not None:
                 np.matmul(dgates, w_ih_t, out=dxt)
                 dx[..., t, :] = dxt
             if w_ih.requires_grad:
                 np.copyto(xt, x_seq.data[..., t, :])
                 np.matmul(xt_t, dgates, out=dw_ih)
-                w_ih._accum(dw_ih)
+                np.add(sum_ih, dw_ih, out=sum_ih)
             if w_hh.requires_grad:
                 if t:   # h_prev, as the forward made it
                     np.multiply(og[t - 1], tc_prev, out=tmp)
                 np.matmul(tmp_t if t else zeros_t, dgates, out=dw_hh)
-                w_hh._accum(dw_hh)
+                np.add(sum_hh, dw_hh, out=sum_hh)
             np.matmul(dgates, w_hh_t, out=dh_next)
             np.multiply(dc, f, out=dc_next)
             tc, tc_prev = tc_prev, tc
+        if bias.requires_grad:
+            bias._accum(sum_b.reshape(bias.data.shape))
+        if w_ih.requires_grad:
+            w_ih._accum(sum_ih)
+        if w_hh.requires_grad:
+            w_hh._accum(sum_hh)
         if dx is not None:
             x_seq._accum(dx)
 

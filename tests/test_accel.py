@@ -186,7 +186,7 @@ def _poisoned_run(case):
     plan = _plan(case)
     plan.work[:] = np.nan
     _assert_matches_flat(_rollout(case, plan), case)
-    tree = plan.depths[-1:]  # the full rows of the tree's last depth
+    tree = [plan.mid]  # the full rows of depth h-2
     stall = [plan.kids.stall] + [depth.stall for depth in tree]
     term = [plan.kids.term] + [depth.term for depth in tree]
     return (all(np.isnan(row).all() for row in stall),
@@ -674,7 +674,7 @@ def test_first_level_leaves_whole_subtrees_unscored():
         scored = np.isfinite(got).reshape(6 ** 4, 6 ** 2).any(axis=1)
         assert 1 <= scored.sum() <= 20, scored.sum()
         # depth h-2 holds 6 children of each prefix it was built for
-        built = ~np.isnan(plan.depths[-1].score_flat)
+        built = ~np.isnan(plan.mid.score)
         assert built.sum() % 6 == 0
         assert scored.sum() <= built.sum() // 6 <= 60, built.sum()
 

@@ -653,3 +653,22 @@ def test_seed_override(tmp_path):
 def test_main_entry_point(tmp_path):
     cfg, out = _config(tmp_path)
     assert cli.main(["analyze", "--config", str(cfg)]) == 0
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--seed", "x"], "argument --seed: invalid int value: 'x'"),
+    (["--workers", "2"], "unrecognized arguments: --workers 2"),
+])
+def test_usage_error_exits_1_with_argparse_message(tmp_path, capsys, flags,
+                                                   message):
+    cfg, out = _config(tmp_path)
+    assert cli.main(["analyze", "--config", str(cfg), *flags]) == 1
+    err = capsys.readouterr().err
+    assert message in err
+    assert "usage: fedcast" in err
+    assert not out.exists()
+
+
+def test_help_still_exits_0(capsys):
+    assert cli.main(["--help"]) == 0
+    assert "usage: fedcast" in capsys.readouterr().out
