@@ -537,19 +537,37 @@ def stack_params(paramsets):
 
 
 def _prox_penalty(params, anchor, include_bn, stacked=False):
-    """sum ||w - w_anchor||^2; with stacked, one sum per slice, (K,)."""
+    """sum ||w - w_anchor||^2 over the trainable entries (batch norm's only
+    with include_bn); with stacked, one sum per slice, (K,). None when no
+    entry is penalised.
+
+    One tape node whose parents are the penalised entries. It has the bits
+    of the graph it replaces, a sub, mul and reduce_sum per entry and a
+    chain of adds: d = w - w_anchor is one subtraction of the two vectors,
+    each entry sums (d*d) of its view over the same axes, and the sums
+    are added in entry order. The backward gives each entry the graph's
+    (p + 0.0) + p, p = g * d, one p from each factor of the square. The
+    graph also added 0.0 to g on its way down; that only turns a -0.0
+    into +0.0, which changes p only when p is a zero, and (p + 0.0) + p
+    is +0.0 for either zero."""
+    views = params._views(params.flat - anchor.flat)
+    picked = [(t, d) for (_, t, is_bn), d in zip(params.entries, views)
+              if t.requires_grad and (include_bn or not is_bn)]
+    if not picked:
+        return None
     total = None
-    for name, t, is_bn in params.entries:
-        if not t.requires_grad:
-            continue
-        if is_bn and not include_bn:
-            continue
-        # local_train never writes the anchor, so it is wrapped, not copied
-        diff = T.sub(t, T.Tensor(anchor.get(name).data))
-        axes = tuple(range(1, t.data.ndim)) if stacked else None
-        term = T.reduce_sum(T.mul(diff, diff), axis=axes)
-        total = term if total is None else T.add(total, term)
-    return total
+    for _, d in picked:
+        term = (d * d).sum(axis=tuple(range(int(stacked), d.ndim)))
+        total = term if total is None else total + term
+
+    def back(g):
+        for t, d in picked:
+            prod = np.expand_dims(g, tuple(range(g.ndim, d.ndim))) * d
+            contrib = prod + 0.0
+            contrib += prod
+            t._accum(contrib)
+
+    return T._make(total, [t for t, _ in picked], back)
 
 
 def _objective(spec, params, x, y, cfg, anchor, stacked):

@@ -10,6 +10,8 @@ from fedcast import tensor as T
 from fedcast.preprocess import Windows, WindowConfig, build_windows
 from fedcast.trace import ClientTrace
 
+from oracle_ops import concat, getitem, sigmoid, tanh
+
 
 def _toy_spec(arch, **kw):
     base = dict(arch=arch, in_features=4, history=5, horizon=1, hidden=8,
@@ -174,20 +176,6 @@ def _samples_from_series(series, h=5, f=1):
     return build_windows(tr, WindowConfig(history=h, horizon=f))
 
 
-def _concat(tensors, axis):
-    """Concatenation as a tape op, for the oracle below; no model uses it."""
-    sizes = [t.data.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
-
-    def back(g):
-        for t, part in zip(tensors, np.split(g, splits, axis=axis)):
-            if t.requires_grad:
-                t._accum(part)
-
-    return T._make(np.concatenate([t.data for t in tensors], axis=axis),
-                   tensors, back)
-
-
 def _lstm_layer(params, prefix, x_seq, hidden):
     """The per-step LSTM graph that `T.lstm` replaced, kept as its exact
     oracle: ~15 tape nodes per timestep."""
@@ -199,16 +187,16 @@ def _lstm_layer(params, prefix, x_seq, hidden):
     c = T.Tensor(np.zeros((b_n, hidden)))
     outputs = []
     for t in range(steps):
-        xt = x_seq[:, t, :]
+        xt = getitem(x_seq, np.s_[:, t, :])
         gates = T.add(T.add(T.matmul(xt, w_ih), T.matmul(h, w_hh)), bias)
-        i = T.sigmoid(gates[:, :hidden])
-        f = T.sigmoid(gates[:, hidden:2 * hidden])
-        g = T.tanh(gates[:, 2 * hidden:3 * hidden])
-        o = T.sigmoid(gates[:, 3 * hidden:])
+        i = sigmoid(getitem(gates, np.s_[:, :hidden]))
+        f = sigmoid(getitem(gates, np.s_[:, hidden:2 * hidden]))
+        g = tanh(getitem(gates, np.s_[:, 2 * hidden:3 * hidden]))
+        o = sigmoid(getitem(gates, np.s_[:, 3 * hidden:]))
         c = T.add(T.mul(f, c), T.mul(i, g))
-        h = T.mul(o, T.tanh(c))
+        h = T.mul(o, tanh(c))
         outputs.append(T.reshape(h, (b_n, 1, hidden)))
-    return h, _concat(outputs, axis=1)
+    return h, concat(outputs, axis=1)
 
 
 def _lstm_params(rng, d, hidden, scale):
@@ -242,7 +230,7 @@ def _lstm_run(mode, params, x, g_out):
         if mode == "graph_h":
             out = last
     if mode in ("graph_last", "fused_slice"):
-        out = out[..., -1, :]
+        out = getitem(out, np.s_[..., -1, :])
     g = g_out if out.data.shape == g_out.shape else g_out[..., -1, :]
     T.reduce_sum(T.mul(out, T.Tensor(g))).backward()
     return [out.data, xt.grad] + [t.grad for _, t, _ in params]
@@ -416,6 +404,103 @@ def test_local_train_requires_anchor_for_prox():
     cfg = models.TrainConfig(learning_rate=0.01, prox_mu=0.5)
     with pytest.raises(models.ModelError):
         models.local_train(spec, [params], [samples], cfg)
+
+
+def _graph_prox_penalty(params, anchor, include_bn, stacked=False):
+    """The per-entry graph that `models._prox_penalty` replaced, kept as its
+    exact oracle: a sub, mul and reduce_sum per entry, and a chain of adds."""
+    total = None
+    for name, t, is_bn in params.entries:
+        if not t.requires_grad:
+            continue
+        if is_bn and not include_bn:
+            continue
+        diff = T.sub(t, T.Tensor(anchor.get(name).data))
+        axes = tuple(range(1, t.data.ndim)) if stacked else None
+        term = T.reduce_sum(T.mul(diff, diff), axis=axes)
+        total = term if total is None else T.add(total, term)
+    return total
+
+
+def _prox_case(stacked, anchor_kind):
+    """(params, anchor): a CNN with batch norm, or a stack of 3 of them;
+    the anchor moved off the parameters, equal to them, or both holding
+    +-0.0 in a third of their values each."""
+    spec = _toy_spec("CNN")
+    rng = np.random.default_rng(5)
+    pairs = []
+    for k in range(3 if stacked else 1):
+        params = models.init_model(spec, seed=k)
+        anchor = params.copy()
+        if anchor_kind != "equal":
+            anchor.flat += rng.normal(size=anchor.flat.shape) * 0.1
+        if anchor_kind == "signed_zeros":
+            params.flat[0::3], params.flat[1::3] = -0.0, 0.0
+            anchor.flat[0::2], anchor.flat[1::2] = 0.0, -0.0
+        pairs.append((params, anchor))
+    if not stacked:
+        return pairs[0]
+    return tuple(models.stack_params(list(ps)) for ps in zip(*pairs))
+
+
+def _prox_run(penalty, params, anchor, include_bn, stacked, root):
+    """The penalty's bits and each entry's gradient bits (None for no
+    gradient): into zeroed gradients under FedProx's loss, or from a raw
+    root gradient holding -0.0 into no gradient yet."""
+    params = params.copy()
+    if root == "objective":
+        params.zero_grad()
+    pen = penalty(params, anchor, include_bn, stacked)
+    if root == "objective":
+        loss = T.mul(T.Tensor(0.05 / 2.0), pen)
+        (T.reduce_sum(loss) if stacked else loss).backward()
+    else:
+        pen.backward(np.array([-0.0, 2.5, 0.0]) if stacked
+                     else np.array(-0.0))
+    return [pen.data.tobytes()] + [None if t.grad is None
+                                   else t.grad.tobytes()
+                                   for _, t, _ in params]
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+@pytest.mark.parametrize("include_bn", [False, True])
+@pytest.mark.parametrize("anchor_kind", ["moved", "equal", "signed_zeros"])
+@pytest.mark.parametrize("root", ["objective", "raw"])
+def test_prox_node_is_bitwise_the_per_entry_graph(stacked, include_bn,
+                                                  anchor_kind, root):
+    params, anchor = _prox_case(stacked, anchor_kind)
+    got = _prox_run(models._prox_penalty, params, anchor, include_bn,
+                    stacked, root)
+    want = _prox_run(_graph_prox_penalty, params, anchor, include_bn,
+                     stacked, root)
+    assert got == want
+    if root == "raw":   # every trainable entry, batch norm's only with
+        #                 include_bn, and no other takes a gradient
+        penalised = [t.requires_grad and (include_bn or not is_bn)
+                     for _, t, is_bn in params]
+        assert [g is not None for g in got[1:]] == penalised
+
+
+@pytest.mark.parametrize("arch, k", [("CNN", 1), ("LSTM", 3)])
+def test_prox_training_is_bitwise_the_per_entry_graph(monkeypatch, arch, k):
+    """FedProx local training, where each entry also takes the forward
+    graph's gradient: the trained models and losses of the per-entry
+    graph."""
+    spec = _toy_spec(arch, in_features=6) if arch == "CNN" \
+        else _lockstep_spec()
+    params, windows = _cohort(spec, k, n=40)
+    cfg = models.TrainConfig(learning_rate=3e-3, batch_size=16,
+                             local_epochs=2, prox_mu=0.5,
+                             include_bn_in_prox=arch == "LSTM")
+    runs = []
+    for penalty in (models._prox_penalty, _graph_prox_penalty):
+        monkeypatch.setattr(models, "_prox_penalty", penalty)
+        anchors = [p.copy() for p in params]
+        trained, loss = models.local_train(
+            spec, [p.copy() for p in params], windows, cfg,
+            global_anchor=anchors, rng=[_member_rng(j) for j in range(k)])
+        runs.append(([p.to_bytes() for p in trained], loss))
+    assert runs[0] == runs[1]
 
 
 def test_local_train_and_predict_reject_empty_windows():

@@ -6,22 +6,8 @@ import pytest
 from fedcast import models
 from fedcast import tensor as T
 
-
-def concat(tensors, axis=0):
-    """Concatenation as a tape op; no model uses it, so it lives here, for
-    the grad-check below."""
-    tensors = [T.as_tensor(t) for t in tensors]
-    sizes = [t.data.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
-
-    def back(g):
-        parts = np.split(g, splits, axis=axis)
-        for t, part in zip(tensors, parts):
-            if t.requires_grad:
-                t._accum(part)
-
-    return T._make(np.concatenate([t.data for t in tensors], axis=axis),
-                   tensors, back)
+from oracle_ops import (concat, div, exp, getitem, grad_check, sigmoid, sqrt,
+                        tanh)
 
 
 def test_mse_identical_vectors():
@@ -40,7 +26,7 @@ def test_mse_shape_mismatch():
 
 def test_sigmoid_gradient_at_zero():
     x = T.Tensor(np.zeros(1), requires_grad=True)
-    T.sigmoid(x).backward(np.ones(1))
+    sigmoid(x).backward(np.ones(1))
     assert abs(x.grad[0] - 0.25) < 1e-15
 
 
@@ -50,7 +36,7 @@ def test_quadratic_grad_check():
     def f():
         return T.reduce_sum(T.mul(x, x))
 
-    err = T.grad_check(f, [x], eps=1e-5)
+    err = grad_check(f, [x], eps=1e-5)
     assert err < 1e-8
     assert abs(x.grad[0] - 6.0) < 1e-9
 
@@ -65,27 +51,27 @@ def test_mlp_grad_check():
     y = rng.normal(size=(5, 2))
 
     def f():
-        h = T.tanh(T.add(T.matmul(T.Tensor(x), w1), b1))
+        h = tanh(T.add(T.matmul(T.Tensor(x), w1), b1))
         return T.mse(T.add(T.matmul(h, w2), b2), y)
 
-    assert T.grad_check(f, [w1, b1, w2, b2], eps=1e-5) < 1e-5
+    assert grad_check(f, [w1, b1, w2, b2], eps=1e-5) < 1e-5
 
 
 @pytest.mark.parametrize("op", [
-    lambda a: T.reduce_sum(T.softmax(a, axis=-1)[:, :2]),
-    lambda a: T.reduce_sum(T.exp(T.mul(a, T.Tensor(0.3)))),
-    lambda a: T.reduce_sum(T.tanh(T.matmul(a, T.transpose(a, (1, 0))))),
+    lambda a: T.reduce_sum(getitem(T.softmax(a, axis=-1), np.s_[:, :2])),
+    lambda a: T.reduce_sum(exp(T.mul(a, T.Tensor(0.3)))),
+    lambda a: T.reduce_sum(tanh(T.matmul(a, T.transpose(a, (1, 0))))),
     lambda a: T.reduce_mean(concat([a, T.mul(a, a)], axis=1)),
     lambda a: T.reduce_sum(T.mul(T.reshape(a, (2, 6)), T.Tensor(np.arange(12.0).reshape(2, 6)))),
-    lambda a: T.reduce_sum(T.sqrt(T.add(T.mul(a, a), T.Tensor(0.5)))),
-    lambda a: T.reduce_sum(T.div(a, T.Tensor(np.full((3, 4), 2.0)))),
+    lambda a: T.reduce_sum(sqrt(T.add(T.mul(a, a), T.Tensor(0.5)))),
+    lambda a: T.reduce_sum(div(a, T.Tensor(np.full((3, 4), 2.0)))),
     lambda a: T.reduce_sum(T.leaky_relu(a, 0.1)),
-    lambda a: T.reduce_mean(a[1:, ::2]),
+    lambda a: T.reduce_mean(getitem(a, np.s_[1:, ::2])),
 ])
 def test_elementwise_ops_grad_check(op):
     rng = np.random.default_rng(42)
     a = T.Tensor(rng.normal(size=(3, 4)) + 0.1, requires_grad=True)
-    assert T.grad_check(lambda: op(a), [a], eps=1e-5) < 1e-6
+    assert grad_check(lambda: op(a), [a], eps=1e-5) < 1e-6
 
 
 def test_conv2d_grad_check():
@@ -97,7 +83,7 @@ def test_conv2d_grad_check():
     def f():
         return T.mse(T.conv2d(x, w), y)
 
-    assert T.grad_check(f, [x, w], eps=1e-5) < 1e-6
+    assert grad_check(f, [x, w], eps=1e-5) < 1e-6
 
 
 def test_lstm_grad_check():
@@ -111,7 +97,7 @@ def test_lstm_grad_check():
     def f():
         return T.reduce_sum(T.mul(T.lstm(x, w_ih, w_hh, b), weights))
 
-    assert T.grad_check(f, [x, w_ih, w_hh, b], eps=1e-5) < 1e-6
+    assert grad_check(f, [x, w_ih, w_hh, b], eps=1e-5) < 1e-6
 
 
 def test_batchnorm_train_grad_check():
@@ -127,7 +113,7 @@ def test_batchnorm_train_grad_check():
         out = T.batch_norm(x, gamma, beta, rm, rv, channel_axis=1, training=True)
         return T.mse(out, y)
 
-    assert T.grad_check(f, [x, gamma, beta], eps=1e-5) < 1e-6
+    assert grad_check(f, [x, gamma, beta], eps=1e-5) < 1e-6
 
 
 def test_batchnorm_running_stats_track_batch():
@@ -168,7 +154,7 @@ def _tape_batch_norm(x, gamma, beta, running_mean, running_var, channel_axis,
         centered = T.sub(x, mean)
         var = T.reduce_mean(T.mul(centered, centered), axis=axes,
                             keepdims=True)
-        inv_std = T.div(T.Tensor(1.0), T.sqrt(T.add(var, T.Tensor(eps))))
+        inv_std = div(T.Tensor(1.0), sqrt(T.add(var, T.Tensor(eps))))
         xhat = T.mul(centered, inv_std)
         n = 1
         for ax in axes:
@@ -354,10 +340,48 @@ def test_backward_requires_scalar():
         T.Tensor(np.ones(3), requires_grad=True).backward()
 
 
+def _where_leaky_relu(a, alpha):
+    """The `np.where` leaky ReLU that `T.leaky_relu` replaced, kept as its
+    exact oracle."""
+    positive = a.data > 0
+
+    def back(g):
+        a._accum(g * np.where(positive, 1.0, alpha))
+
+    return T._make(np.where(positive, a.data, alpha * a.data), (a,), back)
+
+
+@pytest.mark.parametrize("alpha", [0.01, 0.1, 0.5, 1.0, 5e-324])
+def test_leaky_relu_is_bitwise_the_where_forms(alpha):
+    """Forward and backward at the CNN step's shape, plus +-0.0, +-inf, nan
+    and the extremes, in the input and in the upstream gradient."""
+    rng = np.random.default_rng(8)
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324,
+               -5e-324, 1e308, -1e308]
+    x = np.concatenate([rng.normal(size=32 * 8 * 6 * 16), special, special])
+    g = np.concatenate([rng.normal(size=x.size - 2 * len(special)),
+                        special, special[::-1]])
+    runs = []
+    with np.errstate(invalid="ignore", over="ignore"):
+        for op in (T.leaky_relu, _where_leaky_relu):
+            xt = T.Tensor(x.copy(), requires_grad=True)
+            out = op(xt, alpha)
+            out.backward(g)
+            runs.append((out.data.tobytes(), xt.grad.tobytes()))
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("alpha", [0.0, -0.01, 1.5, np.inf, np.nan])
+def test_leaky_relu_rejects_alpha_outside_the_max_identity(alpha):
+    # at alpha = 0, max(inf, 0 * inf) is nan; above 1, max picks alpha * x
+    with pytest.raises(ValueError):
+        T.leaky_relu(T.Tensor(np.ones(2)), alpha)
+
+
 def test_grad_check_rejects_bad_eps():
     x = T.Tensor(np.ones(1), requires_grad=True)
     with pytest.raises(ValueError):
-        T.grad_check(lambda: T.reduce_sum(x), [x], eps=1.0)
+        grad_check(lambda: T.reduce_sum(x), [x], eps=1.0)
 
 
 def test_named_array_serialization_roundtrip_and_stability():
