@@ -18,13 +18,12 @@ _TWO_LEVEL_MIN_PARENTS = 5000
 # ---------------------------------------------------------------------------
 # MPC rollout scoring
 #
-# Scores the rate sequences of length `horizon` over the bitrate ladder.
-# Sequence s encodes rate indices base-L with the FIRST chunk as the most
-# significant digit, so np.argmax(scores) breaks ties toward the lowest
-# first rate (lexicographically smallest maximal sequence). A sequence whose
-# score is proven strictly below the best one is not scored and reads -inf
-# (see the branch-and-bound below), so the argmax, and every score that is
-# not -inf, are those of scoring every sequence.
+# Scores the rate sequences of length `horizon` over the bitrate ladder and
+# returns those it scored, (seq, score). Sequence s encodes rate indices
+# base-L with the FIRST chunk as the most significant digit. A sequence
+# whose score is proven strictly below the best one is not scored (see the
+# branch-and-bound below), so every score returned, and the lowest s of
+# the best, are those of scoring every sequence.
 #
 # Besides the per-chunk quality/stall/switch/latency terms, a terminal
 # buffer-sustainability charge prices any net buffer drain over the horizon
@@ -44,17 +43,12 @@ _TWO_LEVEL_MIN_PARENTS = 5000
 # parent, the others over a gathered row of parents.
 #
 # Every depth computes in place, with out=, into a workspace of rows of
-# L**(h-1) values and fewer: at horizon 6 such a row is 62 KB, and a fresh
-# temporary of the 373 KB a row of L**h would take is above glibc's mmap
-# threshold, so it would be mapped, page-faulted and unmapped on every
-# decision.
+# L**(h-1) values and fewer (62 KB at horizon 6); no row of all L**h
+# sequences is made, and a call allocates little but the leaves it returns.
 #
 # What does not change between a session's decisions is an `MpcPlan`, built
-# once per session: the ladder's Kbit per chunk, the (L, L) gain table and
-# each first chunk's gain row, psi's base, the bounds' constants, the
-# workspace, and each dense depth's rows of it, shaped (L, parents), with
-# its parents' last rates, so that no decision reshapes them. A decision
-# brings only its predicted throughputs, buffer, latency and previous rate.
+# once per session (see its docstring); a decision brings only its
+# predicted throughputs, buffer, latency and previous rate.
 #
 # Work that provably adds +0.0 is skipped; every skip rests on rounding
 # being monotone, so the smallest buffer of any prefix is the scalar
@@ -151,20 +145,19 @@ _TWO_LEVEL_MIN_PARENTS = 5000
 # 6,006 of their 1,951,776 prefixes of depth h-2, incumbents included. The
 # last level scores the children of 6,146 of its 1,109,622 parents: 40,710
 # leaves are scored, incumbents included, against 82,098 with the last
-# level alone, and 36,876 of the 18,335,808 are returned. demo_all runs at
-# horizon 5, 1,296 parents, without the first level.
+# level alone, and 36,876 are returned, of 18,335,808 sequences. demo_all
+# runs at horizon 5, 1,296 parents, without the first level.
 #
 # A decision that cannot stall at any depth and skips the drain therefore
 # has scores that depend on nothing but the plan, the previous rate and
 # latency0: the first depth adds (gain_first[prev] - cost(latency0)) /
 # chunks_per_seg to +0.0, and every later depth adds the (L, L) table
-# term_next[rate, last rate], built from the same cost. Its argmax is then
-# the same for every such decision with that previous rate and latency0,
-# whatever its buffer and predicted throughputs. `mpc_first_rate` keeps
-# the first rate of each in the plan's `first_rates` dict, one per
-# session: a repeat is a dict lookup, and a first sight, a decision that
-# can stall or drain, a nan latency0 (never equal to itself) or an
-# infinite or nan mu2 (a zero stall is not free) runs the full rollout.
+# term_next[rate, last rate], built from the same cost. So does its first
+# rate, which `mpc_first_rate` keeps in the plan's `first_rates` dict by
+# (previous rate, latency0): a repeat is a dict lookup, and a first sight,
+# a decision that can stall or drain, a nan latency0 (never equal to
+# itself) or an infinite or nan mu2 (a zero stall is not free) runs the
+# rollout.
 # On perfbench's demo_all (seed 7), 1,013 of 1,240 decisions per pass are
 # lookups, 90 are first sights and 137 can stall or drain.
 # ---------------------------------------------------------------------------
@@ -331,15 +324,15 @@ def _finite(tp, plan):
 
 def mpc_rollout_scores(pred_kbps, buffer0, latency0, prev_idx, plan,
                        walk=None):
-    """Score the rate sequences over the horizon; returns scores (L**h,),
-    a new array, first chunk most significant. A sequence whose score is
-    proven below the best is left at -inf: a branch-and-bound bounds the
-    prefixes of depth h-3, then the last depth's parents, and expands
-    only those whose bound reaches a scored leaf (see the module
-    comment). `plan` is the session's `MpcPlan`, whose workspace the call
-    reuses. `walk` is `_buffer_walk`'s result for a prediction that
-    `_prediction` already checked, when the caller has them. See module
-    stream."""
+    """Score the rate sequences over the horizon; returns the scored ones
+    as new 1-D arrays (seq, score), seq numbered first chunk most
+    significant. A sequence whose score is proven below the best is not
+    scored: a branch-and-bound bounds the prefixes of depth h-3, then the
+    last depth's parents, and expands only those whose bound reaches a
+    scored leaf (see the module comment). `plan` is the session's
+    `MpcPlan`, whose workspace the call reuses. `walk` is `_buffer_walk`'s
+    result for a prediction that `_prediction` already checked, when the
+    caller has them. See module stream."""
     buffer0, latency0 = float(buffer0), float(latency0)
     if walk is None:
         pred_kbps = _prediction(pred_kbps, plan)
@@ -373,9 +366,13 @@ def mpc_rollout_scores(pred_kbps, buffer0, latency0, prev_idx, plan,
         cost = _latency_cost(lat, omega, psi_base, mu4, np.empty(1))
         term_first = (gain_first - cost) / chunks_per_seg
         term_next = (plan.gain_t - cost) / chunks_per_seg
-    scores = np.full(plan.n_rest * n_rates, -np.inf)
-    by_parent = scores.reshape(plan.n_rest, n_rates)
     n_half = plan.n_rest // n_rates  # the prefixes of depth h-3
+
+    def scored(seq_par, leaves):
+        """(seq, score) of `leaves`, by (rate, parent), below the parents
+        numbered `seq_par`; copied, as the next block reuses the rows."""
+        return (((seq_par * n_rates)[:, None] + plan.rates).ravel(),
+                leaves.T.flatten())
 
     def expand(j, score, lat, buf, sel, last, rows):
         """The children at depth j of the prefixes `sel` (indices or a
@@ -535,16 +532,16 @@ def mpc_rollout_scores(pred_kbps, buffer0, latency0, prev_idx, plan,
                 sel = (bound >= incumbent).nonzero()[0]
                 if first is not None and sel.size == 1:
                     # only the best parent reaches the incumbent
-                    by_parent[seq[sel]] = first.T
-                    return scores
+                    return scored(seq[sel], first)
         if sel is None:
             sel = np.arange(n)
+        parts = []
         for start in range(0, sel.size, plan.block):
             part = sel[start:start + plan.block]
-            by_parent[seq[part]] = expand(j, score, lat, buf, part,
-                                          part // stride if j else None,
-                                          plan.kids).T
-        return scores
+            parts.append(scored(seq[part], expand(
+                j, score, lat, buf, part, part // stride if j else None,
+                plan.kids)))
+        return tuple(map(np.concatenate, zip(*parts)))
 
     def two_level(score, lat, buf):
         """The last two depths below the prefixes of depth h-3, rows score,
@@ -565,8 +562,7 @@ def mpc_rollout_scores(pred_kbps, buffer0, latency0, prev_idx, plan,
         keep = (bound >= incumbent).nonzero()[0]
         if keep.size == 1:
             # only the best prefix reaches the incumbent
-            by_parent[plan.parent_seq[plan.rates * n_half + best]] = leaves.T
-            return scores
+            return scored(plan.parent_seq[plan.rates * n_half + best], leaves)
         expand(horizon - 2, score, lat, buf, keep, keep // stride, mid)
         n = n_rates * keep.size
         return search(mid.score[:n], mid.lat[:n], mid.buf[:n], keep,
@@ -595,9 +591,11 @@ def mpc_rollout_scores(pred_kbps, buffer0, latency0, prev_idx, plan,
 
 
 def mpc_first_rate(pred_kbps, buffer0, latency0, prev_idx, plan):
-    """The ladder index of the first rate of the best sequence, the argmax
-    of `mpc_rollout_scores` (ties break toward the lower rate). A decision
-    that cannot stall or drain is answered from `plan.first_rates` when a
+    """The ladder index of the first rate of the best sequence that
+    `mpc_rollout_scores` returns: the lowest-numbered nan, else the
+    lowest-numbered of the highest scores, as an argmax over every
+    sequence finds (ties break toward the lower rate). A decision that
+    cannot stall or drain is answered from `plan.first_rates` when a
     decision of the session with its previous rate and latency was scored
     before."""
     pred_kbps = _prediction(pred_kbps, plan)
@@ -610,11 +608,13 @@ def mpc_first_rate(pred_kbps, buffer0, latency0, prev_idx, plan):
         rate = plan.first_rates.get(key)
         if rate is not None:
             return rate
-    scores = mpc_rollout_scores(pred_kbps, buffer0, latency0, prev_idx, plan,
-                                walk=(n_free, drain))
-    # sequences are encoded most-significant-digit-first, so the integer
-    # division recovers the first chunk's rate; ties already broke low
-    rate = int(np.argmax(scores)) // plan.n_rest
+    seq, score = mpc_rollout_scores(pred_kbps, buffer0, latency0, prev_idx,
+                                    plan, walk=(n_free, drain))
+    # an unscored sequence is below the best; the first chunk is the most
+    # significant digit, so the integer division recovers its rate
+    top = score.max()
+    hit = score == top if top == top else score != score
+    rate = int(seq[hit].min()) // plan.n_rest
     if key is not None:
         plan.first_rates[key] = rate
     return rate

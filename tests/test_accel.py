@@ -45,11 +45,28 @@ def _plan(case, two_level=None):
     return plan
 
 
-def _rollout(case, plan=None):
-    """The planned rollout's scores of a case; its plan is built when None."""
-    return accel.mpc_rollout_scores(
+def _rollout_pair(case, plan=None):
+    """The planned rollout of a case, (seq, score): the sequences it scored
+    and their scores; its plan is built when None."""
+    seq, score = accel.mpc_rollout_scores(
         case["pred_kbps"], case["buffer0"], case["latency0"], case["prev_idx"],
         _plan(case) if plan is None else plan)
+    n_seq = len(case["ladder_kbps"]) ** len(case["pred_kbps"])
+    assert seq.ndim == score.ndim == 1 and len(seq) == len(score)
+    assert seq.dtype.kind == "i" and score.dtype == np.float64
+    assert np.unique(seq).size == seq.size
+    assert 0 <= seq.min() and seq.max() < n_seq
+    return seq, score
+
+
+def _rollout(case, plan=None):
+    """The planned rollout's scores of a case as one row over every
+    sequence, first chunk most significant, -inf where it scored none; its
+    plan is built when None."""
+    seq, score = _rollout_pair(case, plan)
+    row = np.full(len(case["ladder_kbps"]) ** len(case["pred_kbps"]), -np.inf)
+    row[seq] = score
+    return row
 
 
 def _naive_scores(pred_kbps, ladder_kbps, q_table, buffer0, latency0, prev_idx,
@@ -168,13 +185,13 @@ def test_prefix_tree_scores_equal_flat_rollout():
                         rtt=plan.rtt, prev_idx=prev_idx)
             # an outage on some steps: every download takes "forever"
             case["pred_kbps"][rng.random(horizon) < 0.3] = 0.0
-            got = _rollout(case, plan)
-            _assert_matches_flat(got, case)
+            _assert_matches_flat(_rollout(case, plan), case)
             # the result is no view of the workspace: a later call leaves
             # it as it was
+            got = _rollout_pair(case, plan)
             if earlier is not None:
-                assert earlier[0].tobytes() == earlier[1]
-            earlier = (got, got.tobytes())
+                assert [a.tobytes() for a in earlier[0]] == earlier[1]
+            earlier = (got, [a.tobytes() for a in got])
 
 
 def _poisoned_run(case):
@@ -333,11 +350,11 @@ def test_sessions_equal_with_flat_rollout(monkeypatch):
         assert (got.stall_time > 0.0) == (trace is outage)
 
 
-def test_rollout_allocates_only_its_scores():
+def test_rollout_allocates_no_row_of_every_sequence():
     # numpy reports its data buffers to tracemalloc; with a warm workspace a
-    # horizon-6 call allocates the scores it returns and next to nothing
-    # else, with the first level on (an outage from the third chunk on) or
-    # off (a stall from the fifth)
+    # horizon-6 call allocates less than half of one float64 row of its
+    # 6**6 sequences, with the first level on (an outage from the third
+    # chunk on) or off (a stall from the fifth)
     rng = np.random.default_rng(2)
     case = _random_case(rng, horizon=6, n_rates=6)
     outage = dict(case, pred_kbps=np.r_[case["pred_kbps"][:2], np.zeros(4)])
@@ -345,14 +362,16 @@ def test_rollout_allocates_only_its_scores():
     late["pred_kbps"][4:] = 300.0
     for decision in (case, outage, late):
         plan = _plan(decision)
-        _rollout(decision, plan)
+        args = (decision["pred_kbps"], decision["buffer0"],
+                decision["latency0"], decision["prev_idx"], plan)
+        accel.mpc_rollout_scores(*args)
         tracemalloc.start()
         try:
-            scores = _rollout(decision, plan)
+            accel.mpc_rollout_scores(*args)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 1.5 * scores.nbytes, (peak, scores.nbytes)
+        assert peak < 6 ** 6 * 8 // 2, peak
 
 
 def _fresh_first_rate(case):
@@ -615,6 +634,29 @@ def test_pruned_rollout_matches_flat_property(horizon, n_rates, seed,
     rng = np.random.default_rng(seed)
     _check_oracle_case(_oracle_case(rng, horizon, n_rates,
                                     **{t: True for t in twists}), two_level)
+
+
+@pytest.mark.parametrize("twist", ["nan_latency", "inf_stall", "ties"])
+def test_first_rate_is_the_flat_argmax(twist):
+    # the first rate reduced from the scored leaves alone is the flat
+    # argmax's: a nan wins first, as argmax stops at the first nan, and
+    # ties go to the lowest sequence
+    rng = np.random.default_rng(27)
+    special = 0
+    for horizon, n_rates in itertools.product(range(1, 7), range(1, 7)):
+        for two_level in (False, True):
+            case = _oracle_case(rng, horizon, n_rates, **{twist: True})
+            with np.errstate(invalid="ignore"):
+                flat = _flat_scores(**case)
+                got = _first_rate(case, _plan(case, two_level))
+            n_rest = n_rates ** (horizon - 1)
+            assert got == np.argmax(flat) // n_rest, case
+            # the cases where the rule matters: the first nan, or the best
+            # score, is reached below more than one first rate
+            top = flat.max()
+            best = (flat == top) if top == top else np.isnan(flat)
+            special += np.unique(best.nonzero()[0] // n_rest).size > 1
+    assert special >= 5, special
 
 
 def test_first_level_at_the_drain_boundary():

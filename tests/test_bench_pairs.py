@@ -80,3 +80,43 @@ def test_judge_end_to_end_metric(parent, change, better, verdict):
     assert got["bound"] == 0.25 and got["better"] == better
     want = (sorted(change)[2] - sorted(parent)[2]) / sorted(parent)[2]
     assert got["median_change"] == pytest.approx(want)
+
+
+def test_run_bench_records_the_child_faults_and_system_time(tmp_path):
+    # a stand-in benchmark that touches 8 MB of fresh pages, ~2,000 minor
+    # faults on 4 KB pages, before its two output lines
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "import json\n"
+        "buf = bytearray(8 << 20)\n"
+        "buf[::4096] = b'x' * len(buf[::4096])\n"
+        "print('report ' + json.dumps({'stages': {}, 'wall': {}}))\n"
+        "print(json.dumps({'metrics': {}}))\n")
+    result, report, usage = bench_pairs.run_bench(tmp_path, "w", 1, 1.0, 0)
+    assert result == {"metrics": {}}
+    assert report == {"stages": {}, "wall": {}}
+    assert set(usage) == {"minor_faults", "sys_s"}
+    assert usage["minor_faults"] >= 2000
+    assert usage["sys_s"] >= 0.0
+
+
+def test_pair_record_keeps_process_counts_without_a_verdict():
+    def run(pipeline_s, faults, sys_s):
+        result = {"metrics": {"pipeline_s": {"value": pipeline_s}},
+                  "correct": True, "failed": 0, "attempted": 3}
+        report = {"stages": {"stream_s": {"value": pipeline_s}},
+                  "wall": {"pipeline_s": pipeline_s, "reference_s": 0.5},
+                  "artifact_sha256": {"qoe.csv": "a"}}
+        return result, report, {"minor_faults": faults, "sys_s": sys_s}
+    pairs = [
+        bench_pairs.pair_record(0, "parent", {"parent": run(1.0, 700, 0.02),
+                                              "change": run(0.9, 690, 0.03)}),
+        bench_pairs.pair_record(1, "change", {"parent": run(1.1, 710, 0.01),
+                                              "change": run(1.0, 705, 0.02)})]
+    assert pairs[0]["change"]["values"]["proc.minor_faults"] == 690
+    assert pairs[1]["parent"]["values"]["proc.sys_s"] == 0.01
+    m = bench_pairs.summarise(pairs)["metrics"]
+    assert m["proc.minor_faults"]["parent"] == [700, 710]
+    assert m["proc.minor_faults"]["change_lower"] == "2/2"
+    assert m["proc.sys_s"]["change_median"] == pytest.approx(0.025)
+    assert "verdict" not in m["proc.minor_faults"]

@@ -14,17 +14,22 @@ one side. With `--traced-seed S`, each workload then runs once per side
 with `--trace 1` at seed S + 100 * w.
 
 The JSON written to --out holds, per workload, each side's value of every
-end-to-end metric and stage time in pair order, their medians and
-inclusive quartiles, the median ratio change / parent, the number of
-pairs in which the change is lower, and whether the two sides wrote
-byte-identical artifacts in every pair. Each end-to-end metric of
-BENCHMARK.json also gets its relative median change next to its bound and
-a verdict (`judge`), printed to stderr as well.
+end-to-end metric and stage time, and the minor page faults and system
+CPU seconds of the whole benchmark process (`proc.minor_faults`,
+`proc.sys_s`), in pair order, their medians and inclusive quartiles, the
+median ratio change / parent, the number of pairs in which the change is
+lower, and whether the two sides wrote byte-identical artifacts in every
+pair. Each end-to-end metric of BENCHMARK.json also gets its relative
+median change next to its bound and a verdict (`judge`), printed to
+stderr as well; the process counts get none. Read them before trusting a
+timing: a time that moves with the page faults or the system time may be
+the allocator's, not the code's.
 """
 
 import argparse
 import json
 import math
+import resource
 import shutil
 import statistics
 import subprocess
@@ -69,28 +74,36 @@ def make_checkout(src, dest):
 
 
 def run_bench(checkout, workload, seed, seconds, trace):
-    """(result, report) of one perfbench run in `checkout`."""
+    """(result, report, usage) of one perfbench run in `checkout`; `usage`
+    holds the run's minor page faults and system CPU seconds, the
+    getrusage(RUSAGE_CHILDREN) difference across it."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds),
            "--trace", str(trace)]
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or len(lines) < 2 \
             or not lines[-2].startswith("report "):
         raise RuntimeError(f"{' '.join(cmd)} in {checkout} exited "
                            f"{proc.returncode}:\n{proc.stderr[-2000:]}")
-    return json.loads(lines[-1]), json.loads(lines[-2][len("report "):])
+    usage = {"minor_faults": after.ru_minflt - before.ru_minflt,
+             "sys_s": after.ru_stime - before.ru_stime}
+    return (json.loads(lines[-1]), json.loads(lines[-2][len("report "):]),
+            usage)
 
 
 def pair_record(seed, first, runs):
-    """What one pair keeps: `runs` maps side -> (result, report)."""
+    """What one pair keeps: `runs` maps side -> (result, report, usage)."""
     rec = {"seed": seed, "first": first}
-    for side, (result, report) in runs.items():
+    for side, (result, report, usage) in runs.items():
         values = {name: m["value"] for name, m in result["metrics"].items()}
         values.update({f"stage.{name}": m["value"]
                        for name, m in report["stages"].items()})
         values["wall.pipeline_s"] = report["wall"]["pipeline_s"]
         values["wall.reference_s"] = report["wall"]["reference_s"]
+        values.update({f"proc.{name}": v for name, v in usage.items()})
         rec[side] = {"values": values, "correct": result["correct"],
                      "failed": result["failed"],
                      "attempted": result["attempted"],
@@ -167,7 +180,7 @@ def judge(parent, change, better, bound):
 def traced_record(seed, runs):
     """Per-layer metrics of one --trace 1 run per side: name -> [parent,
     change]."""
-    results = {side: result for side, (result, _) in runs.items()}
+    results = {side: result for side, (result, *_) in runs.items()}
     names = sorted(set(results["parent"]["metrics"])
                    | set(results["change"]["metrics"]))
     return {
