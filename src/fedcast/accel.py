@@ -71,11 +71,10 @@ _TWO_LEVEL_MIN_PARENTS = 5000
 # - The terminal drain is skipped when fl(buffer0 - buf_min) <= 0. When it
 #   is skipped and every depth is stall-free, the buffers reach no score
 #   and no depth writes them.
-# - The download times are computed once per distinct predicted
-#   throughput; at horizon <= 5 every chunk reads the same predicted
-#   second. The longest is rtt + bits_max / tp, which rounds to the
-#   largest of rtt + bits / tp, so `_buffer_walk` runs the smallest-buffer
-#   recurrence on scalars, before any array is touched.
+# - The plan keeps each finite predicted throughput's (L, 1) download times,
+#   read-only, for the session's decisions and depths. The longest is
+#   rtt + bits_max / tp, the largest of rtt + bits / tp by monotone rounding,
+#   so `_buffer_walk` runs the smallest-buffer recurrence on scalars first.
 #
 # The last two depths are a branch-and-bound. A prefix p with n = 1 or 2
 # chunks to come gets a bound U(p) on every leaf below it, from quantities
@@ -139,27 +138,22 @@ _TWO_LEVEL_MIN_PARENTS = 5000
 # level runs under the same conditions at depth h-2 and h-3, and at a
 # horizon of 3 or more; otherwise depth h-2 is dense. When anything is
 # pruned, no leaf scores nan.
-# On perfbench's stream_outage_h6 (seed 7), 393 rollouts per pass run the
-# first level in 251, which keep 905 of their 325,296 prefixes of depth
-# h-3 (155 keep only the highest-bound one, at most 51 are kept) and build
-# 6,006 of their 1,951,776 prefixes of depth h-2, incumbents included. The
-# last level scores the children of 6,146 of its 1,109,622 parents: 40,710
-# leaves are scored, incumbents included, against 82,098 with the last
-# level alone, and 36,876 are returned, of 18,335,808 sequences. demo_all
-# runs at horizon 5, 1,296 parents, without the first level.
+# On perfbench's stream_outage_h6 (seed 7), the first level runs in 251 of
+# 393 rollouts per pass and keeps 905 of their 325,296 prefixes of depth
+# h-3; 40,710 leaves are scored, incumbents included (82,098 with the last
+# level alone), and 36,876 returned, of 18,335,808 sequences. demo_all runs
+# at horizon 5, 1,296 parents, without the first level.
 #
 # A decision that cannot stall at any depth and skips the drain therefore
-# has scores that depend on nothing but the plan, the previous rate and
-# latency0: the first depth adds (gain_first[prev] - cost(latency0)) /
-# chunks_per_seg to +0.0, and every later depth adds the (L, L) table
-# term_next[rate, last rate], built from the same cost. So does its first
-# rate, which `mpc_first_rate` keeps in the plan's `first_rates` dict by
-# (previous rate, latency0): a repeat is a dict lookup, and a first sight,
-# a decision that can stall or drain, a nan latency0 (never equal to
-# itself) or an infinite or nan mu2 (a zero stall is not free) runs the
-# rollout.
-# On perfbench's demo_all (seed 7), 1,013 of 1,240 decisions per pass are
-# lookups, 90 are first sights and 137 can stall or drain.
+# has scores that depend only on the plan, the previous rate and latency0
+# (the first depth adds (gain_first[prev] - cost(latency0)) / chunks_per_seg
+# to +0.0, every later depth term_next[rate, last rate] of the same cost),
+# and so does its first rate: `mpc_first_rate` keeps it in the plan's
+# `first_rates` by (previous rate, latency0). A first sight, a decision that
+# can stall or drain, a nan latency0 (never equal to itself) or an infinite
+# or nan mu2 (a zero stall is not free) runs the rollout. On perfbench's
+# demo_all (seed 7), 1,013 of 1,240 decisions per pass are lookups, 90 are
+# first sights and 137 can stall or drain.
 # ---------------------------------------------------------------------------
 
 
@@ -187,9 +181,9 @@ class MpcPlan:
     table and the first chunk's gain row after each previous rate, psi's
     base, the bounds' constants and whether the search's first level
     runs, a workspace and, for every depth but the last, its rows shaped
-    (L, parents), its parents' last rates and its prefixes' flat rows.
-    The coefficients mu1-mu4 must be non-negative, as the bounds
-    assume."""
+    (L, parents), its parents' last rates and its prefixes' flat rows; and,
+    as the session's decisions come, their memo and download times. The
+    coefficients mu1-mu4 must be non-negative, as the bounds assume."""
 
     def __init__(self, ladder_kbps, q_table, horizon, rtt, chunk_dur,
                  chunks_per_seg, mu1, mu2, mu3, mu4, omega):
@@ -270,6 +264,20 @@ class MpcPlan:
         # the first rate of every stall- and drain-free decision scored so
         # far, by (previous rate, latency): all its scores depend on these
         self.first_rates = {}
+        # the download times of each finite throughput predicted so far
+        self.download_cols = {}
+
+    def downloads(self, tp):
+        """The ladder's (L, 1) download times at throughput tp, read-only;
+        kept for the session when tp is finite (a nan equals no key)."""
+        col = self.download_cols.get(tp)
+        if col is None:
+            col = ((self.rtt + self.bits / tp)[:, None] if tp > 0.0 else
+                   np.full((self.bits.size, 1), _BIG_DOWNLOAD_TIME))
+            col.flags.writeable = False
+            if math.isfinite(tp):
+                self.download_cols[tp] = col
+        return col
 
 
 def _latency_cost(lat, omega, psi_base, mu4, out):
@@ -284,15 +292,15 @@ def _latency_cost(lat, omega, psi_base, mu4, out):
 
 
 def _prediction(pred_kbps, plan):
-    """The predicted kbps of a decision as float64, one per depth."""
+    """A decision's predicted kbps as a list of floats, one per depth."""
     pred_kbps = np.asarray(pred_kbps, dtype=np.float64)
     if pred_kbps.size != plan.horizon:
         raise ValueError(f"{pred_kbps.size} predicted chunks for an MPC plan "
                          f"over {plan.horizon}")
-    return pred_kbps
+    return pred_kbps.ravel().tolist()
 
 
-def _buffer_walk(pred_kbps, buffer0, plan):
+def _buffer_walk(tps, buffer0, plan):
     """The smallest buffer of any prefix, depth by depth: the scalar
     recurrence at the longest download. Returns how many leading depths
     are stall-free and whether the terminal drain applies."""
@@ -301,7 +309,7 @@ def _buffer_walk(pred_kbps, buffer0, plan):
     stall_free = plan.zero_cost
     buf_min = buffer0
     tp_prev = None
-    for tp in pred_kbps.tolist():
+    for tp in tps:
         if tp != tp_prev:
             # the largest of rtt + bits / tp, by monotone rounding
             d_max = rtt + bits_max / tp if tp > 0.0 else _BIG_DOWNLOAD_TIME
@@ -330,32 +338,24 @@ def mpc_rollout_scores(pred_kbps, buffer0, latency0, prev_idx, plan,
     scored: a branch-and-bound bounds the prefixes of depth h-3, then the
     last depth's parents, and expands only those whose bound reaches a
     scored leaf (see the module comment). `plan` is the session's
-    `MpcPlan`, whose workspace the call reuses. `walk` is `_buffer_walk`'s
-    result for a prediction that `_prediction` already checked, when the
-    caller has them. See module stream."""
+    `MpcPlan`, whose workspace and download times the call reuses. With
+    `walk`, the caller checked the prediction: `pred_kbps` is `_prediction`'s
+    list and `walk` its `_buffer_walk`. See module stream."""
     buffer0, latency0 = float(buffer0), float(latency0)
+    tps = pred_kbps
     if walk is None:
-        pred_kbps = _prediction(pred_kbps, plan)
-        walk = _buffer_walk(pred_kbps, buffer0, plan)
+        tps = _prediction(pred_kbps, plan)
+        walk = _buffer_walk(tps, buffer0, plan)
     n_free, drain = walk
     horizon = plan.horizon
     n_rates = plan.ladder_kbps.size
-    rtt, bits, chunk_dur = plan.rtt, plan.bits, plan.chunk_dur
-    chunks_per_seg, mu2, mu4 = plan.chunks_per_seg, plan.mu2, plan.mu4
-    omega, psi_base = plan.omega, plan.psi_base
+    chunk_dur, chunks_per_seg = plan.chunk_dur, plan.chunks_per_seg
+    mu2, mu4, omega, psi_base = plan.mu2, plan.mu4, plan.omega, plan.psi_base
     gain_first = plan.gain_first[prev_idx]
     # a stall-free depth's buffers reach no score unless a later depth can
     # stall or the drain applies
     keep_buf = n_free < horizon or drain
-    tps = pred_kbps.tolist()
-    downloads = []  # each depth's download times, (L, 1)
-    for j, tp in enumerate(tps):
-        if j and tp == tps[j - 1]:
-            downloads.append(downloads[-1])
-        elif tp > 0.0:
-            downloads.append((rtt + bits / tp)[:, None])
-        else:
-            downloads.append(np.full((n_rates, 1), _BIG_DOWNLOAD_TIME))
+    downloads = [plan.downloads(tp) for tp in tps]  # by depth, (L, 1)
 
     buf = np.array([buffer0])
     lat = np.array([latency0])
@@ -598,9 +598,9 @@ def mpc_first_rate(pred_kbps, buffer0, latency0, prev_idx, plan):
     cannot stall or drain is answered from `plan.first_rates` when a
     decision of the session with its previous rate and latency was scored
     before."""
-    pred_kbps = _prediction(pred_kbps, plan)
+    tps = _prediction(pred_kbps, plan)
     buffer0, latency0 = float(buffer0), float(latency0)
-    n_free, drain = _buffer_walk(pred_kbps, buffer0, plan)
+    n_free, drain = _buffer_walk(tps, buffer0, plan)
     key = None
     # a nan latency is never equal to itself, so it takes no memo entry
     if n_free == plan.horizon and not drain and latency0 == latency0:
@@ -608,8 +608,8 @@ def mpc_first_rate(pred_kbps, buffer0, latency0, prev_idx, plan):
         rate = plan.first_rates.get(key)
         if rate is not None:
             return rate
-    seq, score = mpc_rollout_scores(pred_kbps, buffer0, latency0, prev_idx,
-                                    plan, walk=(n_free, drain))
+    seq, score = mpc_rollout_scores(tps, buffer0, latency0, prev_idx, plan,
+                                    walk=(n_free, drain))
     # an unscored sequence is below the best; the first chunk is the most
     # significant digit, so the integer division recovers its rate
     top = score.max()

@@ -559,9 +559,10 @@ def cmd_stream(cfg):
             "stall_time": result.stall_time,
             "skip_wait_time": result.skip_wait_time}
         ev_rows = ["time,kind,chunk,rate_kbps,buffer,latency"]
+        # each float as _fmt writes it, repr(float(x)), in one f-string
         for t, kind, chunk, rate, buf, lat in result.events:
-            ev_rows.append(f"{_fmt(t)},{kind},{chunk},{_fmt(rate)},"
-                           f"{_fmt(buf)},{_fmt(lat)}")
+            ev_rows.append(f"{float(t)!r},{kind},{chunk},{float(rate)!r},"
+                           f"{float(buf)!r},{float(lat)!r}")
         _atomic_write(out / "events" / f"{tr.client_id}.csv",
                       "\n".join(ev_rows) + "\n")
     _atomic_write(out / "qoe.csv", "\n".join(qoe_rows) + "\n")

@@ -179,8 +179,8 @@ def mpc_select_bitrate(buffer, latency, pred_chunk_kbps, cfg, coeffs,
     """The first rate of the best-scoring rate sequence over the horizon.
 
     `plan` is `mpc_plan(cfg, coeffs)`, built here when None; a session
-    builds it once and reuses it, workspace and memo included, for every
-    decision. A decision that can stall or drain rolls the rate sequences
+    builds it once and reuses it, workspace, memo and download times
+    included, for every decision. A decision that can stall or drain rolls the rate sequences
     out, scoring at the last chunk only the children of prefixes that can
     still hold the best sequence. One that cannot has scores that depend
     only on the previous rate and the latency, so the session scores each
@@ -199,10 +199,18 @@ def mpc_select_bitrate(buffer, latency, pred_chunk_kbps, cfg, coeffs,
 
 # ---------------------------------------------------------------------------
 # predictors
+#
+# A predictor is called as predictor(observed, horizon), where `observed` is
+# the session's trace up to and including the current second, trace[:now+1],
+# in Mbps. It returns at least `horizon` per-second forecasts in Mbps, and
+# they must be a function of `observed` and `horizon` alone: a session asks
+# once per second and every decision of that second reuses the forecast.
 # ---------------------------------------------------------------------------
 
 
 class ConstantPredictor:
+    """The same throughput every second, whatever was observed."""
+
     def __init__(self, mbps):
         self.mbps = float(mbps)
 
@@ -211,7 +219,8 @@ class ConstantPredictor:
 
 
 class HarmonicMeanPredictor:
-    """Harmonic mean of the most recent positive observations."""
+    """Harmonic mean of the most recent positive observations: a function
+    of the last `window` seconds of `observed`."""
 
     def __init__(self, window=5):
         self.window = window
@@ -226,7 +235,8 @@ class HarmonicMeanPredictor:
 
 
 class OraclePredictor:
-    """Reads the future of the trace it will be evaluated on."""
+    """Reads the future of the trace it will be evaluated on: the seconds
+    after `now = len(observed) - 1`, a function of that length alone."""
 
     def __init__(self, trace_mbps):
         self.trace = np.asarray(trace_mbps, dtype=float)
@@ -244,12 +254,12 @@ class ModelPredictor:
     """Federated forecaster over the client's scaled model inputs, the
     (|F|+1, T) matrix of `preprocess.model_inputs`.
 
-    The history is known in full up front, so the forecast depends on `now`
-    alone. The forecasts of every `now` in [H, T) are made here, in one
-    `models.forward` call over the stack of their (1, |F|+1, H+1) windows,
-    each slice with the bits of its own batch-of-one call; a call is then a
-    row lookup. StreamError when any of them is not finite, whether or not
-    the session reaches its `now`.
+    The history is known in full up front, so the forecast depends on
+    `now = len(observed) - 1` alone. The forecasts of every `now` in [H, T)
+    are made here, in one `models.forward` call over the stack of their
+    (1, |F|+1, H+1) windows, each slice with the bits of its own
+    batch-of-one call; a call is then a row lookup. StreamError when any of
+    them is not finite, whether or not the session reaches its `now`.
     """
 
     def __init__(self, spec, params, inputs_scaled, scaler):
@@ -314,6 +324,8 @@ class _Session:
             raise StreamError(
                 f"trace of {self.trace.size}s shorter than session "
                 f"{cfg.session_len}s")
+        # the trace's seconds as Python floats, for the per-download reads
+        self.tput = self.trace.tolist()
         self.predictor = predictor
         self.cfg = cfg
         self.coeffs = coeffs
@@ -339,19 +351,23 @@ class _Session:
         self.skip_wait_t = 0.0
         self.events = []
         self.chunk_rates = {}
-        self.seg_q_sum = np.zeros(self.n_seg)
-        self.seg_q_n = np.zeros(self.n_seg, dtype=int)
-        self.seg_stall = np.zeros(self.n_seg)
-        self.seg_eta = np.zeros(self.n_seg)
-        self.seg_latency = np.full(self.n_seg, np.nan)
+        # per-segment accumulators, Python scalars
+        self.seg_q_sum = [0.0] * self.n_seg
+        self.seg_q_n = [0] * self.n_seg
+        self.seg_stall = [0.0] * self.n_seg
+        self.seg_eta = [0.0] * self.n_seg
+        self.seg_latency = [math.nan] * self.n_seg
         # per-decision constants: the MPC's plan and scratch (freed with the
         # session) and which predicted second each lookahead chunk falls in
         self.mpc_plan = mpc_plan(cfg, coeffs)
-        self.q_table = self.mpc_plan.q_table
+        self.q_table = self.mpc_plan.q_table.tolist()
         self.horizon_sec = max(1, int(math.ceil(cfg.mpc_horizon * self.cd)))
         self.pred_idx = np.minimum(
             (np.arange(cfg.mpc_horizon) * self.cd).astype(int),
             self.horizon_sec - 1)
+        # the `now` of the last forecast and its kbps per chunk
+        self.pred_now = -1
+        self.pred_kbps = None
 
     # --- geometry helpers ---------------------------------------------
 
@@ -483,8 +499,7 @@ class _Session:
     # --- downloads ---------------------------------------------------------
 
     def _throughput_at(self, t):
-        idx = min(int(t), self.trace.size - 1)
-        return self.trace[idx]
+        return self.tput[min(int(t), len(self.tput) - 1)]
 
     def _download_finish(self, t_start, mbits):
         t = t_start + self.cfg.rtt_overhead
@@ -493,7 +508,7 @@ class _Session:
             sec = int(t)
             tp = self._throughput_at(t)
             if tp <= 0.0:
-                if sec >= self.trace.size - 1:
+                if sec >= len(self.tput) - 1:
                     return None  # zero throughput through the end of the trace
                 t = float(sec + 1)
                 continue
@@ -507,7 +522,13 @@ class _Session:
         return t
 
     def _predict_chunks(self, t):
-        now = min(int(t), self.trace.size - 1)
+        """The predicted kbps of each lookahead chunk, read-only. A
+        predictor is a function of the seconds observed, so it is asked once
+        per second `now`, and every decision of that second reuses its
+        checked forecast; `t` never decreases, so one slot holds it."""
+        now = min(int(t), len(self.tput) - 1)
+        if now == self.pred_now:
+            return self.pred_kbps
         observed = self.trace[:now + 1]
         pred_sec = np.asarray(self.predictor(observed, self.horizon_sec),
                               dtype=float)
@@ -516,7 +537,10 @@ class _Session:
         # a nan fails both comparisons; the MPC would read it as an outage
         if not all(0.0 <= x < math.inf for x in pred_sec.ravel().tolist()):
             raise StreamError("negative or non-finite predicted throughput")
-        return pred_sec[self.pred_idx] * 1000.0  # Mbps -> Kbps
+        self.pred_kbps = pred_sec[self.pred_idx] * 1000.0  # Mbps -> Kbps
+        self.pred_kbps.flags.writeable = False
+        self.pred_now = now
+        return self.pred_kbps
 
     def _maybe_start(self):
         if self.started or self.done:
@@ -532,7 +556,7 @@ class _Session:
 
     def _terminate(self):
         """Trace exhausted with zero capacity: cut the session here."""
-        while self.advance_to(float(self.trace.size)):
+        while self.advance_to(float(len(self.tput))):
             pass
         self.done = True
         self.truncated = True
@@ -592,14 +616,13 @@ class _Session:
                                * self.cfg.segment_len) / self.cfg.segment_len))
         records = []
         for i in range(start_seg, self.n_seg):
-            n = int(self.seg_q_n[i])
+            n = self.seg_q_n[i]
             q = self.seg_q_sum[i] / n if n else 0.0
             lat = self.seg_latency[i]
             records.append(SegmentRecord(
-                index=i, quality=q, played_chunks=n,
-                stall=float(self.seg_stall[i]),
-                latency=0.0 if math.isnan(lat) else float(lat),
-                skipped=float(self.seg_eta[i])))
+                index=i, quality=q, played_chunks=n, stall=self.seg_stall[i],
+                latency=0.0 if math.isnan(lat) else lat,
+                skipped=self.seg_eta[i]))
         breakdown = compute_qoe(records, self.coeffs)
         return SessionResult(
             breakdown=breakdown, records=records, events=self.events,

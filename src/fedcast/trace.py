@@ -105,12 +105,18 @@ def load_trace(path, mapping, client_id=None, dataset_tag=""):
                    if canon not in mapping.constants]
         sources += list(mapping.extras.items())
         read = [(canon, src, col_index[src]) for canon, src in sources]
+        # the fields a row needs to hold every column read
+        n_need = max((i for _, _, i in read), default=-1) + 1
         sentinels = set(mapping.sentinels)
         rows = []
         dropped = 0
         for row in reader:
             if not row or all(not c.strip() for c in row):
                 continue
+            if len(row) < n_need:
+                raise TraceError(f"{path}: line {reader.line_num} has "
+                                 f"{len(row)} fields, the mapped columns "
+                                 f"need {n_need}")
             vals = []
             for canon, src, i in read:
                 raw = row[i].strip()

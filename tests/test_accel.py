@@ -463,6 +463,61 @@ def test_first_rate_equals_fresh_argmax_with_one_plan_per_session():
     assert hits > 100 and eligible > hits
 
 
+def _same_pair(got, want):
+    return (got[0].tobytes(), got[1].tobytes()) == \
+        (want[0].tobytes(), want[1].tobytes())
+
+
+def test_warm_download_times_give_the_rollouts_of_fresh_plans():
+    rng = np.random.default_rng(16)
+    for horizon in range(1, 7):
+        n_rates = 6 if horizon < 6 else 4
+        plan = None
+        # throughputs that repeat within and across decisions, zero included
+        pool = np.r_[rng.uniform(60000, 100000, 2), rng.uniform(200, 9000, 2),
+                     0.0]
+        tps = []
+        for i, case in enumerate(_session_decisions(rng, horizon, n_rates,
+                                                    40)):
+            if i % 2:
+                case["pred_kbps"] = rng.choice(pool, horizon)
+            tps += case["pred_kbps"].tolist()
+            plan = plan or _plan(case)
+            assert _same_pair(_rollout_pair(case, plan),
+                              _rollout_pair(case, _plan(case)))
+        # one entry per distinct throughput
+        assert 0.0 in tps and len(set(tps)) < len(tps) - 10
+        assert set(plan.download_cols) == set(tps)
+        for tp, col in plan.download_cols.items():
+            assert math.isfinite(tp) and col.shape == (n_rates, 1)
+            assert not col.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                col[0, 0] = 0.0
+
+
+def test_non_finite_throughputs_take_no_cached_download_times():
+    rng = np.random.default_rng(17)
+    case = _random_case(rng, horizon=5, n_rates=6)
+    plan = _plan(case)
+    _rollout_pair(case, plan)
+    cached = dict(plan.download_cols)
+    assert len(cached) == 5
+    nan = float("nan")
+    for pred in ([nan] * 5, [np.inf] * 5, [nan, np.inf, 0.0, nan, 1000.0],
+                 np.r_[case["pred_kbps"][:3], nan, np.inf]):
+        twisted = dict(case, pred_kbps=np.asarray(pred))
+        with np.errstate(invalid="ignore"):
+            for _ in range(3):
+                assert _same_pair(_rollout_pair(twisted, plan),
+                                  _rollout_pair(twisted, _plan(twisted)))
+                # through the decision's entry too: the same first rate
+                assert _first_rate(twisted, plan) == \
+                    _first_rate(twisted, _plan(twisted))
+    # the finite ones of them were added, and no nan or inf
+    assert set(plan.download_cols) == set(cached) | {0.0, 1000.0}
+    assert all(plan.download_cols[tp] is col for tp, col in cached.items())
+
+
 def test_first_rate_at_the_drain_boundary():
     for horizon in range(1, 7):
         for prev_idx in (-1, 2):

@@ -1,6 +1,7 @@
 """The pair summary of tools/bench_pairs.py."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -106,7 +107,7 @@ def test_pair_record_keeps_process_counts_without_a_verdict():
                   "correct": True, "failed": 0, "attempted": 3}
         report = {"stages": {"stream_s": {"value": pipeline_s}},
                   "wall": {"pipeline_s": pipeline_s, "reference_s": 0.5},
-                  "artifact_sha256": {"qoe.csv": "a"}}
+                  "artifact_sha256": {"qoe.csv": "a"}, "passes": 4}
         return result, report, {"minor_faults": faults, "sys_s": sys_s}
     pairs = [
         bench_pairs.pair_record(0, "parent", {"parent": run(1.0, 700, 0.02),
@@ -120,3 +121,76 @@ def test_pair_record_keeps_process_counts_without_a_verdict():
     assert m["proc.minor_faults"]["change_lower"] == "2/2"
     assert m["proc.sys_s"]["change_median"] == pytest.approx(0.025)
     assert "verdict" not in m["proc.minor_faults"]
+
+
+def _run(pipeline_s, passes, faults, sys_s, reference_s):
+    """One side's (result, report, usage), as `run_bench` returns them."""
+    metrics = {name: {"value": pipeline_s}
+               for name in ("pipeline_s", "setup_s", "peak_rss_mb")}
+    result = {"metrics": metrics, "correct": True, "failed": 0,
+              "attempted": 3}
+    report = {"stages": {}, "passes": passes,
+              "wall": {"pipeline_s": pipeline_s, "reference_s": reference_s},
+              "artifact_sha256": {"qoe.csv": "a"}, "machine": {}}
+    return result, report, {"minor_faults": faults, "sys_s": sys_s}
+
+
+def test_process_counts_per_pass_take_no_verdict():
+    # a faster change runs more passes in the same time: its whole-process
+    # faults rise although each pass faults less
+    pairs = [
+        bench_pairs.pair_record(0, "parent", {
+            "parent": _run(1.0, 4, 4000, 0.08, 0.5),
+            "change": _run(0.8, 5, 4500, 0.10, 0.5)}),
+        bench_pairs.pair_record(1, "change", {
+            "parent": _run(1.0, 4, 4400, 0.04, 0.5),
+            "change": _run(0.8, 6, 4800, 0.06, 0.5)})]
+    m = bench_pairs.summarise(pairs)["metrics"]
+    assert m["passes"]["parent"] == [4, 4] and m["passes"]["change"] == [5, 6]
+    assert m["proc.minor_faults"]["change_lower"] == "0/2"
+    per_pass = m["proc.minor_faults_per_pass"]
+    assert per_pass["parent"] == [1000.0, 1100.0]
+    assert per_pass["change"] == [900.0, 800.0]
+    assert per_pass["change_lower"] == "2/2"
+    assert m["proc.sys_s_per_pass"]["parent"] == pytest.approx([0.02, 0.01])
+    assert m["proc.sys_s_per_pass"]["change"] == pytest.approx([0.02, 0.01])
+    for name in ("passes", "proc.minor_faults_per_pass",
+                 "proc.sys_s_per_pass"):
+        assert "verdict" not in m[name]
+
+
+@pytest.mark.parametrize("change_ref, moved", [
+    (0.5, False), (0.514, False), (0.486, False),
+    (0.52, True), (0.48, True), (0.6, True)])
+def test_reference_moved_beyond_three_percent(change_ref, moved):
+    pairs = [bench_pairs.pair_record(seed, "parent", {
+        "parent": _run(1.0, 4, 1000, 0.0, 0.5),
+        "change": _run(1.0, 4, 1000, 0.0, change_ref)}) for seed in (0, 1)]
+    got = bench_pairs.summarise(pairs)
+    assert got["reference_moved"] is moved
+    assert "verdict" not in got["metrics"]["wall.reference_s"]
+
+
+def test_summary_without_reference_times_is_not_flagged():
+    got = bench_pairs.summarise([_pair(0, 1.0, 1.0), _pair(1, 2.0, 2.0)])
+    assert got["reference_moved"] is False
+
+
+def test_main_warns_when_the_reference_moved(tmp_path, monkeypatch, capsys):
+    for side in ("old", "new"):
+        (tmp_path / side / "fedcast").mkdir(parents=True)
+        (tmp_path / side / "fedcast" / "__init__.py").write_text("")
+
+    def run_bench(checkout, workload, seed, seconds, trace):
+        # the change's reference kernel runs 10% faster
+        return _run(1.0, 4, 1000, 0.0, 0.45 if checkout.name == "change"
+                    else 0.5)
+    monkeypatch.setattr(bench_pairs, "run_bench", run_bench)
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main([
+        "--parent", str(tmp_path / "old"), "--change", str(tmp_path / "new"),
+        "--workloads", "w", "--pairs", "2", "--seed", "1",
+        "--out", str(out)]) == 0
+    err = capsys.readouterr().err
+    assert "w WARNING: the median wall.reference_s moved -10.0%" in err
+    assert json.loads(out.read_text())["end_to_end"]["w"]["reference_moved"]

@@ -328,6 +328,15 @@ def test_non_numeric_trace_value_exits_1_naming_the_file(tmp_path, capsys):
     _assert_one_line_error(capsys, "cell.csv", "'abc'")
 
 
+def test_trace_row_short_of_the_mapped_columns_exits_1(tmp_path, capsys):
+    rows = [(t, 0, 0, 0, -90, 10, 20.0, "LTE") for t in range(40)]
+    rows[5] = rows[5][:4]   # line 7 of the file, after the header
+    cfg, _ = _files_config(tmp_path, rows)
+    assert cli.run(cfg, "federate") == 1
+    _assert_one_line_error(capsys, "cell.csv", "line 7", "has 4 fields",
+                           "need 8")
+
+
 def test_too_short_trace_exits_1_naming_the_client(tmp_path, capsys):
     rows = [(t, 0, 0, 0, -90, 10, 20.0 + t, "LTE") for t in range(10)]
     cfg, _ = _files_config(tmp_path, rows,

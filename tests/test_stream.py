@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from fedcast import models
+from fedcast import models, stream
 from fedcast.cli import SyntheticSpec, generate_synthetic
 from fedcast.preprocess import (PreprocessConfig, ScalerState, WindowConfig,
                                 apply_scaler, build_windows, filter_trace,
@@ -339,6 +339,77 @@ def test_session_rejects_a_non_finite_or_negative_prediction(bad):
     with pytest.raises(StreamError, match="predicted throughput"):
         simulate_session(np.full(40, 2.0), ConstantPredictor(bad),
                          StreamConfig(session_len=30), QoECoefficients())
+
+
+class _CountingPredictor:
+    """The harmonic predictor, recording each call's `now` in `log` and
+    forecasting `bad` at second `bad_at`."""
+
+    def __init__(self, log, bad_at=None, bad=-1.0):
+        self.log, self.bad_at, self.bad = log, bad_at, bad
+
+    def __call__(self, observed, horizon):
+        now = len(observed) - 1
+        self.log.append(("predict", now))
+        if now == self.bad_at:
+            return np.full(horizon, self.bad)
+        return HarmonicMeanPredictor()(observed, horizon)
+
+
+def _outage_session(predictor, monkeypatch, log):
+    """A 0.8-8 Mbps session with outages at MPC horizon 6, each decision
+    logged as ("decide", pred_chunk_kbps)."""
+    select = stream.mpc_select_bitrate
+
+    def spy(buffer, latency, pred_chunk_kbps, *args):
+        log.append(("decide", pred_chunk_kbps))
+        return select(buffer, latency, pred_chunk_kbps, *args)
+    monkeypatch.setattr(stream, "mpc_select_bitrate", spy)
+    rng = np.random.default_rng(4)
+    trace = rng.uniform(0.8, 8.0, 40)
+    trace[[6, 7, 15, 16, 17, 28]] = 0.0
+    return simulate_session(trace, predictor, StreamConfig(
+        session_len=30, mpc_horizon=6), QoECoefficients())
+
+
+def test_session_asks_the_predictor_once_per_second(monkeypatch):
+    log = []
+    res = _outage_session(_CountingPredictor(log), monkeypatch, log)
+    nows = [now for kind, now in log if kind == "predict"]
+    decisions = [ev[0] for ev in res.events if ev[1] == "rate_select"]
+    # once per distinct `now`, in order, and every second with a decision
+    assert nows == sorted(set(nows))
+    assert set(nows) == {min(int(t), 39) for t in decisions}
+    assert len(decisions) > 3 * len(nows)
+    assert res.stall_time > 0.0
+
+
+def test_session_hands_the_mpc_a_read_only_forecast(monkeypatch):
+    log = []
+    _outage_session(_CountingPredictor(log), monkeypatch, log)
+    forecasts = [pred for kind, pred in log if kind == "decide"]
+    assert len(forecasts) > 100
+    for pred in forecasts:
+        assert not pred.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            pred[0] = 0.0
+    # the decisions of one second share its forecast
+    assert len({id(pred) for pred in forecasts}) < len(forecasts) / 3
+
+
+@pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
+def test_bad_forecast_at_a_later_second_raises_at_its_first_decision(
+        monkeypatch, bad):
+    log = []
+    with pytest.raises(StreamError, match="negative or non-finite predicted"):
+        _outage_session(_CountingPredictor(log, bad_at=12, bad=bad),
+                        monkeypatch, log)
+    # the bad second's first call raised before its decision; every
+    # earlier second was decided
+    assert log[-1] == ("predict", 12)
+    assert ("predict", 12) not in log[:-1]
+    assert log[-2][0] == "decide"
+    assert sum(kind == "decide" for kind, _ in log) > 20
 
 
 def test_config_validation():

@@ -14,16 +14,22 @@ one side. With `--traced-seed S`, each workload then runs once per side
 with `--trace 1` at seed S + 100 * w.
 
 The JSON written to --out holds, per workload, each side's value of every
-end-to-end metric and stage time, and the minor page faults and system
-CPU seconds of the whole benchmark process (`proc.minor_faults`,
-`proc.sys_s`), in pair order, their medians and inclusive quartiles, the
-median ratio change / parent, the number of pairs in which the change is
-lower, and whether the two sides wrote byte-identical artifacts in every
-pair. Each end-to-end metric of BENCHMARK.json also gets its relative
-median change next to its bound and a verdict (`judge`), printed to
-stderr as well; the process counts get none. Read them before trusting a
-timing: a time that moves with the page faults or the system time may be
-the allocator's, not the code's.
+end-to-end metric and stage time, the number of passes in the run
+(`passes`), and the minor page faults and system CPU seconds of the whole
+benchmark process (`proc.minor_faults`, `proc.sys_s`) and per pass
+(`proc.minor_faults_per_pass`, `proc.sys_s_per_pass`), in pair order,
+their medians and inclusive quartiles, the median ratio change / parent,
+the number of pairs in which the change is lower, and whether the two
+sides wrote byte-identical artifacts in every pair. Each end-to-end metric
+of BENCHMARK.json also gets its relative median change next to its bound
+and a verdict (`judge`), printed to stderr as well; the pass and process
+counts get none. Read them before trusting a timing: a time that moves
+with the page faults or the system time may be the allocator's, not the
+code's. Every time is scaled by the reference kernel timed in the same
+process, so when the two sides' median `wall.reference_s` differ by more
+than REFERENCE_TOLERANCE, a warning is printed and `reference_moved` set:
+the reference then ran at another speed next to one side, and the scaled
+times moved with it.
 """
 
 import argparse
@@ -39,6 +45,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+# the largest relative difference of the two sides' median reference times
+# at which their scaled times are compared without a warning
+REFERENCE_TOLERANCE = 0.03
 
 
 def parse_args(argv):
@@ -103,7 +112,10 @@ def pair_record(seed, first, runs):
                        for name, m in report["stages"].items()})
         values["wall.pipeline_s"] = report["wall"]["pipeline_s"]
         values["wall.reference_s"] = report["wall"]["reference_s"]
-        values.update({f"proc.{name}": v for name, v in usage.items()})
+        values["passes"] = report["passes"]
+        for name, v in usage.items():
+            values[f"proc.{name}"] = v
+            values[f"proc.{name}_per_pass"] = v / report["passes"]
         rec[side] = {"values": values, "correct": result["correct"],
                      "failed": result["failed"],
                      "attempted": result["attempted"],
@@ -122,7 +134,8 @@ def summarise(pairs):
     """Per metric, each side's values in pair order, their medians and
     inclusive quartiles, the median ratio change / parent and how many
     pairs the change is lower in; plus the pairs' correctness, failed
-    operations and artifact-hash equality."""
+    operations and artifact-hash equality, and whether the median
+    reference time moved by more than REFERENCE_TOLERANCE."""
     names = [n for n in pairs[0]["parent"]["values"]
              if all(n in p[s]["values"] for p in pairs for s in SIDES)]
     metrics = {}
@@ -141,6 +154,7 @@ def summarise(pairs):
         }
     equal = [p["parent"]["artifact_sha256"] == p["change"]["artifact_sha256"]
              for p in pairs]
+    ref_ratio = metrics.get("wall.reference_s", {}).get("median_ratio")
     return {
         "seeds": [p["seed"] for p in pairs],
         "first": [p["first"] for p in pairs],
@@ -152,6 +166,8 @@ def summarise(pairs):
                                 for s in SIDES),
         "artifact_sha256_equal": equal,
         "artifact_sha256_equal_all_pairs": all(equal),
+        "reference_moved": ref_ratio is not None
+        and abs(ref_ratio - 1.0) > REFERENCE_TOLERANCE,
     }
 
 
@@ -217,6 +233,12 @@ def main(argv=None):
                       + ", ".join(f"{s} {pairs[-1][s]['values']['pipeline_s']:.4f}"
                                   for s in SIDES), file=sys.stderr)
             summary = out["end_to_end"][workload] = summarise(pairs)
+            if summary["reference_moved"]:
+                ratio = summary["metrics"]["wall.reference_s"]["median_ratio"]
+                print(f"{workload} WARNING: the median wall.reference_s "
+                      f"moved {ratio - 1.0:+.1%} between the sides (more than "
+                      f"{REFERENCE_TOLERANCE:.0%}); every scaled time moved "
+                      f"with it, compare the wall times", file=sys.stderr)
             for metric in end_to_end:
                 m = summary["metrics"][metric["name"]]
                 m.update(judge(m["parent"], m["change"], metric["better"],
