@@ -371,20 +371,21 @@ def _load_traces(cfg):
 
 
 def build_client_set(traces, pre_cfg, window_cfg, train_ratio):
-    """ClientHandles for a cohort; per_dataset scope shares one scaler per
-    dataset tag (fitted on whole traces, as the scaling is dataset-global)."""
+    """ClientHandles for a cohort, each trace filtered once; per_dataset
+    scope shares one scaler per dataset tag (fitted on whole traces, as the
+    scaling is dataset-global)."""
+    filtered = [filter_trace(tr, pre_cfg) for tr in traces]
     if pre_cfg.scaling_scope == "per_dataset":
         by_tag = {}
-        for tr in traces:
+        for tr in filtered:
             by_tag.setdefault(tr.dataset_tag, []).append(tr)
-        scalers = {tag: fit_scaler([filter_trace(t, pre_cfg) for t in group],
-                                   pre_cfg)
+        scalers = {tag: fit_scaler(group, pre_cfg)
                    for tag, group in by_tag.items()}
         return [fl.build_client(tr, pre_cfg, window_cfg, train_ratio,
                                 scaler=scalers[tr.dataset_tag])
-                for tr in traces]
+                for tr in filtered]
     return [fl.build_client(tr, pre_cfg, window_cfg, train_ratio)
-            for tr in traces]
+            for tr in filtered]
 
 
 def _model_spec(cfg, traces):

@@ -25,7 +25,7 @@ import numpy as np
 from .analysis import AnalysisError, EvalPair, constant_truth, mse, r2_score
 from .models import LOCKSTEP_ARCHS, ParamSet, TrainingDiverged, init_model, \
     local_train, predict_trace
-from .preprocess import Windows, build_windows, filter_trace, fit_scaler, \
+from .preprocess import Windows, build_windows, fit_scaler, \
     apply_scaler, split_train_test, window_anchors
 
 FEDAVG = "FEDAVG"
@@ -88,15 +88,15 @@ class RoundReport:
                    1 if cid in self.participants else 0)
 
 
-def build_client(trace, pre_cfg, wc, train_ratio, scaler=None):
-    """Filter, scale (fit on the train prefix only) and window one trace."""
-    filtered = filter_trace(trace, pre_cfg)
+def build_client(filtered, pre_cfg, wc, train_ratio, scaler=None):
+    """Scale (fit on the train prefix only) and window one trace that
+    preprocess.filter_trace has filtered."""
     anchors = window_anchors(filtered, wc, wc.train_stride)
     if len(anchors) < 2:
-        raise FLError(f"client {trace.client_id}: too few windows")
+        raise FLError(f"client {filtered.client_id}: too few windows")
     n_train = int(len(anchors) * train_ratio)
     if n_train < 1 or n_train >= len(anchors):
-        raise FLError(f"client {trace.client_id}: degenerate split")
+        raise FLError(f"client {filtered.client_id}: degenerate split")
     boundary_anchor = anchors[n_train - 1]
     if scaler is None:
         scaler = fit_scaler(filtered, pre_cfg,
@@ -108,9 +108,9 @@ def build_client(trace, pre_cfg, wc, train_ratio, scaler=None):
         evals = build_windows(scaled, wc, stride=wc.eval_stride)
         test = evals[evals.anchor >= test.anchor[0]] or test
     if len(test) < 2:
-        raise FLError(f"client {trace.client_id}: {len(test)} evaluation "
+        raise FLError(f"client {filtered.client_id}: {len(test)} evaluation "
                       f"window(s), R^2 needs at least 2")
-    return ClientHandle(client_id=trace.client_id, train=train,
+    return ClientHandle(client_id=filtered.client_id, train=train,
                         test=test, scaler=scaler)
 
 

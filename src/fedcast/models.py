@@ -166,9 +166,6 @@ class ParamSet:
     def __iter__(self):
         return iter(self.entries)
 
-    def __len__(self):
-        return len(self.entries)
-
     def get(self, name):
         return self._index[name]
 

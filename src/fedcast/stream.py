@@ -64,8 +64,15 @@ class StreamConfig:
             raise StreamError("start_after cannot exceed join_prefetch_max")
         if self.start_after < 1 or self.session_len < 1:
             raise StreamError("start_after and session_len must be >= 1")
-        if self.max_latency <= self.playback_threshold:
-            raise StreamError("max_latency must exceed playback_threshold")
+        # a skip restores the latency to playback_threshold, moving the
+        # position to a chunk boundary: from max_latency, a smaller drop
+        # may not reach the next boundary, and the session would retry the
+        # same skip forever
+        if self.max_latency - self.playback_threshold < self.chunk_dur:
+            raise StreamError(
+                f"max_latency {self.max_latency} must exceed "
+                f"playback_threshold {self.playback_threshold} by at least "
+                f"one chunk, {self.chunk_dur} s")
         if self.mpc_horizon < 1:
             raise StreamError("mpc_horizon must be >= 1")
         if self.rtt_overhead < 0:

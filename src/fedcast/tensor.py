@@ -24,13 +24,6 @@ class Tensor:
         self._backward = None
         self._parents = ()
 
-    @property
-    def shape(self):
-        return self.data.shape
-
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, grad={self.requires_grad})"
-
     def _accum(self, g):
         if self.grad is None:
             # the bits of zeros + g (-0.0 becomes +0.0) in one pass; a new
@@ -66,19 +59,6 @@ class Tensor:
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
-
-    # operator sugar
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def as_tensor(x):

@@ -8,6 +8,8 @@ datasets: timestamp, latitude, longitude, speed, rsrp, sinr, throughput
 import csv
 import math
 from dataclasses import dataclass, field, replace
+from itertools import compress
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -82,8 +84,12 @@ class ColumnMapping:
 def load_trace(path, mapping, client_id=None, dataset_tag=""):
     """Parse a delimited text table into a canonical ClientTrace.
 
-    Rows whose mandatory values are sentinels are dropped and counted;
-    a non-numeric, non-sentinel value in a numeric column is an error.
+    Blank rows are skipped. A row's mapped fields are checked in the order
+    of MANDATORY_FIELDS, then the extras: a row is dropped and counted at
+    its first sentinel or non-finite value, and so is a row of negative
+    throughput. A row short of the mapped columns, or a non-numeric,
+    non-sentinel value in a field a row reaches before it is dropped, is an
+    error naming the first such row in file order.
     """
     path = Path(path)
     with open(path, newline="") as fh:
@@ -108,46 +114,24 @@ def load_trace(path, mapping, client_id=None, dataset_tag=""):
         # the fields a row needs to hold every column read
         n_need = max((i for _, _, i in read), default=-1) + 1
         sentinels = set(mapping.sentinels)
-        rows = []
-        dropped = 0
-        for row in reader:
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) < n_need:
-                raise TraceError(f"{path}: line {reader.line_num} has "
-                                 f"{len(row)} fields, the mapped columns "
-                                 f"need {n_need}")
-            vals = []
-            for canon, src, i in read:
-                raw = row[i].strip()
-                if raw in sentinels:
-                    break
-                if canon == "radio_type":
-                    vals.append(raw)
-                    continue
-                try:
-                    v = float(raw)
-                except ValueError:
-                    raise TraceError(f"{path}: non-numeric value {raw!r} in "
-                                     f"column {src!r}") from None
-                if not math.isfinite(v):
-                    break
-                vals.append(v)
-            else:
-                rows.append(vals)
-                continue
-            dropped += 1
+        try:
+            values, n, dropped = _read_fields(list(reader), read, n_need,
+                                              sentinels)
+        except (csv.Error, ValueError):
+            # some row is bad, and the column passes cannot tell which one
+            # comes first in the file: read the rows again one at a time
+            fh.seek(0)
+            _raise_first_error(path, csv.reader(fh, delimiter=delim), read,
+                               n_need, sentinels)
+            raise
 
-    n = len(rows)
-    read_cols = dict(zip([canon for canon, _ in sources],
-                         zip(*rows) if rows else [()] * len(sources)))
     columns = {}
     for canon in (*MANDATORY_FIELDS, *mapping.extras):
         if canon == "radio_type":
-            columns[canon] = np.array(read_cols[canon], dtype=str) \
-                if canon in read_cols else np.full(n, mapping.constants[canon])
-        elif canon in read_cols:
-            columns[canon] = np.array(read_cols[canon], dtype=float) \
+            columns[canon] = np.array(values[canon], dtype=str) \
+                if canon in values else np.full(n, mapping.constants[canon])
+        elif canon in values:
+            columns[canon] = np.array(values[canon], dtype=float) \
                 * mapping.units.get(canon, 1.0)
         else:
             columns[canon] = np.full(n, float(mapping.constants[canon]))
@@ -162,6 +146,72 @@ def load_trace(path, mapping, client_id=None, dataset_tag=""):
     return ClientTrace(client_id=cid, dataset_tag=dataset_tag, columns=columns,
                        sample_period=_infer_period(columns["timestamp"]),
                        dropped_rows=dropped)
+
+
+def _read_fields(rows, read, n_need, sentinels):
+    """({canonical name: values}, rows kept, rows dropped) of the csv rows,
+    one pass per field of `read`: its cells stripped, its sentinels dropped,
+    then its numbers converted and its non-finite ones dropped, each drop
+    taking the row out of every later pass. Raises ValueError when a
+    non-blank row is short of `n_need` fields or a value to convert is not
+    numeric."""
+    # a row is blank when every cell is whitespace, and so their join is
+    texts = list(map(str.strip, map("".join, rows)))
+    if not all(texts):
+        rows = list(compress(rows, texts))
+    if min(map(len, rows), default=n_need) < n_need:
+        raise ValueError("a row is short of the mapped columns")
+    n_rows = len(rows)
+    values = {}
+    for canon, _, i in read:
+        cells = list(map(str.strip, map(itemgetter(i), rows)))
+        keep = None     # the rows that stay, when some do not
+        if not sentinels.isdisjoint(cells):
+            keep = [c not in sentinels for c in cells]
+            cells = list(compress(cells, keep))
+        if canon != "radio_type":
+            cells = list(map(float, cells))
+            # a sum is finite only if every term is
+            if not math.isfinite(sum(cells)):
+                finite = list(map(math.isfinite, cells))
+                cells = list(compress(cells, finite))
+                if keep is None:
+                    keep = finite
+                else:
+                    left = iter(finite)
+                    keep = [k and next(left) for k in keep]
+        if keep is not None:
+            rows = list(compress(rows, keep))
+            values = {name: list(compress(vals, keep))
+                      for name, vals in values.items()}
+        values[canon] = cells
+    return values, len(rows), n_rows - len(rows)
+
+
+def _raise_first_error(path, reader, read, n_need, sentinels):
+    """Check the csv rows one at a time, in file order and in load_trace's
+    check order, and raise the error of the first bad one."""
+    next(reader)    # the header
+    for row in reader:
+        if not "".join(row).strip():
+            continue
+        if len(row) < n_need:
+            raise TraceError(f"{path}: line {reader.line_num} has "
+                             f"{len(row)} fields, the mapped columns "
+                             f"need {n_need}") from None
+        for canon, src, i in read:
+            raw = row[i].strip()
+            if raw in sentinels:
+                break
+            if canon == "radio_type":
+                continue
+            try:
+                v = float(raw)
+            except ValueError:
+                raise TraceError(f"{path}: non-numeric value {raw!r} in "
+                                 f"column {src!r}") from None
+            if not math.isfinite(v):
+                break
 
 
 def _infer_period(timestamps):

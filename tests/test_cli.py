@@ -1,7 +1,10 @@
 """Config parsing, synthetic generation and the subcommand pipeline."""
 
+import json
 import math
+import signal
 import warnings
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -681,3 +684,96 @@ def test_usage_error_exits_1_with_argparse_message(tmp_path, capsys, flags,
 def test_help_still_exits_0(capsys):
     assert cli.main(["--help"]) == 0
     assert "usage: fedcast" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("kind", ["constant", "oracle"])
+def test_stream_with_constant_and_oracle_predictors(tmp_path, kind):
+    # each session's QoE is the simulator's over the trace's last
+    # session_len seconds with that predictor
+    cfg, out = _config(tmp_path, extra="constant_mbps = 2.5\n")
+    cfg.write_text(cfg.read_text().replace("predictor = harmonic",
+                                           f"predictor = {kind}"))
+    assert cli.run(cfg, "stream") == 0
+    doc = json.loads((out / "qoe.json").read_text())
+    assert doc["predictor"] == kind
+    parsed = cli._parse_config(cfg, {})
+    scfg = parsed.stream_config
+    for tr in cli._load_traces(parsed):
+        session = tr.throughput()[-scfg.session_len:]
+        predictor = stream.ConstantPredictor(2.5) if kind == "constant" \
+            else stream.OraclePredictor(session)
+        want = stream.simulate_session(session, predictor, scfg, parsed.qoe)
+        assert doc["sessions"][tr.client_id]["qoe"] == want.breakdown.qoe
+
+
+def test_round_where_every_participant_diverges_exits_1(tmp_path, capsys):
+    # SGD at learning rate 1e30 overflows every client's loss in its
+    # second batch
+    cfg, out = _config(tmp_path)
+    cfg.write_text(cfg.read_text().replace(
+        "learning_rate = 0.01", "learning_rate = 1e30\noptimizer = sgd"))
+    assert cli.run(cfg, "federate") == 1
+    _assert_one_line_error(capsys, "round 0: every participant diverged")
+    assert not (out / "rounds.csv").exists()
+
+
+def test_uncaught_exception_exits_2_with_its_traceback(tmp_path, capsys,
+                                                       monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("kde broke")
+
+    monkeypatch.setattr(cli.analysis, "gaussian_kde", broken)
+    cfg, _ = _config(tmp_path)
+    assert cli.run(cfg, "analyze") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback"), err
+    assert err.strip().endswith("RuntimeError: kde broke"), err
+
+
+@contextmanager
+def _alarm(seconds):
+    """Raise TimeoutError in the body after `seconds`, so that a hang fails
+    the test instead of stopping the suite."""
+    def fire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, fire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+@pytest.mark.parametrize("max_latency, code", [(2.1, 1), (2.2, 0)])
+def test_latency_gap_below_one_chunk_exits_1_instead_of_hanging(
+        tmp_path, capsys, max_latency, code):
+    # 0.5-4 Mbps traces with outages; the default playback_threshold is
+    # 2.0 s and a chunk 0.2 s. At max_latency 2.1 the session retried a
+    # skip that could not move the position, forever; at 2.2, a gap of
+    # one chunk, it ends
+    cfg = tmp_path / "outage.ini"
+    cfg.write_text(f"""\
+[experiment]
+seed = 1
+out_dir = {tmp_path / "run"}
+[synthetic]
+n_clients = 2
+length = 60
+offset_min = 0.5
+offset_max = 4
+amp_frac = 1.1
+period_min = 6
+period_max = 16
+[stream]
+session_len = 30
+predictor = harmonic
+max_latency = {max_latency}
+""")
+    with _alarm(60):
+        assert cli.run(cfg, "stream") == code
+    err = capsys.readouterr().err
+    if code:
+        assert "[stream] max_latency: max_latency 2.1 must exceed " \
+               "playback_threshold 2.0 by at least one chunk, 0.2 s" in err, err

@@ -32,7 +32,8 @@ def _clients(n=4, seed=11, length=140, h=5):
                       period_min=20, period_max=50), seed=seed)
     pre = PreprocessConfig(filter_window=3)
     wc = WindowConfig(history=h, horizon=1)
-    return [fl.build_client(tr, pre, wc, 0.8) for tr in traces]
+    return [fl.build_client(filter_trace(tr, pre), pre, wc, 0.8)
+            for tr in traces]
 
 
 @pytest.mark.parametrize("train_stride, eval_stride, horizon",
@@ -44,8 +45,9 @@ def test_eval_windows_are_the_eval_stride_windows_of_the_test_span(
     pre = PreprocessConfig(filter_window=3)
     wc = WindowConfig(history=5, horizon=horizon, train_stride=train_stride,
                       eval_stride=eval_stride)
-    client = fl.build_client(tr, pre, wc, 0.8)
-    scaled = apply_scaler(filter_trace(tr, pre), client.scaler)
+    filtered = filter_trace(tr, pre)
+    client = fl.build_client(filtered, pre, wc, 0.8)
+    scaled = apply_scaler(filtered, client.scaler)
     _, test = split_train_test(build_windows(scaled, wc, train_stride), 0.8)
     evals = build_windows(scaled, wc, eval_stride)
     want = evals[evals.anchor >= test.anchor[0]]

@@ -740,11 +740,20 @@ def test_cohort_member_diverging_mid_epoch_is_dropped(monkeypatch, bad):
     bits of their own calls. Four members train as two stacks of two: bad
     members in both stacks, a whole stack of them, or all of them, when
     the call raises."""
+    _diverge_in_cohort(monkeypatch, bad, prox_mu=0.0)
+
+
+def test_fedprox_cohort_member_diverging_mid_epoch_is_dropped(monkeypatch):
+    # the dropped member leaves the stacked proximal anchor too
+    _diverge_in_cohort(monkeypatch, (1, 3), prox_mu=0.05)
+
+
+def _diverge_in_cohort(monkeypatch, bad, prox_mu):
     monkeypatch.setattr(models, "LOCKSTEP_MAX", 3)
     spec = _lockstep_spec()
     params, windows = _cohort(spec, 4)
     cfg = models.TrainConfig(learning_rate=3e-3, batch_size=32,
-                             local_epochs=2)
+                             local_epochs=2, prox_mu=prox_mu)
     for j in bad:
         first_epoch = _member_rng(j).permutation(len(windows[j]))
         windows[j].y[first_epoch[2 * cfg.batch_size]] = 1e300

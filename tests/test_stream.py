@@ -423,6 +423,21 @@ def test_config_validation():
         QoECoefficients(mu2=-1.0)
 
 
+def test_latency_gap_of_one_chunk_is_the_smallest_valid():
+    # chunks of 0.25 s: a gap of exactly one chunk is valid, one ulp less
+    # is not, and the message names both values and the chunk
+    cfg = StreamConfig(segment_len=1.0, chunks_per_segment=4,
+                       playback_threshold=2.0, max_latency=2.25)
+    assert cfg.max_latency - cfg.playback_threshold == cfg.chunk_dur
+    below = float(np.nextafter(2.25, 0.0))
+    with pytest.raises(StreamError) as exc:
+        StreamConfig(segment_len=1.0, chunks_per_segment=4,
+                     playback_threshold=2.0, max_latency=below)
+    assert str(exc.value) == (f"max_latency {below} must exceed "
+                              "playback_threshold 2.0 by at least one "
+                              "chunk, 0.25 s")
+
+
 def test_harmonic_mean_predictor():
     pred = HarmonicMeanPredictor(window=3)
     out = pred(np.array([0.0, 2.0, 4.0, 4.0]), 2)

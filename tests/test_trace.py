@@ -1,10 +1,16 @@
 """Trace ingestion and cleaning against hand-built files and oracles."""
 
+import csv
+import io
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from fedcast.trace import (ClientTrace, ColumnMapping, TraceError,
-                           clean_and_resample, export_trace, load_trace)
+import oracle_trace
+from fedcast.trace import (DEFAULT_SENTINELS, ClientTrace, ColumnMapping,
+                           TraceError, clean_and_resample, export_trace,
+                           load_trace)
 
 
 def _write(tmp_path, text, name="trace.csv"):
@@ -227,3 +233,91 @@ def test_export_load_roundtrip(tmp_path):
         assert np.array_equal(back.columns[name], col), name
     for attr in ("client_id", "dataset_tag", "sample_period", "dropped_rows"):
         assert getattr(back, attr) == getattr(tr, attr), attr
+
+
+# --- the column-at-a-time parser against the row-by-row oracle -------------
+
+_SOURCES = ("ts", "lat", "lon", "speed", "rsrp", "sinr", "tput", "radio",
+            "cqi", "junk")
+_OPTIONAL = (("latitude", "lat"), ("longitude", "lon"), ("speed", "speed"),
+             ("rsrp", "rsrp"), ("sinr", "sinr"), ("radio_type", "radio"))
+_NUMBER = st.one_of(st.integers(-1, 30).map(str), st.integers(0, 30).map(str),
+                    st.floats(0, 1e3).map(repr), st.floats(0, 1e3).map(repr),
+                    st.sampled_from(["inf", "-inf", "nan", "1e400", "-0.0",
+                                     " 7 ", "+3", ".5", "1_0", "-2.5"]))
+_SENTINEL = st.tuples(st.sampled_from(DEFAULT_SENTINELS),
+                      st.sampled_from(["", " ", "  "]),
+                      st.sampled_from(["", " ", "\t"])
+                      ).map(lambda t: t[1] + t[0] + t[2])
+_OTHER = st.sampled_from(["abc", "1.2.3", "LTE", "NR-SA", "5G NSA", "x\ny",
+                          " 4\n", 'say "hi"', "1,5"])
+
+
+@st.composite
+def _trace_file(draw):
+    """(file text, ColumnMapping): a header of source columns and rows of
+    drawn cells, some blank or whitespace only, in some files short or
+    non-numeric; the mapping reads some fields, takes others as constants
+    and may add extras and units."""
+    header = draw(st.permutations(_SOURCES))
+    if draw(st.integers(0, 9)) == 9:
+        header = header[1:]
+    width = len(header)
+    bad = draw(st.sampled_from(["", "", "short", "other", "short other"]))
+    cell = st.one_of(*[_NUMBER] * 16, _SENTINEL,
+                     *[_OTHER] * ("other" in bad))
+    full = st.lists(cell, min_size=width, max_size=width)
+    row = st.one_of(*[full] * 8, st.just([]),
+                    st.lists(st.sampled_from(["", " ", "\t "]), min_size=1,
+                             max_size=width),
+                    *[st.lists(cell, max_size=width - 1)] * ("short" in bad))
+    rows = draw(st.lists(row, min_size=2, max_size=15))
+    delim = draw(st.sampled_from([",", "\t"]))
+    buf = io.StringIO()
+    writer = csv.writer(buf, delimiter=delim,
+                        lineterminator=draw(st.sampled_from(["\n", "\r\n"])),
+                        quoting=draw(st.sampled_from([csv.QUOTE_MINIMAL,
+                                                      csv.QUOTE_ALL])))
+    writer.writerow(header)
+    writer.writerows(rows)
+
+    columns = {"timestamp": "ts", "throughput": "tput"}
+    constants = {}
+    for canon, src in _OPTIONAL:
+        how = draw(st.sampled_from(["column", "column", "constant", "default"]))
+        if how == "column":
+            columns[canon] = src
+        elif how == "constant":
+            constants[canon] = "LTE" if canon == "radio_type" else -2.5
+    extras = draw(st.sampled_from([{}, {"cqi": "cqi"},
+                                   {"cqi": "cqi", "tput_copy": "tput"}]))
+    units = draw(st.sampled_from([{}, {"throughput": 1e-3},
+                                  {"rsrp": 2.0, "cqi": 0.1}]))
+    sentinels = draw(st.sampled_from([DEFAULT_SENTINELS,
+                                      ("NA", "-1", ""), ("null",)]))
+    mapping = ColumnMapping(columns=columns, constants=constants, units=units,
+                            sentinels=sentinels, extras=extras)
+    return buf.getvalue(), mapping
+
+
+def _outcome(load, path, mapping):
+    """Every column's dtype and bytes, dropped_rows and sample_period of the
+    parsed trace, or the type and text of the error."""
+    try:
+        tr = load(path, mapping)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    return ([(name, col.dtype.str, col.tobytes())
+             for name, col in tr.columns.items()],
+            tr.dropped_rows, tr.sample_period)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=_trace_file())
+def test_column_parser_matches_the_row_by_row_oracle(tmp_path, case):
+    text, mapping = case
+    path = tmp_path / "trace.csv"
+    path.write_text(text, newline="")
+    want = _outcome(oracle_trace.load_trace, path, mapping)
+    assert _outcome(load_trace, path, mapping) == want
